@@ -7,15 +7,19 @@ This module fixes one canonical order over those subsets, lexicographic on the
 sorted element tuple, and provides exact arbitrary-precision counting plus
 rank/unrank conversion against that order.
 
-Conventions: subsets are sorted tuples of 1-based labels, ranks are 0-based.
-All functions are pure and safe for concurrent use.
+Conventions: subsets are sorted tuples (or array rows) of 1-based labels,
+ranks are 0-based. All functions are pure and safe for concurrent use. The
+array forms import numpy on first use; the exact functions never need it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Iterable, Iterator
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def binom(n: int, k: int) -> int:
@@ -92,3 +96,25 @@ def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     if k < 0:
         raise ValueError(f"subset size must be nonnegative, got {k}")
     yield from combinations(range(1, n + 1), k)
+
+
+def subset_array(n: int, k: int) -> np.ndarray:
+    """All k-subsets of [n] (k >= 1) as the rows of an int64 array, in lex order."""
+    import numpy as np
+
+    flat = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), k)), np.int64)
+    return flat.reshape(-1, k)
+
+
+def rank_subsets(subsets: np.ndarray, n: int) -> np.ndarray:
+    """:func:`rank_subset` of every row of an array of sorted k-subsets of [n].
+
+    Vectorised through rank = C(n, k) - 1 - sum_i C(n - c_i, k - i) over the
+    row's labels c_0 < ... < c_{k-1}. Rows are not validated, and C(n, k)
+    must stay below 2**63.
+    """
+    import numpy as np
+
+    k = subsets.shape[-1]
+    table = np.array([[binom(a, j) for j in range(k + 1)] for a in range(n + 1)], np.int64)
+    return binom(n, k) - 1 - table[n - subsets, k - np.arange(k)].sum(axis=-1)

@@ -116,10 +116,23 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def bytes(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            out += self.next_u64().to_bytes(8, "little")
-        return bytes(out[:n])
+        """The next ceil(n/8) outputs as little-endian words, cut to n bytes.
+
+        Vectorised form of ``next_u64`` in a loop: the states are
+        state + gamma * (1..k) mod 2^64, and uint64 arithmetic wraps the
+        same way the masked integer arithmetic does. numpy is imported here,
+        not with the module, so that it loads after the package's own modules
+        are compiled, which lowers the peak memory of importing the package.
+        """
+        import numpy as np
+
+        k = -(-n // 8)
+        z = np.uint64(self._state) + np.uint64(self._GAMMA) * np.arange(1, k + 1, dtype=np.uint64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + k * self._GAMMA) & self._MASK
+        return z.astype("<u8").tobytes()[:n]
 
 
 CellValue = Union[Fraction, int, Undefined]
@@ -182,6 +195,9 @@ class SweepSpec:
             raise ValueError("cache counts must be positive")
         if any(r < 1 for r in self.access_degrees):
             raise ValueError("access degrees must be positive")
+        outside = [mn for mn in self.cache_params if not 0 <= mn <= 1]
+        if self.param_kind == "mn" and outside:
+            raise ValueError(f"memory fraction {outside[0]} outside [0, 1]")
 
 
 def _integer(t: Fraction) -> Union[int, None]:
@@ -609,9 +625,8 @@ def simulate_report(
     if mismatched:
         raise RuntimeError(f"byte mismatch for users {mismatched}")
 
-    transmissions = generate_transmissions(params, demand, strict)
     F = params.subpacketization
-    measured = Fraction(len(transmissions), F)
+    measured = Fraction(outputs.messages, F)
     analytic = delivery_rate(C, r, t)
     full_population = len(demand.entries) == K_full
     if full_population and measured != analytic:
@@ -626,7 +641,7 @@ def simulate_report(
         "active_users": len(demand.entries),
         "population": K_full,
         "decoded_ok": len(outputs),
-        "transmissions": len(transmissions),
+        "transmissions": outputs.messages,
         "subpacketization": F,
         "measured_rate": render_fraction(measured),
         "analytic_rate": render_fraction(analytic),

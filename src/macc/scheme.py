@@ -3,7 +3,8 @@
 Placement fills C caches with subfiles indexed by t-subsets of [C]; delivery
 sends one XOR-coded message per (t+r)-subset; each user, identified with the
 r-subset of caches it reads, peels every message whose index set contains it.
-The module works symbolically (subfile identifiers) and on real bytes.
+The byte path reads the placement as a rule (U reads W_{i,T} exactly when
+T meets U) and runs one integer delivery plan through encoder and decoder.
 
 Parameters follow the usual naming: C caches, access degree r, cache
 parameter t (each cache holds the fraction t/C of the library), N files.
@@ -18,7 +19,8 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import binom, enumerate_subsets, rank_subset, validate_subset
+from .combinatorics import binom, enumerate_subsets, rank_subset, rank_subsets, subset_array
+from .combinatorics import validate_subset
 
 
 class DemandError(ValueError):
@@ -187,11 +189,7 @@ def build_placement(params: SchemeParams) -> list[CacheContent]:
 def accessible_subfile_indices(params: SchemeParams, user: Sequence[int]) -> set[tuple[int, ...]]:
     """Index sets a user can read: exactly the T with T intersecting the user."""
     user_set = set(validate_subset(user, params.num_caches, params.access_degree))
-    return {
-        T
-        for T in params.subfile_index_sets()
-        if user_set.intersection(T)
-    }
+    return {T for T in params.subfile_index_sets() if user_set.intersection(T)}
 
 
 def accessible_fraction(params: SchemeParams) -> Fraction:
@@ -210,138 +208,146 @@ def accessible_fraction(params: SchemeParams) -> Fraction:
     return Fraction(total, binom(C, t))
 
 
-def _coded_sets(params: SchemeParams, demand: DemandAssignment) -> Iterator[tuple[int, ...]]:
-    """(t+r)-subsets that carry at least one active user's missing subfile.
+class _Plan(NamedTuple):
+    """A delivery as integer arrays: one row per message, one column per slot.
 
-    A set S is useful exactly when it contains an active user U: the index
-    set S \\ U is then disjoint from U, hence missing for U. With the full
-    population active that is every (t+r)-subset.
+    Slot j of coded set S serves the user at the j-th r-subset of positions
+    of S in lex order, with a term indexed by the rest of S (so the t-subsets
+    of positions in reverse lex order) for file ``term_file`` (0: no term).
+    User U reads subfile T exactly when T meets U: ``subfile_sets`` lists
+    every T by rank, and that rule is the whole placement.
     """
+
+    coded_sets: np.ndarray  # (M, t+r) cache labels
+    term_file: np.ndarray  # (M, b)
+    term_rank: np.ndarray  # (M, b) lex rank of the term's index set
+    subfile_sets: np.ndarray  # (F, t) every index set, by rank
+    slot_order: np.ndarray  # (M*b,) flat slots sorted by the rank of the user they serve
+    slot_users: np.ndarray  # (M*b,) those user ranks, sorted
+
+
+def _plan(params: SchemeParams, coded_sets: np.ndarray, slot_files) -> _Plan:
+    """The plan over ``coded_sets`` minus those without a term; ``slot_files``
+    maps the (M, b) lex ranks of the users the slots serve to their files."""
+    C, t, r = params.num_caches, params.cache_param, params.access_degree
+    users = rank_subsets(coded_sets[:, subset_array(t + r, r) - 1], C)
+    term_file = slot_files(users)
+    keep = term_file.any(axis=1)
+    coded_sets, term_file, users = coded_sets[keep], term_file[keep], users[keep].ravel()
+    term_rank = rank_subsets(coded_sets[:, subset_array(t + r, t)[::-1] - 1], C)
+    order = np.argsort(users, kind="stable")
+    return _Plan(coded_sets, term_file, term_rank, subset_array(C, t), order, users[order])
+
+
+def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
+    """One row per (t+r)-subset S holding an active user, in lex order; the
+    slot of user U carries W_{d_U, S \\ U}, file 0 if U is inactive."""
     C, r, t = params.num_caches, params.access_degree, params.cache_param
-    if len(demand.entries) == params.num_users:
-        yield from enumerate_subsets(C, t + r)
-        return
-    seen: set[tuple[int, ...]] = set()
-    for user in demand.entries:
-        rest = [x for x in range(1, C + 1) if x not in user]
-        for extra in combinations(rest, t):
-            seen.add(tuple(sorted(user + extra)))
-    yield from sorted(seen)
+    active = demand.active_users()
+    file_of = np.zeros(params.num_users, dtype=np.int64)
+    ranks = rank_subsets(np.array(active, np.int64).reshape(-1, r), C)
+    file_of[ranks] = [demand.entries[u] for u in active]
+    return _plan(params, subset_array(C, t + r), file_of.__getitem__)
+
+
+def _peel(
+    params: SchemeParams, plan: _Plan, user: tuple[int, ...], wanted: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Messages serving ``user``, the slot each delivers, and the readable subfiles.
+
+    Checks the decodability argument: each message with a term for the user
+    holds exactly one term whose index set misses the user, for its demand;
+    the other terms meet the user, so its caches hold them if their files
+    lie in 1..N. Readable and delivered subfiles must cover all binom(C, t).
+    """
+    k = rank_subset(user, params.num_caches)
+    lo, hi = np.searchsorted(plan.slot_users, [k, k + 1])
+    messages = plan.slot_order[lo:hi] // plan.term_file.shape[1]
+    in_user = np.zeros(params.num_caches + 1, dtype=bool)
+    in_user[list(user)] = True
+    readable = in_user[plan.subfile_sets].any(axis=1)
+    files = plan.term_file[messages]
+    unreadable = ~readable[plan.term_rank[messages]] & (files != 0)
+    target = unreadable.argmax(axis=1)
+    served = files[np.arange(len(messages)), target]
+    for bad, reason in (
+        (((files < 0) | (files > params.num_files)).any(axis=1), "names a file not in 1..N"),
+        (unreadable.sum(axis=1) != 1, "does not hold exactly one term the user cannot read"),
+        (served != wanted, "serves the user a file other than its demand"),
+    ):
+        if bad.any():
+            row = int(bad.argmax())
+            S, slot_files = plan.coded_sets[messages[row]].tolist(), files[row].tolist()
+            raise DecodingError(f"transmission {tuple(S)} {reason}: user {user}, "
+                                f"demand {wanted}, slot files {slot_files}")
+    covered = readable.copy()
+    covered[plan.term_rank[messages, target]] = True
+    if not covered.all():
+        missing = [tuple(T) for T in plan.subfile_sets[~covered].tolist()]
+        raise DecodingError(f"user {user} never obtained subfile indices {missing}")
+    return messages, target, readable
 
 
 def generate_transmissions(
-    params: SchemeParams,
-    demand: DemandAssignment,
-    strict: bool = True,
+    params: SchemeParams, demand: DemandAssignment, strict: bool = True
 ) -> list[Transmission]:
     """Delivery phase: one Transmission per useful (t+r)-subset, in lex order.
 
     Each transmission XORs W_{d_U, S \\ U} over the active users U inside its
-    coded set S, terms ordered lexicographically by U. Returns an empty list
-    when t + r > C (nothing left to deliver).
+    coded set S, terms ordered lexicographically by U; none when t + r > C.
+    This is the object view of the plan ``simulate_end_to_end`` runs on.
     """
     _check_demand(params, demand, strict)
-    C, r, t = params.num_caches, params.access_degree, params.cache_param
-    if t + r > C:
-        return []
-    out = []
-    for coded_set in _coded_sets(params, demand):
-        terms = tuple(
-            SubfileId(demand.entries[u], tuple(x for x in coded_set if x not in u))
-            for u in combinations(coded_set, r)
-            if u in demand.entries
-        )
-        if terms:
-            out.append(Transmission(coded_set, terms))
-    return out
-
-
-def _peel_plan(
-    user: tuple[int, ...],
-    demand: DemandAssignment,
-    transmissions: Sequence[Transmission],
-    accessible: frozenset[SubfileId],
-) -> Iterator[tuple[Transmission, SubfileId, list[SubfileId]]]:
-    """Yield (transmission, target term, cancellable terms) for one user.
-
-    Verifies the decodability argument on the way: in any transmission whose
-    coded set contains the user, every term serving another user must be
-    readable from the user's caches, because its index set meets the user.
-    """
-    user_set = set(user)
-    wanted = demand.entries[user]
-    for tx in transmissions:
-        if not user_set.issubset(tx.coded_set):
-            continue
-        target = None
-        others = []
-        for term in tx.terms:
-            if user_set.isdisjoint(term.index_set):
-                if target is not None:
-                    raise DecodingError(
-                        f"transmission {tx.coded_set} carries two terms for user {user}"
-                    )
-                target = term
-            else:
-                if term not in accessible:
-                    raise DecodingError(
-                        f"user {user} cannot cancel term {term} in transmission {tx.coded_set}"
-                    )
-                others.append(term)
-        if target is None:
-            raise DecodingError(
-                f"transmission {tx.coded_set} contains user {user} but no term for it"
-            )
-        if target.file_index != wanted:
-            raise DecodingError(
-                f"transmission {tx.coded_set} serves user {user} file {target.file_index}, "
-                f"demand is {wanted}"
-            )
-        yield tx, target, others
-
-
-def _accessible_subfiles(
-    user: tuple[int, ...], caches: Sequence[CacheContent]
-) -> frozenset[SubfileId]:
-    by_label = {c.cache_label: c for c in caches}
-    pool: set[SubfileId] = set()
-    for k in user:
-        pool.update(by_label[k].subfiles)
-    return frozenset(pool)
+    plan = _delivery_plan(params, demand)
+    index_sets = plan.subfile_sets[plan.term_rank].tolist()
+    return [
+        Transmission(tuple(S), tuple(SubfileId(f, tuple(T)) for f, T in zip(files, sets) if f))
+        for S, files, sets in zip(plan.coded_sets.tolist(), plan.term_file.tolist(), index_sets)
+    ]
 
 
 def decode_user(
-    params: SchemeParams,
-    user: Sequence[int],
-    demand: DemandAssignment,
-    transmissions: Sequence[Transmission],
-    caches: Sequence[CacheContent],
+    params: SchemeParams, user: Sequence[int], demand: DemandAssignment,
+    transmissions: Sequence[Transmission], caches: Sequence[CacheContent],
 ) -> set[SubfileId]:
     """Subfiles of the demanded file a user recovers from the transmissions.
 
     Returns the peeled subfiles only; together with the index sets already
     readable from the user's caches they cover all binom(C, t) pieces.
-    Raises DecodingError if any transmission is not peelable, since that
-    would mean the construction is broken.
+    Raises DecodingError if a term does not fit the plan layout, a message
+    is not peelable or a piece stays missing. This is the decoder of
+    ``simulate_end_to_end``: it reads the placement rule, not ``caches``.
     """
-    user = validate_subset(user, params.num_caches, params.access_degree)
+    C, r, t, N = params.num_caches, params.access_degree, params.cache_param, params.num_files
+    user = validate_subset(user, C, r)
     if user not in demand.entries:
         raise DemandError(f"user {user} has no demand assigned")
-    accessible = _accessible_subfiles(user, caches)
-    recovered = set()
-    for _, target, _ in _peel_plan(user, demand, transmissions, accessible):
-        recovered.add(target)
-    return recovered
+    wanted = demand.entries[user]
+    # Only a message whose coded set contains the user can hold a term for it.
+    relevant = [tx for tx in transmissions if set(user).issubset(tx.coded_set)]
+    b = binom(t + r, t)
+    coded_sets = []
+    term_file = np.zeros((len(relevant), b), dtype=np.int64)
+    for m, tx in enumerate(relevant):
+        coded_sets.append(validate_subset(tx.coded_set, C, t + r))
+        # Slot j holds the index set that is j-th in reverse lex order.
+        slot_of = {T: b - 1 - j for j, T in enumerate(combinations(coded_sets[m], t))}
+        for term in tx.terms:
+            j = slot_of.get(tuple(sorted(term.index_set)))
+            if j is None or term_file[m, j] or not 1 <= term.file_index <= N:
+                raise DecodingError(f"term {term} of transmission {coded_sets[m]} needs a "
+                                    f"{t}-subset of it no other term uses and a file in 1..{N}")
+            term_file[m, j] = term.file_index
+    plan = _plan(params, np.array(coded_sets, np.int64).reshape(-1, t + r), lambda _: term_file)
+    messages, target, _ = _peel(params, plan, user, wanted)
+    pieces = plan.subfile_sets[plan.term_rank[messages, target]].tolist()
+    return {SubfileId(wanted, tuple(T)) for T in pieces}
 
 
-def _chunk_matrix(
-    params: SchemeParams, file_payloads: Sequence[bytes]
-) -> tuple[np.ndarray, int]:
-    """Split payloads into the (N, F, chunk_len) uint8 matrix, zero-padded.
-
-    Subfile T of file i is row (i-1, rank(T)). Returns the matrix and the
-    original payload length for truncation after reassembly.
-    """
+def _chunk_matrix(params: SchemeParams, file_payloads: Sequence[bytes]) -> tuple[np.ndarray, int]:
+    """Split payloads into the (N+1, F, chunk_len) uint8 matrix, zero-padded,
+    and return it with the payload length. Subfile T of file i is row
+    (i, rank(T)); file 0 is all zeros, so empty plan slots XOR nothing."""
     N = params.num_files
     if len(file_payloads) != N:
         raise ValueError(f"expected {N} payloads, got {len(file_payloads)}")
@@ -350,20 +356,30 @@ def _chunk_matrix(
         raise ValueError(f"payloads must share one length, got lengths {sorted(lengths)}")
     (length,) = lengths or {0}
     F = params.subpacketization
-    chunk_len = -(-length // F) if length else 0
-    chunks = np.zeros((N, F, chunk_len), dtype=np.uint8)
-    for i, payload in enumerate(file_payloads):
-        flat = np.frombuffer(payload, dtype=np.uint8)
-        chunks[i].reshape(-1)[: len(flat)] = flat
+    chunks = np.zeros((N + 1, F, -(-length // F)), dtype=np.uint8)
+    for i, payload in enumerate(file_payloads, start=1):
+        chunks[i].reshape(-1)[:length] = np.frombuffer(payload, dtype=np.uint8)
     return chunks, length
 
 
+def _encode(plan: _Plan, chunks: np.ndarray) -> np.ndarray:
+    """XOR each message's terms, slot by slot, into one (M, chunk_len) buffer."""
+    coded = np.zeros((len(plan.term_file), chunks.shape[2]), dtype=np.uint8)
+    for j in range(plan.term_file.shape[1]):
+        coded ^= chunks[plan.term_file[:, j], plan.term_rank[:, j]]
+    return coded
+
+
+class Decoded(dict):
+    """User -> reassembled bytes; ``messages`` counts the coded messages sent."""
+
+    messages: int = 0
+
+
 def simulate_end_to_end(
-    params: SchemeParams,
-    file_payloads: Sequence[bytes],
-    demand: DemandAssignment,
+    params: SchemeParams, file_payloads: Sequence[bytes], demand: DemandAssignment,
     strict: bool = True,
-) -> dict[tuple[int, ...], bytes]:
+) -> Decoded:
     """Run placement, delivery and decoding on real bytes.
 
     Every file is chopped into binom(C, t) chunks (zero-padded to divide
@@ -371,35 +387,18 @@ def simulate_end_to_end(
     each active user reassembles, which must equal its demanded payload.
     """
     _check_demand(params, demand, strict)
-    C, t = params.num_caches, params.cache_param
-    F = params.subpacketization
     chunks, length = _chunk_matrix(params, file_payloads)
-    caches = build_placement(params)
-    transmissions = generate_transmissions(params, demand, strict)
-
-    rank_of = {T: rank_subset(T, C) for T in enumerate_subsets(C, t)}
-    coded_payloads = {}
-    for tx in transmissions:
-        parts = np.stack([chunks[f - 1, rank_of[T]] for f, T in tx.terms])
-        coded_payloads[tx.coded_set] = np.bitwise_xor.reduce(parts, axis=0)
-
-    outputs = {}
-    for user in demand.active_users():
-        wanted = demand.entries[user]
-        accessible = _accessible_subfiles(user, caches)
-        user_set = set(user)
-        pieces: list[np.ndarray | None] = [None] * F
-        for T, rank in rank_of.items():
-            if user_set.intersection(T):
-                pieces[rank] = chunks[wanted - 1, rank]
-        for tx, target, others in _peel_plan(user, demand, transmissions, accessible):
-            coded = coded_payloads[tx.coded_set]
-            for term in others:
-                coded = coded ^ chunks[term.file_index - 1, rank_of[term.index_set]]
-            pieces[rank_of[target.index_set]] = coded
-        if any(p is None for p in pieces):
-            missing = [T for T, rank in rank_of.items() if pieces[rank] is None]
-            raise DecodingError(f"user {user} never obtained subfile indices {missing}")
-        assembled = np.concatenate([p.reshape(-1) for p in pieces]) if F else np.array([], np.uint8)
-        outputs[user] = assembled.tobytes()[:length]
+    plan = _delivery_plan(params, demand)
+    coded = _encode(plan, chunks)
+    outputs = Decoded()
+    outputs.messages = len(coded)
+    for user, wanted in sorted(demand.entries.items()):
+        messages, target, readable = _peel(params, plan, user, wanted)
+        others = plan.term_file[messages]
+        others[np.arange(len(messages)), target] = 0
+        cancel = np.bitwise_xor.reduce(chunks[others, plan.term_rank[messages]], axis=1)
+        pieces = np.empty(chunks.shape[1:], dtype=np.uint8)
+        pieces[readable] = chunks[wanted, readable]
+        pieces[plan.term_rank[messages, target]] = coded[messages] ^ cancel
+        outputs[user] = pieces.tobytes()[:length]
     return outputs

@@ -187,6 +187,15 @@ def test_sweep_to_file_is_byte_deterministic(tmp_path, capsys):
     assert all(len(fields) == 11 for fields in parsed)
 
 
+@pytest.mark.parametrize("mn", ["2", "-1", "1.01"])
+def test_sweep_memory_fraction_outside_unit_interval_exits_1(capsys, mn):
+    argv = ["sweep", "-C", "4", "-r", "2", f"--mn={mn}", "--schemes", "proposed"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "outside [0, 1]" in err
+
+
 def test_sweep_empty_scheme_list_exits_1(capsys):
     code, _, err = run_cli(capsys, ["sweep", "-C", "4", "-r", "2", "--t", "1",
                                     "--schemes", ""])

@@ -7,7 +7,15 @@ addition only; ranking is checked against full lexicographic enumeration.
 import pytest
 from hypothesis import given, strategies as st
 
-from macc.combinatorics import binom, enumerate_subsets, rank_subset, unrank_subset, validate_subset
+from macc.combinatorics import (
+    binom,
+    enumerate_subsets,
+    rank_subset,
+    rank_subsets,
+    subset_array,
+    unrank_subset,
+    validate_subset,
+)
 
 
 def pascal_triangle(n_max):
@@ -125,3 +133,14 @@ def test_rank_unrank_roundtrip_property(data):
     rank = rank_subset(subset, n)
     assert 0 <= rank < binom(n, k)
     assert unrank_subset(rank, k, n) == subset
+
+
+def test_subset_array_and_rank_subsets_match_scalar_versions():
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            rows = subset_array(n, k)
+            assert [tuple(row) for row in rows.tolist()] == list(enumerate_subsets(n, k))
+            assert rank_subsets(rows, n).tolist() == list(range(binom(n, k)))
+    # Any leading shape, one subset per last-axis row.
+    rows = subset_array(7, 3)[[[4, 0], [34, 9]]]
+    assert rank_subsets(rows, 7).tolist() == [[4, 0], [34, 9]]

@@ -1,12 +1,16 @@
 """Placement, delivery, decoding and byte-level simulation."""
 
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import macc.scheme as scheme
 from macc.combinatorics import binom, enumerate_subsets
 from macc.golden import REFERENCE_EXAMPLES, plain
+from macc.harness import simulate_report
 from macc.scheme import (
     CacheContent,
     DecodingError,
@@ -366,3 +370,163 @@ def test_random_partial_populations_decode(data):
         assert got | accessible_subfile_indices(params, user) == set(
             params.subfile_index_sets()
         )
+
+
+def test_placement_union_matches_access_predicate():
+    # The decoder reads the rule "user U reads W_{i,T} iff T meets U" instead
+    # of cache contents; the placement must realise exactly that rule.
+    for C in range(1, 8):
+        for t in range(1, C + 1):
+            params = SchemeParams(C, 1, t, 2)
+            caches = build_placement(params)
+            for r in range(1, C + 1):
+                for user in combinations(range(1, C + 1), r):
+                    union = set().union(*(caches[k - 1].subfiles for k in user))
+                    assert union == {
+                        SubfileId(i, T)
+                        for i in (1, 2)
+                        for T in combinations(range(1, C + 1), t)
+                        if set(T) & set(user)
+                    }
+
+
+def brute_force_delivery(params, demand):
+    """The paper's delivery spelled out: every (t+r)-subset S with an active
+    user, one term W_{d_U, S minus U} per active r-subset U of S."""
+    C, r, t = params.num_caches, params.access_degree, params.cache_param
+    out = []
+    for S in combinations(range(1, C + 1), t + r):
+        terms = tuple(
+            SubfileId(demand.entries[U], tuple(x for x in S if x not in U))
+            for U in combinations(S, r)
+            if U in demand.entries
+        )
+        if terms:
+            out.append(Transmission(S, terms))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_simulation_and_delivery_match_the_construction(data):
+    C = data.draw(st.integers(min_value=1, max_value=8))
+    r = data.draw(st.integers(min_value=1, max_value=C))
+    t = data.draw(st.integers(min_value=1, max_value=C))
+    N = data.draw(st.integers(min_value=1, max_value=4))
+    params = SchemeParams(C, r, t, N)
+    users = list(params.users())
+    active = data.draw(st.sets(st.sampled_from(users), min_size=1, max_size=len(users)))
+    files = data.draw(st.lists(st.integers(1, N), min_size=len(active), max_size=len(active)))
+    demand = DemandAssignment(dict(zip(sorted(active), files)))
+    size = data.draw(st.integers(min_value=0, max_value=40))
+    payloads = [bytes((7 * i + 3 * j) % 256 for j in range(size)) for i in range(N)]
+    outputs = simulate_end_to_end(params, payloads, demand, strict=False)
+    assert outputs == {u: payloads[f - 1] for u, f in demand.entries.items()}
+    txs = generate_transmissions(params, demand, strict=False)
+    assert txs == brute_force_delivery(params, demand)
+    assert outputs.messages == len(txs)
+
+
+def _tx_with(txs, user):
+    return next(i for i, tx in enumerate(txs) if set(user) <= set(tx.coded_set))
+
+
+def _swap_own_file(txs, user, params):
+    i = _tx_with(txs, user)
+    terms = tuple(
+        SubfileId(term.file_index % params.num_files + 1, term.index_set)
+        if not set(term.index_set) & set(user) else term
+        for term in txs[i].terms
+    )
+    return txs[:i] + [replace(txs[i], terms=terms)] + txs[i + 1:]
+
+
+def _add_second_unreadable_term(txs, user, params):
+    i = _tx_with(txs, user)
+    own = next(term for term in txs[i].terms if not set(term.index_set) & set(user))
+    extra = SubfileId(own.file_index % params.num_files + 1, own.index_set)
+    return txs[:i] + [replace(txs[i], terms=txs[i].terms + (extra,))] + txs[i + 1:]
+
+
+def _drop_message(txs, user, params):
+    i = _tx_with(txs, user)
+    return txs[:i] + txs[i + 1:]
+
+
+def _file_out_of_range(bad_file):
+    def corrupt(txs, user, params):
+        i = _tx_with(txs, user)
+        other = next(k for k, term in enumerate(txs[i].terms) if set(term.index_set) & set(user))
+        terms = list(txs[i].terms)
+        terms[other] = SubfileId(bad_file, terms[other].index_set)
+        return txs[:i] + [replace(txs[i], terms=tuple(terms))] + txs[i + 1:]
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_swap_own_file, _add_second_unreadable_term, _drop_message,
+     _file_out_of_range(0), _file_out_of_range(16)],
+    ids=["swapped-file", "second-unreadable-term", "dropped-message", "file-0", "file-N+1"],
+)
+def test_decode_user_rejects_corrupted_transmissions(corrupt):
+    params = SchemeParams(6, 2, 2, 15)
+    demand = full_demand(params)
+    caches = build_placement(params)
+    txs = generate_transmissions(params, demand)
+    user = (2, 5)
+    assert decode_user(params, user, demand, txs, caches)
+    with pytest.raises(DecodingError):
+        decode_user(params, user, demand, corrupt(txs, user, params), caches)
+
+
+def _plan_swap_file(plan, params):
+    term_file = plan.term_file.copy()
+    term_file[0, 0] = term_file[0, 0] % params.num_files + 1
+    return plan._replace(term_file=term_file)
+
+
+def _plan_second_unreadable_term(plan, params):
+    # Slot 1 takes the index set of slot 0, which misses slot 0's user.
+    term_rank = plan.term_rank.copy()
+    term_rank[0, 1] = term_rank[0, 0]
+    return plan._replace(term_rank=term_rank)
+
+
+def _plan_drop_message(plan, params):
+    return scheme._plan(params, plan.coded_sets[1:], lambda _: plan.term_file[1:])
+
+
+def _plan_negative_file(plan, params):
+    term_file = plan.term_file.copy()
+    term_file[0, 0] = -1
+    return plan._replace(term_file=term_file)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_plan_swap_file, _plan_second_unreadable_term, _plan_drop_message, _plan_negative_file],
+    ids=["swapped-file", "second-unreadable-term", "dropped-message", "negative-file"],
+)
+def test_simulate_rejects_corrupted_plans(corrupt, monkeypatch):
+    params = SchemeParams(6, 2, 2, 15)
+    demand = full_demand(params)
+    payloads = [bytes([i]) * 30 for i in range(15)]
+    build = scheme._delivery_plan
+    monkeypatch.setattr(scheme, "_delivery_plan", lambda p, d: corrupt(build(p, d), p))
+    with pytest.raises(DecodingError):
+        simulate_end_to_end(params, payloads, demand)
+
+
+def test_flipped_coded_byte_is_a_byte_mismatch(monkeypatch):
+    encode = scheme._encode
+
+    def flip_one_byte(plan, chunks):
+        coded = encode(plan, chunks)
+        coded[len(coded) // 2, 0] ^= 1
+        return coded
+
+    assert simulate_report(6, 2, 2, file_size=90)["decoded_ok"] == 15
+    monkeypatch.setattr(scheme, "_encode", flip_one_byte)
+    with pytest.raises(RuntimeError, match="byte mismatch"):
+        simulate_report(6, 2, 2, file_size=90)
