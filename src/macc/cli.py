@@ -130,8 +130,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         access_degrees=tuple(args.access),
         cache_params=params,
         schemes=tuple(args.schemes),
-        output_path=args.out,
-        metric=args.metric,
         param_kind=kind,
     )
     rows = run_sweep(spec)
@@ -220,10 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(sweep, lists=True)
     sweep.add_argument("--schemes", type=_scheme_list,
                        default=list(Scheme), help="comma list (default: all)")
-    sweep.add_argument("--metric",
-                       choices=("per_user_rate", "rate", "subpacketization"),
-                       default="per_user_rate",
-                       help="headline metric the sweep is meant to compare")
     sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 

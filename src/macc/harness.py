@@ -138,7 +138,7 @@ class SplitMix64:
 CellValue = Union[Fraction, int, Undefined]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparisonRow:
     """One scheme at one parameter point, exact values plus a status note."""
 
@@ -155,14 +155,14 @@ class ComparisonRow:
 
     @property
     def defined(self) -> bool:
-        return any(
-            is_defined(v) for v in (self.num_users, self.rate, self.subpacketization)
+        return not (
+            isinstance(self.num_users, Undefined)
+            and isinstance(self.rate, Undefined)
+            and isinstance(self.subpacketization, Undefined)
         )
 
 
 CSV_HEADER = ["scheme", "C", "r", "t", "mn", "K", "rate", "per_user_rate", "F", "defined", "note"]
-
-SWEEP_METRICS = ("per_user_rate", "rate", "subpacketization")
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,6 @@ class SweepSpec:
     access_degrees: tuple[int, ...]
     cache_params: tuple[Fraction, ...]
     schemes: tuple[Scheme, ...]
-    output_path: Union[str, None] = None
-    metric: str = "per_user_rate"
     param_kind: str = "t"
 
     def __post_init__(self) -> None:
@@ -187,8 +185,6 @@ class SweepSpec:
             raise ValueError("sweep needs at least one C, one r and one cache parameter")
         if not self.schemes:
             raise ValueError("sweep needs at least one scheme")
-        if self.metric not in SWEEP_METRICS:
-            raise ValueError(f"metric must be one of {SWEEP_METRICS}, got {self.metric!r}")
         if self.param_kind not in ("t", "mn"):
             raise ValueError(f"param_kind must be 't' or 'mn', got {self.param_kind!r}")
         if any(C < 1 for C in self.cache_counts):
@@ -204,8 +200,7 @@ def _integer(t: Fraction) -> Union[int, None]:
     return int(t) if t.denominator == 1 else None
 
 
-def _proposed_row(C: int, r: int, t: Fraction) -> ComparisonRow:
-    mn = t / C
+def _proposed_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     K = binom(C, r)
     ti = _integer(t)
     if ti is not None:
@@ -228,13 +223,12 @@ def _proposed_row(C: int, r: int, t: Fraction) -> ComparisonRow:
     )
 
 
-def _needs_integer_t(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRow:
+def _needs_integer_t(scheme: Scheme, C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     gap = Undefined("defined only at integer cache parameters")
-    return ComparisonRow(scheme, C, r, t, t / C, gap, gap, gap, gap, note=gap.reason)
+    return ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
 
 
-def _hkd_row(C: int, r: int, t: Fraction) -> ComparisonRow:
-    mn = t / C
+def _hkd_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     rate = hkd_rate(C, r, mn)
     if isinstance(rate, Undefined):
         return ComparisonRow(Scheme.HKD, C, r, t, mn, rate, rate, rate, rate, note=rate.reason)
@@ -243,8 +237,7 @@ def _hkd_row(C: int, r: int, t: Fraction) -> ComparisonRow:
     return ComparisonRow(Scheme.HKD, C, r, t, mn, C, rate, rate / C, F)
 
 
-def _rk_row(C: int, r: int, t: Fraction) -> ComparisonRow:
-    mn = t / C
+def _rk_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     no_f = Undefined("subpacketization not modeled for this scheme")
     ti = _integer(t)
     if ti is None:
@@ -258,8 +251,7 @@ def _rk_row(C: int, r: int, t: Fraction) -> ComparisonRow:
     return ComparisonRow(Scheme.RK, C, r, t, mn, C, rate, rate / C, no_f)
 
 
-def _rk_lb_row(C: int, r: int, t: Fraction) -> ComparisonRow:
-    mn = t / C
+def _rk_lb_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     rate = rk_lower_bound(C, r, mn)
     if isinstance(rate, Undefined):
         return ComparisonRow(Scheme.RK_LB, C, r, t, mn, rate, rate, rate, rate, note=rate.reason)
@@ -270,11 +262,10 @@ def _rk_lb_row(C: int, r: int, t: Fraction) -> ComparisonRow:
     )
 
 
-def _spe_row(C: int, r: int, t: Fraction) -> ComparisonRow:
-    mn = t / C
+def _spe_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     ti = _integer(t)
     if ti is None:
-        return _needs_integer_t(Scheme.SPE, C, r, t)
+        return _needs_integer_t(Scheme.SPE, C, r, t, mn)
     special = spe_special_rate(C, r, ti)
     if is_defined(special):
         return ComparisonRow(
@@ -290,22 +281,20 @@ def _spe_row(C: int, r: int, t: Fraction) -> ComparisonRow:
     return ComparisonRow(Scheme.SPE, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
 
 
-def _clwzc_row(C: int, r: int, t: Fraction) -> ComparisonRow:
-    mn = t / C
+def _clwzc_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     ti = _integer(t)
     if ti is None:
-        return _needs_integer_t(Scheme.CLWZC, C, r, t)
+        return _needs_integer_t(Scheme.CLWZC, C, r, t, mn)
     rate = clwzc_rate(C, r, ti)
     return ComparisonRow(
         Scheme.CLWZC, C, r, t, mn, C, rate, rate / C, clwzc_subpacketization(C, r, ti)
     )
 
 
-def _sr1_row(C: int, r: int, t: Fraction) -> ComparisonRow:
-    mn = t / C
+def _sr1_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     ti = _integer(t)
     if ti is None:
-        return _needs_integer_t(Scheme.SR1, C, r, t)
+        return _needs_integer_t(Scheme.SR1, C, r, t, mn)
     rate = sr1_rate(C, r, ti)
     no_f = Undefined("only the bound F <= C^2 is published")
     if isinstance(rate, Undefined):
@@ -314,19 +303,17 @@ def _sr1_row(C: int, r: int, t: Fraction) -> ComparisonRow:
     return ComparisonRow(Scheme.SR1, C, r, t, mn, C, rate, rate / C, no_f, note=note)
 
 
-def _sr2_row(C: int, r: int, t: Fraction) -> ComparisonRow:
-    mn = t / C
+def _sr2_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     ti = _integer(t)
     if ti is None:
-        return _needs_integer_t(Scheme.SR2, C, r, t)
+        return _needs_integer_t(Scheme.SR2, C, r, t, mn)
     rate = sr2_rate(C, r, ti)
     if isinstance(rate, Undefined):
         return ComparisonRow(Scheme.SR2, C, r, t, mn, rate, rate, rate, rate, note=rate.reason)
     return ComparisonRow(Scheme.SR2, C, r, t, mn, C, rate, rate / C, sr2_subpacketization(C, r, ti))
 
 
-def _crd_row(C: int, r: int, t: Fraction) -> ComparisonRow:
-    mn = t / C
+def _crd_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
     n = math.isqrt(C)
     eval_ = None
     if n * (n + 1) == C and t == n + 1:
@@ -366,72 +353,119 @@ _ROW_BUILDERS = {
 }
 
 
-def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRow:
-    """One comparison row; parameter points a scheme lacks come back undefined."""
-    t = Fraction(t)
-    if not 0 <= t <= C:
+def evaluate_scheme(
+    scheme: Scheme, C: int, r: int, t: Fraction, mn: Union[Fraction, None] = None
+) -> ComparisonRow:
+    """One comparison row; parameter points a scheme lacks come back undefined.
+
+    ``mn`` is the memory fraction t / C. A sweep passes the one object its
+    grid holds, so that every row at that point shares it; by default it is
+    computed here.
+    """
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
+    if not 0 <= t.numerator <= C * t.denominator:
         raise ValueError(f"cache parameter {t} outside 0..{C}")
+    if mn is None:
+        mn = t / C
     if r > C:
         gap = Undefined(f"access degree {r} exceeds cache count {C}")
-        return ComparisonRow(scheme, C, r, t, t / C, gap, gap, gap, gap, note=gap.reason)
-    return _ROW_BUILDERS[scheme](C, r, t)
+        return ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
+    return _ROW_BUILDERS[scheme](C, r, t, mn)
+
+
+def _sweep_grid(
+    param_kind: str, values: list[Fraction], C: int
+) -> list[tuple[Fraction, Fraction, Union[Undefined, None]]]:
+    """The (t, mn) points of one cache count in increasing order.
+
+    Each point carries the gap of a t beyond C, or None. A negative t is
+    refused with the error ``evaluate_scheme`` gives.
+    """
+    grid = []
+    for value in values:
+        t, mn = (value, value / C) if param_kind == "t" else (value * C, value)
+        if t < 0:
+            raise ValueError(f"cache parameter {t} outside 0..{C}")
+        gap = Undefined(f"cache parameter {t} exceeds cache count {C}") if t > C else None
+        grid.append((t, mn, gap))
+    return grid
 
 
 def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
-    """All grid rows in deterministic order (scheme, C, r, t)."""
+    """All grid rows in deterministic order (scheme, C, r, t).
+
+    A row whose t exceeds C carries that gap, even when r exceeds C too;
+    a row with only r beyond C carries the access-degree gap. Every other
+    row comes from ``evaluate_scheme``.
+    """
     scheme_order = {s: i for i, s in enumerate(Scheme)}
+    values = sorted({Fraction(p) for p in spec.cache_params})
+    access_degrees = sorted(set(spec.access_degrees))
+    grids = {C: _sweep_grid(spec.param_kind, values, C) for C in sorted(set(spec.cache_counts))}
     rows = []
     for scheme in sorted(set(spec.schemes), key=scheme_order.__getitem__):
-        for C in sorted(set(spec.cache_counts)):
-            for r in sorted(set(spec.access_degrees)):
-                params = sorted(
-                    {p if spec.param_kind == "t" else p * C for p in spec.cache_params}
+        for C, grid in grids.items():
+            for r in access_degrees:
+                access_gap = (
+                    Undefined(f"access degree {r} exceeds cache count {C}") if r > C else None
                 )
-                for t in params:
-                    t = Fraction(t)
-                    if t > C:
-                        gap = Undefined(f"cache parameter {t} exceeds cache count {C}")
+                for t, mn, t_gap in grid:
+                    gap = access_gap if t_gap is None else t_gap
+                    if gap is None:
+                        rows.append(evaluate_scheme(scheme, C, r, t, mn))
+                    else:
                         rows.append(
-                            ComparisonRow(scheme, C, r, t, t / C, gap, gap, gap, gap,
+                            ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap,
                                           note=gap.reason)
                         )
-                    else:
-                        rows.append(evaluate_scheme(scheme, C, r, t))
     return rows
 
 
-def _render_cell(value: CellValue) -> str:
-    if isinstance(value, Undefined):
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return render_decimal(value)
-
-
-def row_fields(row: ComparisonRow) -> list[str]:
-    return [
-        row.scheme.value,
-        str(row.C),
-        str(row.r),
-        _render_cell(row.t),
-        render_decimal(row.mn),
-        _render_cell(row.num_users),
-        _render_cell(row.rate),
-        _render_cell(row.per_user_rate),
-        _render_cell(row.subpacketization),
-        "true" if row.defined else "false",
-        row.note,
-    ]
-
-
 def write_sweep_csv(rows: Sequence[ComparisonRow], stream: IO[str]) -> None:
+    """The rows as CSV; each distinct exact value is rendered once per call.
+
+    Cells: empty for an undefined value, the integer for an int or a whole
+    Fraction, otherwise 12 significant digits. The mn column always takes
+    the 12-digit form.
+    """
+    cells: dict[tuple[int, int], str] = {}
+    decimals: dict[tuple[int, int], str] = {}
+
+    def cell(value: CellValue) -> str:
+        if isinstance(value, Undefined):
+            return ""
+        if isinstance(value, int):
+            return str(value)
+        key = (value.numerator, value.denominator)
+        text = cells.get(key)
+        if text is None:
+            text = cells[key] = str(key[0]) if key[1] == 1 else render_decimal(value)
+        return text
+
+    def decimal(value: Fraction) -> str:
+        key = (value.numerator, value.denominator)
+        text = decimals.get(key)
+        if text is None:
+            text = decimals[key] = render_decimal(value)
+        return text
+
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
-        writer.writerow(row_fields(row))
+        writer.writerow([
+            row.scheme.value,
+            str(row.C),
+            str(row.r),
+            cell(row.t),
+            decimal(row.mn),
+            cell(row.num_users),
+            cell(row.rate),
+            cell(row.per_user_rate),
+            cell(row.subpacketization),
+            "true" if row.defined else "false",
+            row.note,
+        ])
 
 
 def verify_reference_cases() -> tuple[bool, list[str]]:

@@ -8,6 +8,7 @@ harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,11 +35,13 @@ class RateMemoryPoint:
     rate: Fraction
 
 
+@lru_cache(maxsize=4096)
 def delivery_rate(C: int, r: int, t: int) -> Fraction:
     """Total delivered volume in file units: binom(C, t+r) / binom(C, t).
 
     Defined for t = 0 as well (no caching, rate binom(C, r): one full file
     per user). Zero once t + r > C, where caches alone cover every demand.
+    Memoised: a sweep asks for the same few points once per row.
     """
     if not 0 <= t <= C:
         raise ValueError(f"t must lie in 0..{C}, got {t}")
@@ -61,6 +64,7 @@ def analyze(params: SchemeParams) -> SchemeReport:
     )
 
 
+@lru_cache(maxsize=4096)
 def _check_segment_convexity(C: int, r: int, lo: int, hi: int) -> None:
     """Verify the integer-t rate sequence is convex near the segment [lo, hi].
 
@@ -68,6 +72,7 @@ def _check_segment_convexity(C: int, r: int, lo: int, hi: int) -> None:
     envelope if the sequence itself is convex there. This has held at every
     parameter point exercised; a violation would make the interpolated value
     non-achievable-optimal, so it aborts rather than silently returning it.
+    Memoised on its integer arguments; a failing check raises on every call.
     """
     for m in range(max(lo - 1, 0) + 1, min(hi + 1, C)):
         left = delivery_rate(C, r, m - 1)

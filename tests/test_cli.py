@@ -196,6 +196,14 @@ def test_sweep_memory_fraction_outside_unit_interval_exits_1(capsys, mn):
     assert "outside [0, 1]" in err
 
 
+def test_sweep_metric_flag_is_gone(capsys):
+    argv = ["sweep", "-C", "4", "-r", "2", "--t", "1", "--metric", "rate"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --metric" in err
+
+
 def test_sweep_empty_scheme_list_exits_1(capsys):
     code, _, err = run_cli(capsys, ["sweep", "-C", "4", "-r", "2", "--t", "1",
                                     "--schemes", ""])

@@ -1,8 +1,13 @@
-"""Harness pieces below the command line: the seeded generator."""
+"""Harness pieces below the command line: the seeded generator and the sweep."""
+
+import hashlib
+import io
+from fractions import Fraction
 
 import pytest
 
-from macc.harness import SplitMix64
+from macc.baselines import Scheme
+from macc.harness import SplitMix64, SweepSpec, evaluate_scheme, run_sweep, write_sweep_csv
 
 
 def scalar_bytes(rng, n):
@@ -18,3 +23,66 @@ def test_bytes_matches_next_u64_stream(seed, n):
     assert fast.bytes(n) == scalar_bytes(slow, n)
     assert fast.next_u64() == slow.next_u64()
     assert fast.bytes(n + 3) == scalar_bytes(slow, n + 3)
+
+
+# Two small grids over every scheme with C, r = 1..8: every p/q in [0, 1]
+# with q <= 8 as memory fractions, and a t list that reaches past C.
+FARTHEST_DENOMINATOR = 8
+MN_GRID = tuple(sorted({
+    Fraction(p, q) for q in range(1, FARTHEST_DENOMINATOR + 1) for p in range(q + 1)
+}))
+T_GRID = tuple(Fraction(x) for x in ("0", "1/2", "1", "3/2", "2", "5/2", "3", "4", "6", "9"))
+GRIDS = {"mn": MN_GRID, "t": T_GRID}
+
+
+def small_spec(kind):
+    return SweepSpec(
+        cache_counts=tuple(range(1, 9)),
+        access_degrees=tuple(range(1, 9)),
+        cache_params=GRIDS[kind],
+        schemes=tuple(Scheme),
+        param_kind=kind,
+    )
+
+
+# Row counts and CSV digests as the sweep wrote them before it shared its
+# grid between rows and rendered each value once; the bytes must not move.
+@pytest.mark.parametrize(
+    "kind, rows, sha256",
+    [
+        ("mn", 13248, "aa9863f63aacf0c46fdf8c482f9921fe7fde02767bf90784010bae24ee85917c"),
+        ("t", 5760, "c53a1145e242247ccdf84fe3c37c23428e0e988748ebf4e8224a9cf9d4328527"),
+    ],
+)
+def test_sweep_csv_golden_digest(kind, rows, sha256):
+    swept = run_sweep(small_spec(kind))
+    stream = io.StringIO()
+    write_sweep_csv(swept, stream)
+    assert len(swept) == rows
+    assert hashlib.sha256(stream.getvalue().encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("kind", ["mn", "t"])
+def test_sweep_rows_match_evaluate_scheme(kind):
+    checked = 0
+    for row in run_sweep(small_spec(kind)):
+        if row.r <= row.C and row.t <= row.C:
+            assert row == evaluate_scheme(row.scheme, row.C, row.r, row.t)
+            assert row.mn == row.t / row.C
+            checked += 1
+    assert checked > 0
+
+
+def test_cache_parameter_gap_precedes_access_degree_gap():
+    spec = SweepSpec((2,), (1, 3), (Fraction(1), Fraction(3)), (Scheme.PROPOSED,))
+    notes = {(row.r, row.t): row.note for row in run_sweep(spec)}
+    assert notes[(3, 3)] == "cache parameter 3 exceeds cache count 2"
+    assert notes[(1, 3)] == "cache parameter 3 exceeds cache count 2"
+    assert notes[(3, 1)] == "access degree 3 exceeds cache count 2"
+    assert not notes[(1, 1)]
+
+
+def test_sweep_refuses_negative_cache_parameter():
+    spec = SweepSpec((5, 2), (3,), (Fraction(-1), Fraction(1)), (Scheme.PROPOSED,))
+    with pytest.raises(ValueError, match=r"cache parameter -1 outside 0\.\.2"):
+        run_sweep(spec)
