@@ -62,7 +62,8 @@ class BaselineEval:
 
 
 def _check_mn(mn: Fraction) -> Fraction:
-    mn = Fraction(mn)
+    if not isinstance(mn, Fraction):
+        mn = Fraction(mn)
     if not 0 <= mn <= 1:
         raise ValueError(f"memory fraction {mn} outside [0, 1]")
     return mn

@@ -128,11 +128,41 @@ class SplitMix64:
 
         k = -(-n // 8)
         z = np.uint64(self._state) + np.uint64(self._GAMMA) * np.arange(1, k + 1, dtype=np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
         self._state = (self._state + k * self._GAMMA) & self._MASK
-        return z.astype("<u8").tobytes()[:n]
+        return _splitmix_outputs(z).astype("<u8").tobytes()[:n]
+
+    def spawned_bytes(self, count: int, n: int) -> list[bytes]:
+        """``[self.spawn().bytes(n) for _ in range(count)]`` in array passes.
+
+        Child i is seeded by this stream's i-th next output, so its words are
+        the outputs of seed_i + gamma * (1..k): a (count, k) array, computed
+        in blocks of rows of about 64 KiB. Larger blocks raised the peak
+        memory of runs with large files (the freed block temporaries leave
+        holes in the heap that later allocations do not fit).
+        """
+        import numpy as np
+
+        k = -(-n // 8)
+        steps = np.uint64(self._GAMMA) * np.arange(1, max(count, k) + 1, dtype=np.uint64)
+        seeds = _splitmix_outputs(np.uint64(self._state) + steps[:count])
+        self._state = (self._state + count * self._GAMMA) & self._MASK
+        block = max(1, (1 << 13) // max(k, 1))
+        out = []
+        for first in range(0, count, block):
+            words = _splitmix_outputs(seeds[first:first + block, None] + steps[:k])
+            out += [row[:n].tobytes() for row in words.astype("<u8", copy=False).view(np.uint8)]
+        return out
+
+
+def _splitmix_outputs(z):
+    """The splitmix64 output of each state in a uint64 array, computed in place."""
+    import numpy as np
+
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 CellValue = Union[Fraction, int, Undefined]
@@ -646,7 +676,7 @@ def simulate_report(
 
     rng = SplitMix64(seed)
     demand_rng = rng.spawn()
-    payloads = [rng.spawn().bytes(file_size) for _ in range(N)]
+    payloads = rng.spawned_bytes(N, file_size)
     strict = demand_mode != "random"
     demand = make_demand(params, demand_mode, demand_rng, active)
 

@@ -100,7 +100,8 @@ def rate_memory_curve(
         raise ValueError(f"number of files must be positive, got {N}")
     out = []
     for mn in memory_points:
-        mn = Fraction(mn)
+        if not isinstance(mn, Fraction):
+            mn = Fraction(mn)
         if not 0 <= mn <= 1:
             raise ValueError(f"memory fraction {mn} outside [0, 1]")
         scaled = mn * C

@@ -19,8 +19,9 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import binom, enumerate_subsets, rank_subset, rank_subsets, subset_array
+from .combinatorics import binom, enumerate_subsets, rank_subsets, subset_array
 from .combinatorics import validate_subset
+from .combinatorics import rank_subset  # noqa: F401  perfbench/layers.py wraps macc.scheme.rank_subset
 
 
 class DemandError(ValueError):
@@ -32,7 +33,14 @@ class DecodingError(RuntimeError):
 
     This cannot happen for a correct placement/delivery pair, so it is raised
     loudly instead of being swallowed: it always indicates a construction bug.
+    ``user`` is the failing user, ``coded_set`` the message it failed on (None
+    when a subfile was never delivered) and ``reason`` the rule it broke.
     """
+
+    def __init__(self, message: str, user: tuple[int, ...],
+                 coded_set: tuple[int, ...] | None, reason: str) -> None:
+        super().__init__(message)
+        self.user, self.coded_set, self.reason = user, coded_set, reason
 
 
 class SubfileId(NamedTuple):
@@ -250,42 +258,70 @@ def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
     return _plan(params, subset_array(C, t + r), file_of.__getitem__)
 
 
-def _peel(
-    params: SchemeParams, plan: _Plan, user: tuple[int, ...], wanted: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Messages serving ``user``, the slot each delivers, and the readable subfiles.
+_PAIR_CHECKS = (
+    "names a file not in 1..N",
+    "does not hold exactly one term the user cannot read",
+    "serves the user a file other than its demand",
+)
 
-    Checks the decodability argument: each message with a term for the user
-    holds exactly one term whose index set misses the user, for its demand;
-    the other terms meet the user, so its caches hold them if their files
-    lie in 1..N. Readable and delivered subfiles must cover all binom(C, t).
+
+def _peeling(
+    params: SchemeParams, plan: _Plan, users: Sequence[tuple[int, ...]], wanted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (user, message) pair of a message serving one of ``users`` (sorted),
+    as positions in ``users`` and message rows, and the slot each pair delivers.
+
+    Checks the decodability argument for all pairs at once, one slot column at
+    a time: each message with a term for the user holds exactly one term whose
+    index set misses the user, for its demand ``wanted``; the other terms meet
+    the user, so its caches hold them if their files lie in 1..N. Readable and
+    delivered subfiles must cover all binom(C, t). The first failing user in
+    ``users`` order is reported, with the first of these checks it fails.
     """
-    k = rank_subset(user, params.num_caches)
-    lo, hi = np.searchsorted(plan.slot_users, [k, k + 1])
-    messages = plan.slot_order[lo:hi] // plan.term_file.shape[1]
-    in_user = np.zeros(params.num_caches + 1, dtype=bool)
-    in_user[list(user)] = True
-    readable = in_user[plan.subfile_sets].any(axis=1)
-    files = plan.term_file[messages]
-    unreadable = ~readable[plan.term_rank[messages]] & (files != 0)
-    target = unreadable.argmax(axis=1)
-    served = files[np.arange(len(messages)), target]
-    for bad, reason in (
-        (((files < 0) | (files > params.num_files)).any(axis=1), "names a file not in 1..N"),
-        (unreadable.sum(axis=1) != 1, "does not hold exactly one term the user cannot read"),
-        (served != wanted, "serves the user a file other than its demand"),
-    ):
-        if bad.any():
-            row = int(bad.argmax())
-            S, slot_files = plan.coded_sets[messages[row]].tolist(), files[row].tolist()
-            raise DecodingError(f"transmission {tuple(S)} {reason}: user {user}, "
-                                f"demand {wanted}, slot files {slot_files}")
-    covered = readable.copy()
-    covered[plan.term_rank[messages, target]] = True
-    if not covered.all():
-        missing = [tuple(T) for T in plan.subfile_sets[~covered].tolist()]
-        raise DecodingError(f"user {user} never obtained subfile indices {missing}")
-    return messages, target, readable
+    C, N, F = params.num_caches, params.num_files, params.subpacketization
+    A, b = len(users), plan.term_file.shape[1]
+    members = np.array(users, dtype=np.int64).reshape(A, params.access_degree)
+    ranks = rank_subsets(members, C)
+    lo = np.searchsorted(plan.slot_users, ranks)
+    counts = np.searchsorted(plan.slot_users, ranks, side="right") - lo
+    pair_user = np.repeat(np.arange(A), counts)
+    # Each user's range lo..lo+count-1 of the sorted slots, concatenated.
+    slots = np.arange(len(pair_user)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    messages = plan.slot_order[slots] // b
+    in_user = np.zeros((A, C + 1), dtype=bool)
+    in_user[np.arange(A)[:, None], members] = True
+    # Column F of a user's row stands for an empty slot (file 0): never unreadable.
+    covered = np.zeros((A, F + 1), dtype=bool)
+    covered[:, F] = True
+    for labels in plan.subfile_sets.T:
+        covered[:, :F] |= in_user[:, labels]
+    unreadable = ~covered.reshape(-1)
+    at = pair_user * (F + 1)  # row of each pair's user in the flat (A, F+1) tables
+    unread, target = (np.zeros(len(messages), dtype=np.int64) for _ in range(2))
+    for j, subfiles in enumerate(np.where(plan.term_file != 0, plan.term_rank, F).T):
+        hit = unreadable[at + subfiles[messages]]
+        unread += hit
+        np.putmask(target, hit, j)  # the last unreadable slot: the one slot if unread == 1
+    bad_file = ((plan.term_file < 0) | (plan.term_file > N)).any(axis=1)
+    served = plan.term_file[messages, target]
+    failed = np.select([bad_file[messages], unread != 1, served != wanted[pair_user]], [1, 2, 3], 0)
+    covered.reshape(-1)[at + plan.term_rank[messages, target]] = True
+    # A failure as 5 * user position + check (1..3 above, 4 for coverage): the
+    # smallest is the first failing user's first failed check.
+    failures = np.concatenate([(5 * pair_user + failed)[failed != 0],
+                               5 * np.flatnonzero(~covered.all(axis=1)) + 4])
+    if len(failures):
+        a, check = divmod(int(failures.min()), 5)
+        user = tuple(users[a])
+        if check < 4:
+            m = messages[np.flatnonzero((pair_user == a) & (failed == check))[0]]
+            reason, S = _PAIR_CHECKS[check - 1], tuple(plan.coded_sets[m].tolist())
+            raise DecodingError(f"transmission {S} {reason}: user {user}, demand {wanted[a]}, "
+                                f"slot files {plan.term_file[m].tolist()}", user, S, reason)
+        missing = [tuple(T) for T in plan.subfile_sets[~covered[a, :F]].tolist()]
+        raise DecodingError(f"user {user} never obtained subfile indices {missing}",
+                            user, None, "never obtained subfile indices")
+    return pair_user, messages, target
 
 
 def generate_transmissions(
@@ -315,8 +351,10 @@ def decode_user(
     Returns the peeled subfiles only; together with the index sets already
     readable from the user's caches they cover all binom(C, t) pieces.
     Raises DecodingError if a term does not fit the plan layout, a message
-    is not peelable or a piece stays missing. This is the decoder of
-    ``simulate_end_to_end``: it reads the placement rule, not ``caches``.
+    is not peelable or a piece stays missing. The list is turned into a plan
+    and checked by the decoder of ``simulate_end_to_end``, for this one user;
+    it reads the placement rule, not ``caches``. Each call scans the whole
+    list for the messages naming the user, so it costs O(len(transmissions)).
     """
     C, r, t, N = params.num_caches, params.access_degree, params.cache_param, params.num_files
     user = validate_subset(user, C, r)
@@ -335,11 +373,12 @@ def decode_user(
         for term in tx.terms:
             j = slot_of.get(tuple(sorted(term.index_set)))
             if j is None or term_file[m, j] or not 1 <= term.file_index <= N:
-                raise DecodingError(f"term {term} of transmission {coded_sets[m]} needs a "
-                                    f"{t}-subset of it no other term uses and a file in 1..{N}")
+                reason = f"needs a {t}-subset of it no other term uses and a file in 1..{N}"
+                raise DecodingError(f"term {term} of transmission {coded_sets[m]} {reason}",
+                                    user, coded_sets[m], reason)
             term_file[m, j] = term.file_index
     plan = _plan(params, np.array(coded_sets, np.int64).reshape(-1, t + r), lambda _: term_file)
-    messages, target, _ = _peel(params, plan, user, wanted)
+    _, messages, target = _peeling(params, plan, [user], np.array([wanted]))
     pieces = plan.subfile_sets[plan.term_rank[messages, target]].tolist()
     return {SubfileId(wanted, tuple(T)) for T in pieces}
 
@@ -370,6 +409,26 @@ def _encode(plan: _Plan, chunks: np.ndarray) -> np.ndarray:
     return coded
 
 
+def _leave_one_out(plan: _Plan, chunks: np.ndarray, coded: np.ndarray) -> np.ndarray:
+    """The (M, b, chunk_len) pieces the slots deliver: slot j of a message is
+    the coded message XOR every term but slot j's, from one forward and one
+    backward scan over the slot columns."""
+    M, b = plan.term_file.shape
+
+    def term(j: int) -> np.ndarray:
+        return chunks[plan.term_file[:, j], plan.term_rank[:, j]]
+
+    pieces = np.empty((M, b, chunks.shape[2]), dtype=np.uint8)
+    pieces[:, 0] = coded
+    for j in range(1, b):
+        np.bitwise_xor(pieces[:, j - 1], term(j - 1), out=pieces[:, j])
+    after = np.zeros_like(coded)
+    for j in range(b - 1, 0, -1):
+        after ^= term(j)
+        pieces[:, j - 1] ^= after
+    return pieces
+
+
 class Decoded(dict):
     """User -> reassembled bytes; ``messages`` counts the coded messages sent."""
 
@@ -389,16 +448,21 @@ def simulate_end_to_end(
     _check_demand(params, demand, strict)
     chunks, length = _chunk_matrix(params, file_payloads)
     plan = _delivery_plan(params, demand)
-    coded = _encode(plan, chunks)
+    users = demand.active_users()
+    wanted = np.array([demand.entries[u] for u in users], dtype=np.int64)
+    pair_user, messages, target = _peeling(params, plan, users, wanted)
+    pieces = _leave_one_out(plan, chunks, _encode(plan, chunks))
+    del chunks
+    delivered = plan.term_rank[messages, target]
+    bounds = np.searchsorted(pair_user, np.arange(len(users) + 1)).tolist()
+    decoded = np.empty((params.subpacketization, pieces.shape[2]), dtype=np.uint8)
+    flat = decoded.reshape(-1)
     outputs = Decoded()
-    outputs.messages = len(coded)
-    for user, wanted in sorted(demand.entries.items()):
-        messages, target, readable = _peel(params, plan, user, wanted)
-        others = plan.term_file[messages]
-        others[np.arange(len(messages)), target] = 0
-        cancel = np.bitwise_xor.reduce(chunks[others, plan.term_rank[messages]], axis=1)
-        pieces = np.empty(chunks.shape[1:], dtype=np.uint8)
-        pieces[readable] = chunks[wanted, readable]
-        pieces[plan.term_rank[messages, target]] = coded[messages] ^ cancel
-        outputs[user] = pieces.tobytes()[:length]
+    for user, f, lo, hi in zip(users, wanted.tolist(), bounds, bounds[1:]):
+        # Start from the cached file: _peeling proved that the pieces the user
+        # cannot read are exactly the delivered ones, and those are overwritten.
+        flat[:length] = np.frombuffer(file_payloads[f - 1], dtype=np.uint8)
+        decoded[delivered[lo:hi]] = pieces[messages[lo:hi], target[lo:hi]]
+        outputs[user] = flat[:length].tobytes()
+    outputs.messages = len(plan.term_file)
     return outputs

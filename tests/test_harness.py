@@ -25,6 +25,14 @@ def test_bytes_matches_next_u64_stream(seed, n):
     assert fast.bytes(n + 3) == scalar_bytes(slow, n + 3)
 
 
+@pytest.mark.parametrize("count", [1, 3, 330])
+@pytest.mark.parametrize("n", [0, 7, 4096])
+def test_spawned_bytes_matches_spawn_loop(count, n):
+    fast, slow = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+    assert fast.spawned_bytes(count, n) == [slow.spawn().bytes(n) for _ in range(count)]
+    assert fast.next_u64() == slow.next_u64()
+
+
 # Two small grids over every scheme with C, r = 1..8: every p/q in [0, 1]
 # with q <= 8 as memory fractions, and a t list that reaches past C.
 FARTHEST_DENOMINATOR = 8

@@ -4,11 +4,12 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import macc.scheme as scheme
-from macc.combinatorics import binom, enumerate_subsets
+from macc.combinatorics import binom, enumerate_subsets, rank_subset
 from macc.golden import REFERENCE_EXAMPLES, plain
 from macc.harness import simulate_report
 from macc.scheme import (
@@ -406,6 +407,44 @@ def brute_force_delivery(params, demand):
     return out
 
 
+def reference_decode(params, payloads, demand, strict=True):
+    """The per-user decoder the batched one replaced, kept as a reference.
+
+    For each active user in turn: find its messages by binary search on the
+    plan's sorted slot users, take the one term whose index set misses the
+    user as the target, and cancel the other terms by gathering their chunks.
+    """
+    scheme._check_demand(params, demand, strict)
+    chunks, length = scheme._chunk_matrix(params, payloads)
+    plan = scheme._delivery_plan(params, demand)
+    coded = scheme._encode(plan, chunks)
+    outputs = {}
+    for user, wanted in sorted(demand.entries.items()):
+        k = rank_subset(user, params.num_caches)
+        lo, hi = np.searchsorted(plan.slot_users, [k, k + 1])
+        messages = plan.slot_order[lo:hi] // plan.term_file.shape[1]
+        in_user = np.zeros(params.num_caches + 1, dtype=bool)
+        in_user[list(user)] = True
+        readable = in_user[plan.subfile_sets].any(axis=1)
+        files = plan.term_file[messages]
+        unreadable = ~readable[plan.term_rank[messages]] & (files != 0)
+        assert ((files >= 0) & (files <= params.num_files)).all()
+        assert (unreadable.sum(axis=1) == 1).all()
+        target = unreadable.argmax(axis=1)
+        assert (files[np.arange(len(messages)), target] == wanted).all()
+        others = files.copy()
+        others[np.arange(len(messages)), target] = 0
+        cancel = np.bitwise_xor.reduce(chunks[others, plan.term_rank[messages]], axis=1)
+        pieces = np.empty(chunks.shape[1:], dtype=np.uint8)
+        pieces[readable] = chunks[wanted, readable]
+        pieces[plan.term_rank[messages, target]] = coded[messages] ^ cancel
+        covered = readable.copy()
+        covered[plan.term_rank[messages, target]] = True
+        assert covered.all()
+        outputs[user] = pieces.tobytes()[:length]
+    return outputs
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_simulation_and_delivery_match_the_construction(data):
@@ -422,6 +461,7 @@ def test_simulation_and_delivery_match_the_construction(data):
     payloads = [bytes((7 * i + 3 * j) % 256 for j in range(size)) for i in range(N)]
     outputs = simulate_end_to_end(params, payloads, demand, strict=False)
     assert outputs == {u: payloads[f - 1] for u, f in demand.entries.items()}
+    assert outputs == reference_decode(params, payloads, demand, strict=False)
     txs = generate_transmissions(params, demand, strict=False)
     assert txs == brute_force_delivery(params, demand)
     assert outputs.messages == len(txs)
@@ -530,3 +570,132 @@ def test_flipped_coded_byte_is_a_byte_mismatch(monkeypatch):
     monkeypatch.setattr(scheme, "_encode", flip_one_byte)
     with pytest.raises(RuntimeError, match="byte mismatch"):
         simulate_report(6, 2, 2, file_size=90)
+
+
+def _slot(plan, coded_set, user):
+    """Row of a coded set in the plan and the slot serving ``user`` in it."""
+    row = plan.coded_sets.tolist().index(list(coded_set))
+    return row, list(combinations(coded_set, len(user))).index(user)
+
+
+def _plan_swap_demand(coded_set, user):
+    def corrupt(plan, params):
+        row, j = _slot(plan, coded_set, user)
+        term_file = plan.term_file.copy()
+        term_file[row, j] = term_file[row, j] % params.num_files + 1
+        return plan._replace(term_file=term_file)
+    return corrupt
+
+
+def _plan_drop_term(coded_set, user):
+    def corrupt(plan, params):
+        row, j = _slot(plan, coded_set, user)
+        term_file = plan.term_file.copy()
+        term_file[row, j] = 0
+        return plan._replace(term_file=term_file)
+    return corrupt
+
+
+def _plan_misdirect(coded_set, user, index_set):
+    def corrupt(plan, params):
+        row, j = _slot(plan, coded_set, user)
+        term_rank = plan.term_rank.copy()
+        term_rank[row, j] = rank_subset(index_set, params.num_caches)
+        return plan._replace(term_rank=term_rank)
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt_smaller, coded_set, reason, message",
+    [
+        (_plan_swap_demand((1, 4, 5, 6), (1, 6)), (1, 4, 5, 6),
+         "serves the user a file other than its demand",
+         "transmission (1, 4, 5, 6) serves the user a file other than its demand: user (1, 6), "
+         "demand {demand}, slot files {slot_files}"),
+        # (2, 3) misses the user too, so the message still peels, but the
+        # piece (4, 5) is never delivered.
+        (_plan_misdirect((1, 4, 5, 6), (1, 6), (2, 3)), None,
+         "never obtained subfile indices",
+         "user (1, 6) never obtained subfile indices [(4, 5)]"),
+        (_plan_drop_term((1, 4, 5, 6), (1, 6)), (1, 4, 5, 6),
+         "does not hold exactly one term the user cannot read",
+         "transmission (1, 4, 5, 6) does not hold exactly one term the user cannot read: "
+         "user (1, 6), demand {demand}, slot files {slot_files}"),
+    ],
+    ids=["demand-vs-demand", "coverage-vs-demand", "no-term-vs-demand"],
+)
+def test_decoding_error_names_the_smallest_failing_user(
+        corrupt_smaller, coded_set, reason, message, monkeypatch):
+    # User (2, 3) fails in the first message, (1, 6) only in a later one; the
+    # error must still name (1, 6), the smaller user, with its own failure.
+    # (1, 2) decodes; the other active users share no corrupted term.
+    params = SchemeParams(6, 2, 2, 15)
+    demand = DemandAssignment({(1, 2): 4, (1, 6): 1, (2, 3): 2, (3, 5): 3})
+    payloads = [bytes([i]) * 30 for i in range(15)]
+    build = scheme._delivery_plan
+    corrupt_larger = _plan_swap_demand((1, 2, 3, 4), (2, 3))
+    corrupted = {}
+
+    def plan_with_two_failures(p, d):
+        corrupted["plan"] = corrupt_smaller(corrupt_larger(build(p, d), p), p)
+        return corrupted["plan"]
+
+    monkeypatch.setattr(scheme, "_delivery_plan", plan_with_two_failures)
+    with pytest.raises(DecodingError) as caught:
+        simulate_end_to_end(params, payloads, demand)
+    error = caught.value
+    assert (error.user, error.coded_set, error.reason) == ((1, 6), coded_set, reason)
+    row, _ = _slot(corrupted["plan"], (1, 4, 5, 6), (1, 6))
+    assert str(error) == message.format(
+        demand=demand.entries[(1, 6)], slot_files=corrupted["plan"].term_file[row].tolist())
+
+
+def test_decode_user_error_fields():
+    params = SchemeParams(6, 2, 2, 15)
+    demand = full_demand(params)
+    txs = _swap_own_file(generate_transmissions(params, demand), (2, 5), params)
+    with pytest.raises(DecodingError) as caught:
+        decode_user(params, (2, 5), demand, txs, build_placement(params))
+    assert caught.value.user == (2, 5)
+    assert caught.value.coded_set == txs[_tx_with(txs, (2, 5))].coded_set
+    assert caught.value.reason == "serves the user a file other than its demand"
+    assert str(caught.value).startswith(f"transmission {caught.value.coded_set} serves the user")
+
+
+@pytest.mark.parametrize(
+    "params, active, size",
+    [
+        (SchemeParams(4, 3, 2, 4), None, 20),  # t + r > C: no message at all
+        (SchemeParams(6, 2, 2, 15), None, 0),  # empty files
+        (SchemeParams(6, 2, 2, 15), [(2, 5)], 45),  # a single active user
+        (SchemeParams(7, 2, 3, 21), None, 101),  # 101 bytes over F = 35 pieces
+    ],
+    ids=["t+r>C", "file-size-0", "single-user", "length-not-divisible-by-F"],
+)
+def test_edge_cases_decode_byte_exact(params, active, size):
+    full = full_demand(params)
+    demand = DemandAssignment({u: full.entries[u] for u in active or full.entries})
+    payloads = [bytes((31 * i + 5 * j) % 256 for j in range(size)) for i in range(params.num_files)]
+    outputs = simulate_end_to_end(params, payloads, demand)
+    assert outputs == {u: payloads[f - 1] for u, f in demand.entries.items()}
+    assert outputs == reference_decode(params, payloads, demand)
+    assert outputs.messages == len(generate_transmissions(params, demand))
+
+
+def test_simulate_decodes_messages_with_permuted_slots(monkeypatch):
+    # XOR does not care where a term sits in its message, so a plan whose
+    # slot columns are reversed must still decode: each user's piece is taken
+    # at the slot the check finds, not at the slot the layout assigns it.
+    params = SchemeParams(6, 2, 2, 15)
+    demand = full_demand(params)
+    payloads = [bytes((11 * i + j) % 256 for j in range(50)) for i in range(15)]
+    build = scheme._delivery_plan
+
+    def reversed_slots(p, d):
+        plan = build(p, d)
+        return plan._replace(term_file=plan.term_file[:, ::-1].copy(),
+                             term_rank=plan.term_rank[:, ::-1].copy())
+
+    monkeypatch.setattr(scheme, "_delivery_plan", reversed_slots)
+    outputs = simulate_end_to_end(params, payloads, demand)
+    assert outputs == {u: payloads[f - 1] for u, f in demand.entries.items()}
