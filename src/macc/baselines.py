@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 
 class Scheme(str, Enum):
@@ -47,18 +47,6 @@ Count = Union[int, Undefined]
 
 def is_defined(value: object) -> bool:
     return not isinstance(value, Undefined)
-
-
-@dataclass(frozen=True)
-class BaselineEval:
-    """One scheme evaluated at one parameter point."""
-
-    scheme_name: Scheme
-    num_users: Count
-    rate: Rational
-    per_user_rate: Rational
-    subpacketization: Count
-    memory_fraction: Rational
 
 
 def _check_mn(mn: Fraction) -> Fraction:
@@ -152,34 +140,21 @@ def clwzc_subpacketization(C: int, r: int, t: int) -> int:
     return C * math.comb(inner, t)
 
 
-def default_sr1_leading(C: int, r: int, t: int) -> int:
-    """Default stand-in for the odd-case leading ceiling, ceil(2tr/(C-tr+1)).
-
-    The published odd-branch expression contains symbols with no definition
-    in scope; this substitution extrapolates the even branch's pattern at
-    i = (C-tr+1)/2 and is an assumption, not ground truth. Callers can pass
-    their own closure to sr1_rate.
-    """
-    m = C - t * r
-    return math.ceil(Fraction(2 * t * r, m + 1))
-
-
 def sr1_odd_branch(C: int, r: int, t: int) -> bool:
     """True when sr1 evaluates through the interpretation-dependent branch."""
     m = C - t * r
     return m > 1 and m % 2 == 1
 
 
-def sr1_rate_value(
-    C: int,
-    r: int,
-    t: int,
-    leading: Callable[[int, int, int], int] = default_sr1_leading,
-) -> Fraction:
+def sr1_rate_value(C: int, r: int, t: int) -> Fraction:
     """The raw piecewise sr1 expression, with no existence preconditions.
 
     Split out from :func:`sr1_rate` so the arithmetic can be exercised even
-    at points the scheme's stated parameter set excludes.
+    at points the scheme's stated parameter set excludes. For odd
+    m = C - t*r > 1 the published leading ceiling contains symbols with no
+    definition in scope; ceil(2tr/(m+1)) stands in for it, extrapolating the
+    even branch's pattern at i = (m+1)/2. That is an assumption, not ground
+    truth.
     """
     m = C - t * r
     if m < 0:
@@ -191,7 +166,7 @@ def sr1_rate_value(
             (Fraction(1, 1 + math.ceil(Fraction(t * r, i))) for i in range(m // 2 + 1, m + 1)),
             Fraction(0),
         )
-    head = Fraction(1, leading(C, r, t) + 1)
+    head = Fraction(1, math.ceil(Fraction(2 * t * r, m + 1)) + 1)
     tail = sum(
         (Fraction(2, 1 + math.ceil(Fraction(t * r, i))) for i in range((m + 3) // 2, m + 1)),
         Fraction(0),
@@ -199,23 +174,18 @@ def sr1_rate_value(
     return head + tail
 
 
-def sr1_rate(
-    C: int,
-    r: int,
-    t: int,
-    leading: Callable[[int, int, int], int] = default_sr1_leading,
-) -> Rational:
+def sr1_rate(C: int, r: int, t: int) -> Rational:
     """Cyclic-setup rate for cache parameters t with gcd(t, C) = 1.
 
     Odd C - t*r > 1 goes through the interpretation-dependent leading term
-    (see :func:`default_sr1_leading`); check :func:`sr1_odd_branch` when the
+    (see :func:`sr1_rate_value`); check :func:`sr1_odd_branch` when the
     distinction matters.
     """
     if t < 1 or math.gcd(t, C) != 1:
         return Undefined(f"requires gcd(t, C) = 1 with t >= 1, got C={C}, t={t}")
     if t * r > C:
         return Undefined(f"requires t*r <= C, got t*r = {t * r}, C = {C}")
-    return sr1_rate_value(C, r, t, leading)
+    return sr1_rate_value(C, r, t)
 
 
 def sr2_rate(C: int, r: int, t: int) -> Rational:
@@ -254,22 +224,13 @@ def is_prime_power(n: int) -> bool:
     return n == 1
 
 
-def crd_affine(n: int) -> BaselineEval:
-    """Parameters of the design-based scheme built from an affine plane of order n.
+def crd_affine(n: int) -> Union[tuple[int, Fraction, int], Undefined]:
+    """(K, rate, F) of the design-based scheme built from an affine plane of order n.
 
     C = n(n+1) caches, K = n^3(n+1)/2 users, each file in n^2 pieces, each
     cache holding the fraction 1/n, per-user rate (n-1)^2 / (4n^2).
     """
     if not is_prime_power(n):
-        marker = Undefined(f"n = {n} is not a prime power")
-        return BaselineEval(Scheme.CRD_AFFINE, marker, marker, marker, marker, marker)
+        return Undefined(f"n = {n} is not a prime power")
     K = n ** 3 * (n + 1) // 2
-    per_user = Fraction((n - 1) ** 2, 4 * n ** 2)
-    return BaselineEval(
-        scheme_name=Scheme.CRD_AFFINE,
-        num_users=K,
-        rate=per_user * K,
-        per_user_rate=per_user,
-        subpacketization=n ** 2,
-        memory_fraction=Fraction(1, n),
-    )
+    return K, Fraction((n - 1) ** 2 * K, 4 * n ** 2), n ** 2

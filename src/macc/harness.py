@@ -226,160 +226,115 @@ class SweepSpec:
             raise ValueError(f"memory fraction {outside[0]} outside [0, 1]")
 
 
-def _integer(t: Fraction) -> Union[int, None]:
-    return int(t) if t.denominator == 1 else None
+Cells = Union[tuple[CellValue, CellValue, CellValue, str], Undefined]
+"""(K, rate, F, note) of a scheme at one point, or the gap where it does not exist.
+
+The functions that compute them take (C, r, t, mn), with t an int at an
+integer cache parameter and a Fraction elsewhere.
+"""
 
 
-def _proposed_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
-    K = binom(C, r)
-    ti = _integer(t)
-    if ti is not None:
-        rate = delivery_rate(C, r, ti)
-        return ComparisonRow(
-            Scheme.PROPOSED, C, r, t, mn, K, rate, rate / K, binom(C, ti)
-        )
-    rate = rate_memory_curve(C, r, 1, [mn])[0].rate
-    return ComparisonRow(
-        Scheme.PROPOSED,
-        C,
-        r,
-        t,
-        mn,
-        K,
-        rate,
-        rate / K,
-        Undefined("memory sharing point"),
-        note="memory sharing between adjacent integer cache parameters",
-    )
-
-
-def _needs_integer_t(scheme: Scheme, C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
-    gap = Undefined("defined only at integer cache parameters")
+def _gap_row(
+    scheme: Scheme, C: int, r: int, t: Fraction, mn: Fraction, gap: Undefined
+) -> ComparisonRow:
     return ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
 
 
-def _hkd_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
+def _at_integer_t(cells):
+    """Gate for a scheme defined only at integer cache parameters."""
+    gap = Undefined("defined only at integer cache parameters")
+    return lambda C, r, t, mn: cells(C, r, t, mn) if isinstance(t, int) else gap
+
+
+def _proposed(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
+    K = binom(C, r)
+    if isinstance(t, int):
+        return K, delivery_rate(C, r, t), binom(C, t), ""
+    rate = rate_memory_curve(C, r, 1, [mn])[0].rate
+    return (K, rate, Undefined("memory sharing point"),
+            "memory sharing between adjacent integer cache parameters")
+
+
+def _hkd(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
     rate = hkd_rate(C, r, mn)
     if isinstance(rate, Undefined):
-        return ComparisonRow(Scheme.HKD, C, r, t, mn, rate, rate, rate, rate, note=rate.reason)
-    ti = _integer(t)
-    F = hkd_subpacketization(C, r, ti) if ti is not None else Undefined("non-integer t")
-    return ComparisonRow(Scheme.HKD, C, r, t, mn, C, rate, rate / C, F)
+        return rate
+    F = hkd_subpacketization(C, r, t) if isinstance(t, int) else Undefined("non-integer t")
+    return C, rate, F, ""
 
 
-def _rk_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
-    no_f = Undefined("subpacketization not modeled for this scheme")
-    ti = _integer(t)
-    if ti is None:
-        gap = Undefined("defined only on the grid M/N = i/C")
-        return ComparisonRow(Scheme.RK, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
+def _rk(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
+    if not isinstance(t, int):
+        return Undefined("defined only on the grid M/N = i/C")
     try:
-        rate = rk_rate(C, r, ti)
+        rate = rk_rate(C, r, t)
     except ValueError as exc:
-        gap = Undefined(str(exc))
-        return ComparisonRow(Scheme.RK, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
-    return ComparisonRow(Scheme.RK, C, r, t, mn, C, rate, rate / C, no_f)
+        return Undefined(str(exc))
+    return C, rate, Undefined("subpacketization not modeled for this scheme"), ""
 
 
-def _rk_lb_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
+def _rk_lb(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
     rate = rk_lower_bound(C, r, mn)
     if isinstance(rate, Undefined):
-        return ComparisonRow(Scheme.RK_LB, C, r, t, mn, rate, rate, rate, rate, note=rate.reason)
-    no_f = Undefined("converse bound, not a construction")
-    return ComparisonRow(
-        Scheme.RK_LB, C, r, t, mn, C, rate, rate / C, no_f,
-        note="lower bound on optimal rate under uncoded placement",
-    )
+        return rate
+    return (C, rate, Undefined("converse bound, not a construction"),
+            "lower bound on optimal rate under uncoded placement")
 
 
-def _spe_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
-    ti = _integer(t)
-    if ti is None:
-        return _needs_integer_t(Scheme.SPE, C, r, t, mn)
-    special = spe_special_rate(C, r, ti)
+@_at_integer_t
+def _spe(C: int, r: int, t: int, mn: Fraction) -> Cells:
+    special = spe_special_rate(C, r, t)
     if is_defined(special):
-        return ComparisonRow(
-            Scheme.SPE, C, r, t, mn, C, special, special / C, C,
-            note="optimal special case r*t = C-1",
-        )
-    if ti == 2:
-        F = spe_subpacketization(C, r)
-        no_rate = Undefined("general rate expression not reproduced here")
-        note = "subpacketization only" if is_defined(F) else F.reason
-        return ComparisonRow(Scheme.SPE, C, r, t, mn, C, no_rate, no_rate, F, note=note)
-    gap = Undefined("exists for C*M/N = 2 or r*t = C-1 only")
-    return ComparisonRow(Scheme.SPE, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
+        return C, special, C, "optimal special case r*t = C-1"
+    if t != 2:
+        return Undefined("exists for C*M/N = 2 or r*t = C-1 only")
+    F = spe_subpacketization(C, r)
+    note = "subpacketization only" if is_defined(F) else F.reason
+    return C, Undefined("general rate expression not reproduced here"), F, note
 
 
-def _clwzc_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
-    ti = _integer(t)
-    if ti is None:
-        return _needs_integer_t(Scheme.CLWZC, C, r, t, mn)
-    rate = clwzc_rate(C, r, ti)
-    return ComparisonRow(
-        Scheme.CLWZC, C, r, t, mn, C, rate, rate / C, clwzc_subpacketization(C, r, ti)
-    )
+@_at_integer_t
+def _clwzc(C: int, r: int, t: int, mn: Fraction) -> Cells:
+    return C, clwzc_rate(C, r, t), clwzc_subpacketization(C, r, t), ""
 
 
-def _sr1_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
-    ti = _integer(t)
-    if ti is None:
-        return _needs_integer_t(Scheme.SR1, C, r, t, mn)
-    rate = sr1_rate(C, r, ti)
-    no_f = Undefined("only the bound F <= C^2 is published")
+@_at_integer_t
+def _sr1(C: int, r: int, t: int, mn: Fraction) -> Cells:
+    rate = sr1_rate(C, r, t)
     if isinstance(rate, Undefined):
-        return ComparisonRow(Scheme.SR1, C, r, t, mn, rate, rate, rate, rate, note=rate.reason)
-    note = "interpretation-dependent odd-branch leading term" if sr1_odd_branch(C, r, ti) else ""
-    return ComparisonRow(Scheme.SR1, C, r, t, mn, C, rate, rate / C, no_f, note=note)
+        return rate
+    note = "interpretation-dependent odd-branch leading term" if sr1_odd_branch(C, r, t) else ""
+    return C, rate, Undefined("only the bound F <= C^2 is published"), note
 
 
-def _sr2_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
-    ti = _integer(t)
-    if ti is None:
-        return _needs_integer_t(Scheme.SR2, C, r, t, mn)
-    rate = sr2_rate(C, r, ti)
+@_at_integer_t
+def _sr2(C: int, r: int, t: int, mn: Fraction) -> Cells:
+    rate = sr2_rate(C, r, t)
     if isinstance(rate, Undefined):
-        return ComparisonRow(Scheme.SR2, C, r, t, mn, rate, rate, rate, rate, note=rate.reason)
-    return ComparisonRow(Scheme.SR2, C, r, t, mn, C, rate, rate / C, sr2_subpacketization(C, r, ti))
+        return rate
+    return C, rate, sr2_subpacketization(C, r, t), ""
 
 
-def _crd_row(C: int, r: int, t: Fraction, mn: Fraction) -> ComparisonRow:
+def _crd_affine(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
     n = math.isqrt(C)
-    eval_ = None
-    if n * (n + 1) == C and t == n + 1:
-        eval_ = crd_affine(n)
-    if eval_ is None or isinstance(eval_.rate, Undefined):
-        reason = (
-            eval_.rate.reason
-            if eval_ is not None
-            else f"needs C = n(n+1) and t = n+1 for a prime power n, got C={C}, t={t}"
-        )
-        gap = Undefined(reason)
-        return ComparisonRow(Scheme.CRD_AFFINE, C, r, t, mn, gap, gap, gap, gap, note=reason)
-    return ComparisonRow(
-        Scheme.CRD_AFFINE,
-        C,
-        r,
-        t,
-        mn,
-        eval_.num_users,
-        eval_.rate,
-        eval_.per_user_rate,
-        eval_.subpacketization,
-        note=f"affine-plane parameters with n = {n}; r plays no role",
-    )
+    if n * (n + 1) != C or t != n + 1:
+        return Undefined(f"needs C = n(n+1) and t = n+1 for a prime power n, got C={C}, t={t}")
+    cells = crd_affine(n)
+    if isinstance(cells, Undefined):
+        return cells
+    return (*cells, f"affine-plane parameters with n = {n}; r plays no role")
 
 
-_ROW_BUILDERS = {
-    Scheme.PROPOSED: _proposed_row,
-    Scheme.HKD: _hkd_row,
-    Scheme.RK: _rk_row,
-    Scheme.RK_LB: _rk_lb_row,
-    Scheme.SPE: _spe_row,
-    Scheme.CLWZC: _clwzc_row,
-    Scheme.SR1: _sr1_row,
-    Scheme.SR2: _sr2_row,
-    Scheme.CRD_AFFINE: _crd_row,
+_CELLS = {
+    Scheme.PROPOSED: _proposed,
+    Scheme.HKD: _hkd,
+    Scheme.RK: _rk,
+    Scheme.RK_LB: _rk_lb,
+    Scheme.SPE: _spe,
+    Scheme.CLWZC: _clwzc,
+    Scheme.SR1: _sr1,
+    Scheme.SR2: _sr2,
+    Scheme.CRD_AFFINE: _crd_affine,
 }
 
 
@@ -390,7 +345,7 @@ def evaluate_scheme(
 
     ``mn`` is the memory fraction t / C. A sweep passes the one object its
     grid holds, so that every row at that point shares it; by default it is
-    computed here.
+    computed here. The per-user rate is rate / K.
     """
     if not isinstance(t, Fraction):
         t = Fraction(t)
@@ -399,9 +354,14 @@ def evaluate_scheme(
     if mn is None:
         mn = t / C
     if r > C:
-        gap = Undefined(f"access degree {r} exceeds cache count {C}")
-        return ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
-    return _ROW_BUILDERS[scheme](C, r, t, mn)
+        cells = Undefined(f"access degree {r} exceeds cache count {C}")
+    else:
+        cells = _CELLS[scheme](C, r, t.numerator if t.denominator == 1 else t, mn)
+    if isinstance(cells, Undefined):
+        return _gap_row(scheme, C, r, t, mn, cells)
+    K, rate, F, note = cells
+    per_user = rate if isinstance(rate, Undefined) else rate / K
+    return ComparisonRow(scheme, C, r, t, mn, K, rate, per_user, F, note)
 
 
 def _sweep_grid(
@@ -445,10 +405,7 @@ def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
                     if gap is None:
                         rows.append(evaluate_scheme(scheme, C, r, t, mn))
                     else:
-                        rows.append(
-                            ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap,
-                                          note=gap.reason)
-                        )
+                        rows.append(_gap_row(scheme, C, r, t, mn, gap))
     return rows
 
 
@@ -544,46 +501,36 @@ def verify_reference_cases() -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _check_ratio_row(
-    label: str, C: int, r: int, t: int, computed: Fraction, published: float
-) -> tuple[bool, str]:
-    delta = abs(float(computed) - published)
-    good = delta <= TABLE_RATIO_TOLERANCE
-    status = "PASS" if good else "FAIL"
-    return good, (
-        f"{status} {label} C={C} r={r} t={t}: computed {float(computed):.6f} "
-        f"published {published} delta {delta:.6f}"
-    )
-
-
 def run_tables() -> tuple[bool, list[str]]:
-    """Recompute both published ratio tables and the t=1 column comparison."""
-    ok = True
-    lines = ["ratio table 1: points where the r*t = C-1 competitor wins"]
-    for C, r, t, published in SPE_ADVANTAGE_ROWS:
-        competitor = spe_special_rate(C, r, t)
-        if isinstance(competitor, Undefined):
-            ok = False
-            lines.append(f"FAIL table-1 C={C} r={r} t={t}: {competitor.reason}")
-            continue
-        proposed_pu = delivery_rate(C, r, t) / binom(C, r)
-        ratio = proposed_pu / (competitor / C)
-        good, line = _check_ratio_row("table-1", C, r, t, ratio, published)
-        ok &= good
-        lines.append(line)
+    """Recompute both published ratio tables and the t=1 column comparison.
 
-    lines.append("ratio table 2: points where this scheme wins")
-    for C, r, t, published in PROPOSED_ADVANTAGE_ROWS:
-        competitor = spe_special_rate(C, r, t)
-        if isinstance(competitor, Undefined):
-            ok = False
-            lines.append(f"FAIL table-2 C={C} r={r} t={t}: {competitor.reason}")
-            continue
-        proposed_pu = delivery_rate(C, r, t) / binom(C, r)
-        ratio = (competitor / C) / proposed_pu
-        good, line = _check_ratio_row("table-2", C, r, t, ratio, published)
-        ok &= good
-        lines.append(line)
+    Each table divides the losing per-user rate by the winning one.
+    """
+    ok = True
+    lines = []
+    for label, heading, rows, proposed_wins in (
+        ("table-1", "ratio table 1: points where the r*t = C-1 competitor wins",
+         SPE_ADVANTAGE_ROWS, False),
+        ("table-2", "ratio table 2: points where this scheme wins", PROPOSED_ADVANTAGE_ROWS, True),
+    ):
+        lines.append(heading)
+        for C, r, t, published in rows:
+            competitor = spe_special_rate(C, r, t)
+            if isinstance(competitor, Undefined):
+                ok = False
+                lines.append(f"FAIL {label} C={C} r={r} t={t}: {competitor.reason}")
+                continue
+            proposed_pu = delivery_rate(C, r, t) / binom(C, r)
+            ratio = proposed_pu / (competitor / C)
+            if proposed_wins:
+                ratio = 1 / ratio
+            delta = abs(float(ratio) - published)
+            good = delta <= TABLE_RATIO_TOLERANCE
+            ok &= good
+            lines.append(
+                f"{'PASS' if good else 'FAIL'} {label} C={C} r={r} t={t}: computed "
+                f"{float(ratio):.6f} published {published} delta {delta:.6f}"
+            )
 
     lines.append("column comparison at t=1, r=C-2 (cyclic competitor vs this scheme)")
     column_ok = True

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from macc.baselines import Scheme
+from macc.cli import main
 from macc.harness import SplitMix64, SweepSpec, evaluate_scheme, run_sweep, write_sweep_csv
 
 
@@ -68,6 +69,25 @@ def test_sweep_csv_golden_digest(kind, rows, sha256):
     write_sweep_csv(swept, stream)
     assert len(swept) == rows
     assert hashlib.sha256(stream.getvalue().encode("utf-8")).hexdigest() == sha256
+
+
+# Digests of the verification reports as the command line printed them
+# before the two ratio-table loops became one; only PASS counts are checked
+# elsewhere, so these guard every other byte.
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["tables"], "9642cdfec732aaa4186c13c25261afe5372d8599016484dd6a85062bdebec125"),
+        (["tables", "--json"], "e5ffd0bc1f2aa9f0e4556b69c356e2966ff3e2da8776460510153f29092b0e7d"),
+        (["verify-examples"], "ff6fbd0291f050cb598ec39a3648ebf238e5f65da87ab0305fffcc3041da0785"),
+        (["verify-examples", "--json"],
+         "4cf2d1adf5e4b170b988244799ab57a91eaba4d9f929b5d61d2e1d7ada4cd257"),
+    ],
+)
+def test_verification_report_golden_digest(capsys, argv, sha256):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("kind", ["mn", "t"])
