@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence, Union
@@ -116,6 +117,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at the null device.
+
+    After a failed write the stream still holds unwritten output, and the
+    interpreter flushes it again at exit, which would fail once more and
+    print "Exception ignored". A stream with no file descriptor is left
+    as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.t is None) == (args.mn is None):
         args.parser.error("exactly one of --t and --mn is required")
@@ -134,7 +152,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     rows = run_sweep(spec)
     if args.out is None:
-        write_sweep_csv(rows, sys.stdout)
+        try:
+            write_sweep_csv(rows, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            _discard_stdout()
+            print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+            return 1
     else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:

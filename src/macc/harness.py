@@ -8,11 +8,14 @@ randomness flows from one seeded splittable generator.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import IO, Sequence, Union
+from typing import IO, NamedTuple, Union
 
 from .baselines import (
     Scheme,
@@ -240,12 +243,6 @@ def _gap_row(
     return ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
 
 
-def _at_integer_t(cells):
-    """Gate for a scheme defined only at integer cache parameters."""
-    gap = Undefined("defined only at integer cache parameters")
-    return lambda C, r, t, mn: cells(C, r, t, mn) if isinstance(t, int) else gap
-
-
 def _proposed(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
     K = binom(C, r)
     if isinstance(t, int):
@@ -281,7 +278,6 @@ def _rk_lb(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
             "lower bound on optimal rate under uncoded placement")
 
 
-@_at_integer_t
 def _spe(C: int, r: int, t: int, mn: Fraction) -> Cells:
     special = spe_special_rate(C, r, t)
     if is_defined(special):
@@ -293,12 +289,10 @@ def _spe(C: int, r: int, t: int, mn: Fraction) -> Cells:
     return C, Undefined("general rate expression not reproduced here"), F, note
 
 
-@_at_integer_t
 def _clwzc(C: int, r: int, t: int, mn: Fraction) -> Cells:
     return C, clwzc_rate(C, r, t), clwzc_subpacketization(C, r, t), ""
 
 
-@_at_integer_t
 def _sr1(C: int, r: int, t: int, mn: Fraction) -> Cells:
     rate = sr1_rate(C, r, t)
     if isinstance(rate, Undefined):
@@ -307,7 +301,6 @@ def _sr1(C: int, r: int, t: int, mn: Fraction) -> Cells:
     return C, rate, Undefined("only the bound F <= C^2 is published"), note
 
 
-@_at_integer_t
 def _sr2(C: int, r: int, t: int, mn: Fraction) -> Cells:
     rate = sr2_rate(C, r, t)
     if isinstance(rate, Undefined):
@@ -337,6 +330,12 @@ _CELLS = {
     Scheme.CRD_AFFINE: _crd_affine,
 }
 
+# Schemes defined only at integer cache parameters: at a fractional t both
+# ``evaluate_scheme`` and ``run_sweep`` give this one gap without computing
+# cells, so their functions in ``_CELLS`` only ever see an int t.
+_INTEGER_ONLY = frozenset({Scheme.SPE, Scheme.CLWZC, Scheme.SR1, Scheme.SR2})
+_INTEGER_ONLY_GAP = Undefined("defined only at integer cache parameters")
+
 
 def evaluate_scheme(
     scheme: Scheme, C: int, r: int, t: Fraction, mn: Union[Fraction, None] = None
@@ -355,6 +354,8 @@ def evaluate_scheme(
         mn = t / C
     if r > C:
         cells = Undefined(f"access degree {r} exceeds cache count {C}")
+    elif t.denominator != 1 and scheme in _INTEGER_ONLY:
+        cells = _INTEGER_ONLY_GAP
     else:
         cells = _CELLS[scheme](C, r, t.numerator if t.denominator == 1 else t, mn)
     if isinstance(cells, Undefined):
@@ -364,9 +365,10 @@ def evaluate_scheme(
     return ComparisonRow(scheme, C, r, t, mn, K, rate, per_user, F, note)
 
 
-def _sweep_grid(
-    param_kind: str, values: list[Fraction], C: int
-) -> list[tuple[Fraction, Fraction, Union[Undefined, None]]]:
+_Point = tuple[Fraction, Fraction, Union[Undefined, None]]
+
+
+def _sweep_grid(param_kind: str, values: list[Fraction], C: int) -> list[_Point]:
     """The (t, mn) points of one cache count in increasing order.
 
     Each point carries the gap of a t beyond C, or None. A negative t is
@@ -382,77 +384,139 @@ def _sweep_grid(
     return grid
 
 
-def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
+class _Block(NamedTuple):
+    """The rows of one (scheme, C, r), one per point of C's grid.
+
+    ``entries`` holds, per point, the row ``evaluate_scheme`` returned or
+    the gap of a point that needs no evaluation. For r beyond C it is the
+    one access-degree gap of the whole block, which a t beyond C overrides.
+    """
+
+    scheme: Scheme
+    C: int
+    r: int
+    grid: list[_Point]
+    entries: Union[list[Union[ComparisonRow, Undefined]], Undefined]
+
+    def entry(self, i: int) -> Union[ComparisonRow, Undefined]:
+        if not isinstance(self.entries, Undefined):
+            return self.entries[i]
+        t_gap = self.grid[i][2]
+        return self.entries if t_gap is None else t_gap
+
+
+class SweepRows(Sequence[ComparisonRow]):
+    """The rows of a sweep, read-only, in order (scheme, C, r, t).
+
+    They are held as one block per (scheme, C, r). Every grid has the same
+    number of points, so row i is row i % width of block i // width. A gap
+    row is built each time it is read.
+    """
+
+    def __init__(self, blocks: list[_Block], width: int) -> None:
+        self._blocks = blocks
+        self._width = width
+
+    def __len__(self) -> int:
+        return len(self._blocks) * self._width
+
+    def __getitem__(self, index: Union[int, slice]):
+        position = range(len(self))[index]
+        if isinstance(position, range):
+            return [self[i] for i in position]
+        number, i = divmod(position, self._width)
+        block = self._blocks[number]
+        entry = block.entry(i)
+        if isinstance(entry, ComparisonRow):
+            return entry
+        t, mn, _ = block.grid[i]
+        return _gap_row(block.scheme, block.C, block.r, t, mn, entry)
+
+
+def run_sweep(spec: SweepSpec) -> SweepRows:
     """All grid rows in deterministic order (scheme, C, r, t).
 
     A row whose t exceeds C carries that gap, even when r exceeds C too;
-    a row with only r beyond C carries the access-degree gap. Every other
+    a row with only r beyond C carries the access-degree gap, and a scheme
+    in ``_INTEGER_ONLY`` at a fractional t the integer-only gap. Every other
     row comes from ``evaluate_scheme``.
     """
     scheme_order = {s: i for i, s in enumerate(Scheme)}
     values = sorted({Fraction(p) for p in spec.cache_params})
     access_degrees = sorted(set(spec.access_degrees))
     grids = {C: _sweep_grid(spec.param_kind, values, C) for C in sorted(set(spec.cache_counts))}
-    rows = []
+    blocks = []
     for scheme in sorted(set(spec.schemes), key=scheme_order.__getitem__):
+        integer_only = scheme in _INTEGER_ONLY
         for C, grid in grids.items():
             for r in access_degrees:
-                access_gap = (
-                    Undefined(f"access degree {r} exceeds cache count {C}") if r > C else None
-                )
-                for t, mn, t_gap in grid:
-                    gap = access_gap if t_gap is None else t_gap
-                    if gap is None:
-                        rows.append(evaluate_scheme(scheme, C, r, t, mn))
-                    else:
-                        rows.append(_gap_row(scheme, C, r, t, mn, gap))
-    return rows
+                if r > C:
+                    entries = Undefined(f"access degree {r} exceeds cache count {C}")
+                else:
+                    # Undefined is falsy, so the gaps are tested with `is not None`.
+                    entries = [
+                        t_gap if t_gap is not None
+                        else _INTEGER_ONLY_GAP if integer_only and t.denominator != 1
+                        else evaluate_scheme(scheme, C, r, t, mn)
+                        for t, mn, t_gap in grid
+                    ]
+                blocks.append(_Block(scheme, C, r, grid, entries))
+    return SweepRows(blocks, len(values))
 
 
-def write_sweep_csv(rows: Sequence[ComparisonRow], stream: IO[str]) -> None:
-    """The rows as CSV; each distinct exact value is rendered once per call.
+def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
+    """What ``run_sweep`` returned as CSV, one ``stream.write`` per block.
 
     Cells: empty for an undefined value, the integer for an int or a whole
     Fraction, otherwise 12 significant digits. The mn column always takes
-    the 12-digit form.
+    the 12-digit form. Each piece is rendered once per call: each distinct
+    exact value, the (t, mn) columns of each C, and the "defined,note" tail
+    of each distinct note, quoted by ``csv.writer``.
     """
-    cells: dict[tuple[int, int], str] = {}
-    decimals: dict[tuple[int, int], str] = {}
+    points: dict[int, list[str]] = {}
+    buffer = io.StringIO()
+    quoter = csv.writer(buffer, lineterminator="\n")
+
+    @functools.cache
+    def fraction(numerator: int, denominator: int) -> str:
+        if denominator == 1:
+            return str(numerator)
+        return render_decimal(Fraction(numerator, denominator))
 
     def cell(value: CellValue) -> str:
         if isinstance(value, Undefined):
             return ""
         if isinstance(value, int):
             return str(value)
-        key = (value.numerator, value.denominator)
-        text = cells.get(key)
-        if text is None:
-            text = cells[key] = str(key[0]) if key[1] == 1 else render_decimal(value)
-        return text
+        return fraction(value.numerator, value.denominator)
 
-    def decimal(value: Fraction) -> str:
-        key = (value.numerator, value.denominator)
-        text = decimals.get(key)
-        if text is None:
-            text = decimals[key] = render_decimal(value)
-        return text
+    @functools.cache
+    def tail(defined: bool, note: str) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        quoter.writerow(("true" if defined else "false", note))
+        return buffer.getvalue()
 
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([
-            row.scheme.value,
-            str(row.C),
-            str(row.r),
-            cell(row.t),
-            decimal(row.mn),
-            cell(row.num_users),
-            cell(row.rate),
-            cell(row.per_user_rate),
-            cell(row.subpacketization),
-            "true" if row.defined else "false",
-            row.note,
-        ])
+    stream.write(",".join(CSV_HEADER) + "\n")
+    for block in sweep._blocks:
+        heads = points.get(block.C)
+        if heads is None:
+            heads = points[block.C] = [
+                f"{cell(t)},{render_decimal(mn)}," for t, mn, _ in block.grid
+            ]
+        prefix = f"{block.scheme.value},{block.C},{block.r},"
+        lines = []
+        for i, head in enumerate(heads):
+            entry = block.entry(i)
+            if isinstance(entry, Undefined):
+                lines.append(f"{prefix}{head},,,,{tail(False, entry.reason)}")
+            else:
+                lines.append(
+                    f"{prefix}{head}{cell(entry.num_users)},{cell(entry.rate)},"
+                    f"{cell(entry.per_user_rate)},{cell(entry.subpacketization)},"
+                    f"{tail(entry.defined, entry.note)}"
+                )
+        stream.write("".join(lines))
 
 
 def verify_reference_cases() -> tuple[bool, list[str]]:

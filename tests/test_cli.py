@@ -1,8 +1,10 @@
 """End-to-end checks of the command line: exit codes, JSON shapes, CSV bytes."""
 
 import csv
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -216,6 +218,57 @@ def test_sweep_unwritable_path_exits_1(tmp_path, capsys):
                                     "--out", str(bad)])
     assert code == 1
     assert "cannot write" in err
+
+
+class FullStream(io.StringIO):
+    """A stdout whose writes fail like a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_sweep_stdout_write_error_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    code = main(["sweep", "-C", "4", "-r", "2", "--t", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: cannot write to standard output: [Errno 28] No space left on device\n"
+
+
+def sweep_process(*argv):
+    return [sys.executable, "-m", "macc.cli", "sweep", *argv]
+
+
+# Standard output buffered as it is by default, so that output still
+# buffered after a failed write would fail again when the interpreter
+# flushes it at exit.
+BUFFERED_ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+
+
+def test_sweep_stdout_reader_closing_early_exits_1():
+    # About 1 MB of CSV, far more than a pipe buffers, so writes go on
+    # after the reader has closed its end.
+    argv = sweep_process("-C", ",".join(map(str, range(1, 17))),
+                         "-r", ",".join(map(str, range(1, 17))),
+                         "--mn", ",".join(f"{p}/8" for p in range(9)))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=BUFFERED_ENV)
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert header == b"scheme,C,r,t,mn,K,rate,per_user_rate,F,defined,note\n"
+    assert err == "error: cannot write to standard output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_sweep_stdout_on_full_device_exits_1():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(sweep_process("-C", "4", "-r", "2", "--t", "1"), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=BUFFERED_ENV)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write to standard output: [Errno 28] No space left on device\n"
 
 
 def test_verify_examples_passes(capsys):

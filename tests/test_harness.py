@@ -6,9 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from macc.baselines import Scheme
+from macc.baselines import Scheme, Undefined
 from macc.cli import main
-from macc.harness import SplitMix64, SweepSpec, evaluate_scheme, run_sweep, write_sweep_csv
+from macc.harness import (
+    ComparisonRow,
+    SplitMix64,
+    SweepSpec,
+    evaluate_scheme,
+    run_sweep,
+    write_sweep_csv,
+)
 
 
 def scalar_bytes(rng, n):
@@ -71,6 +78,30 @@ def test_sweep_csv_golden_digest(kind, rows, sha256):
     assert hashlib.sha256(stream.getvalue().encode("utf-8")).hexdigest() == sha256
 
 
+class Sha256Stream:
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode("utf-8"))
+
+
+def test_full_memory_fraction_sweep_csv_digest():
+    # The benchmark's full sweep: every scheme, C, r = 1..16 and every p/q
+    # in [0, 1] with q <= 16; digest taken before the sweep became columnar.
+    memory = tuple(sorted({Fraction(p, q) for q in range(1, 17) for p in range(q + 1)}))
+    spec = SweepSpec(tuple(range(1, 17)), tuple(range(1, 17)), memory, tuple(Scheme), "mn")
+    swept = run_sweep(spec)
+    stream = Sha256Stream()
+    write_sweep_csv(swept, stream)
+    assert len(swept) == 186624
+    assert stream.sha.hexdigest() == (
+        "882d3cb0dd166e50dc1f9c33587d05747fdbb49b51d9818338407eab61c36da8"
+    )
+
+
 # Digests of the verification reports as the command line printed them
 # before the two ratio-table loops became one; only PASS counts are checked
 # elsewhere, so these guard every other byte.
@@ -101,13 +132,55 @@ def test_sweep_rows_match_evaluate_scheme(kind):
     assert checked > 0
 
 
-def test_cache_parameter_gap_precedes_access_degree_gap():
-    spec = SweepSpec((2,), (1, 3), (Fraction(1), Fraction(3)), (Scheme.PROPOSED,))
+def pointwise_rows(spec):
+    """The sweep built one row at a time: gaps by hand, the rest by evaluate_scheme."""
+    rows = []
+    for scheme in (s for s in Scheme if s in spec.schemes):
+        for C in sorted(set(spec.cache_counts)):
+            for r in sorted(set(spec.access_degrees)):
+                for value in sorted(set(spec.cache_params)):
+                    t, mn = (value, value / C) if spec.param_kind == "t" else (value * C, value)
+                    if t > C:
+                        gap = Undefined(f"cache parameter {t} exceeds cache count {C}")
+                    elif r > C:
+                        gap = Undefined(f"access degree {r} exceeds cache count {C}")
+                    else:
+                        rows.append(evaluate_scheme(scheme, C, r, t))
+                        continue
+                    rows.append(ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, gap.reason))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["mn", "t"])
+def test_sweep_row_api_matches_pointwise_rows(kind):
+    swept = run_sweep(small_spec(kind))
+    expected = pointwise_rows(small_spec(kind))
+    rows = list(swept)
+    assert len(swept) == len(rows) == len(expected)
+    # repr also tells an int cell from an equal whole Fraction.
+    assert [repr(row) for row in rows] == [repr(row) for row in expected]
+    middle = len(rows) // 2 + 1
+    for index in (0, -1, middle, -middle):
+        assert swept[index] == rows[index]
+    assert swept[middle:middle + 5] == rows[middle:middle + 5]
+    with pytest.raises(IndexError):
+        swept[len(rows)]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=[s.value for s in Scheme])
+def test_cache_parameter_gap_precedes_access_degree_gap(scheme):
+    # t = 5/2 is fractional and beyond C: the t gap must win over both the
+    # access-degree gap and the integer-only gap.
+    params = (Fraction(1), Fraction(5, 2), Fraction(3))
+    spec = SweepSpec((2,), (1, 3), params, (scheme,))
     notes = {(row.r, row.t): row.note for row in run_sweep(spec)}
-    assert notes[(3, 3)] == "cache parameter 3 exceeds cache count 2"
-    assert notes[(1, 3)] == "cache parameter 3 exceeds cache count 2"
+    for r in (1, 3):
+        assert notes[(r, 3)] == "cache parameter 3 exceeds cache count 2"
+        assert notes[(r, Fraction(5, 2))] == "cache parameter 5/2 exceeds cache count 2"
     assert notes[(3, 1)] == "access degree 3 exceeds cache count 2"
-    assert not notes[(1, 1)]
+    assert notes[(1, 1)] == evaluate_scheme(scheme, 2, 1, Fraction(1)).note
+    if scheme is Scheme.PROPOSED:
+        assert not notes[(1, 1)]
 
 
 def test_sweep_refuses_negative_cache_parameter():
