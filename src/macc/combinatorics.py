@@ -110,11 +110,14 @@ def rank_subsets(subsets: np.ndarray, n: int) -> np.ndarray:
     """:func:`rank_subset` of every row of an array of sorted k-subsets of [n].
 
     Vectorised through rank = C(n, k) - 1 - sum_i C(n - c_i, k - i) over the
-    row's labels c_0 < ... < c_{k-1}. Rows are not validated, and C(n, k)
-    must stay below 2**63.
+    row's labels c_0 < ... < c_{k-1}, one gather per column i from the
+    column C(n - c, k - i) of a binomial table. Rows are not validated, and
+    C(n, k) must stay below 2**63.
     """
     import numpy as np
 
     k = subsets.shape[-1]
-    table = np.array([[binom(a, j) for j in range(k + 1)] for a in range(n + 1)], np.int64)
-    return binom(n, k) - 1 - table[n - subsets, k - np.arange(k)].sum(axis=-1)
+    rank = np.full(subsets.shape[:-1], binom(n, k) - 1, np.int64)
+    for i in range(k):
+        rank -= np.array([binom(n - c, k - i) for c in range(n + 1)], np.int64)[subsets[..., i]]
+    return rank

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -161,21 +161,27 @@ class DemandAssignment:
 def _check_demand(params: SchemeParams, demand: DemandAssignment, strict: bool) -> None:
     """Validate a demand assignment against concrete parameters.
 
-    Strict mode additionally requires pairwise-distinct file indices, the
-    regime the rate analysis assumes. Decoding itself never needs it.
+    One array pass over every user's labels, sizes and files finds the first
+    offending user in ``entries`` order; only that user's error is spelled
+    out. Strict mode additionally requires pairwise-distinct file indices,
+    the regime the rate analysis assumes. Decoding itself never needs it.
     """
     C, r, N = params.num_caches, params.access_degree, params.num_files
-    for user, file_index in demand.entries.items():
+    users, A = list(demand.entries), len(demand.entries)
+    sizes = np.fromiter(map(len, users), np.int64, A)
+    labels = np.fromiter(chain.from_iterable(users), np.int64, int(sizes.sum()))
+    files = np.fromiter(demand.entries.values(), np.int64, A)
+    bad = (sizes != r) | (files < 1) | (files > N)
+    bad[np.repeat(np.arange(A), sizes)[(labels < 1) | (labels > C)]] = True
+    if bad.any():
+        user = users[int(bad.argmax())]
         try:
             validate_subset(user, C, r)
         except ValueError as exc:
             raise DemandError(f"user {user} is not a valid user identity: {exc}") from exc
-        if not 1 <= file_index <= N:
-            raise DemandError(f"user {user} demands file {file_index}, outside 1..{N}")
-    if strict:
-        values = list(demand.entries.values())
-        if len(set(values)) != len(values):
-            raise DemandError("demands must be pairwise distinct in strict mode")
+        raise DemandError(f"user {user} demands file {demand.entries[user]}, outside 1..{N}")
+    if strict and len(set(demand.entries.values())) != A:
+        raise DemandError("demands must be pairwise distinct in strict mode")
 
 
 def build_placement(params: SchemeParams) -> list[CacheContent]:
@@ -222,16 +228,17 @@ class _Plan(NamedTuple):
     Slot j of coded set S serves the user at the j-th r-subset of positions
     of S in lex order, with a term indexed by the rest of S (so the t-subsets
     of positions in reverse lex order) for file ``term_file`` (0: no term).
-    User U reads subfile T exactly when T meets U: ``subfile_sets`` lists
-    every T by rank, and that rule is the whole placement.
+    That layout is only where the encoder puts a term: the decoder reads each
+    term's index set from ``term_rank``. User U reads subfile T exactly when
+    T meets U: ``subfile_sets`` lists every T by rank, and that rule is the
+    whole placement.
     """
 
     coded_sets: np.ndarray  # (M, t+r) cache labels
     term_file: np.ndarray  # (M, b)
     term_rank: np.ndarray  # (M, b) lex rank of the term's index set
     subfile_sets: np.ndarray  # (F, t) every index set, by rank
-    slot_order: np.ndarray  # (M*b,) flat slots sorted by the rank of the user they serve
-    slot_users: np.ndarray  # (M*b,) those user ranks, sorted
+    slot_users: np.ndarray  # (M, b) lex rank of the user at each slot of the layout
 
 
 def _plan(params: SchemeParams, coded_sets: np.ndarray, slot_files) -> _Plan:
@@ -241,10 +248,9 @@ def _plan(params: SchemeParams, coded_sets: np.ndarray, slot_files) -> _Plan:
     users = rank_subsets(coded_sets[:, subset_array(t + r, r) - 1], C)
     term_file = slot_files(users)
     keep = term_file.any(axis=1)
-    coded_sets, term_file, users = coded_sets[keep], term_file[keep], users[keep].ravel()
+    coded_sets, term_file, users = coded_sets[keep], term_file[keep], users[keep]
     term_rank = rank_subsets(coded_sets[:, subset_array(t + r, t)[::-1] - 1], C)
-    order = np.argsort(users, kind="stable")
-    return _Plan(coded_sets, term_file, term_rank, subset_array(C, t), order, users[order])
+    return _Plan(coded_sets, term_file, term_rank, subset_array(C, t), users)
 
 
 def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
@@ -265,51 +271,88 @@ _PAIR_CHECKS = (
 )
 
 
+def _victims(params: SchemeParams, plan: _Plan) -> tuple[np.ndarray, np.ndarray, bool]:
+    """How many terms of each message each of its users cannot read, and the
+    slot of such a term (the one, where there is exactly one), as flat (M*b,)
+    arrays over the layout's (message, user) cells; and whether every term's
+    index set lies inside its message.
+
+    A term W_{f,T} with T inside S misses exactly one user of S, its victim
+    S \\ T, whose layout slot follows from the positions q_0 < ... < q_{t-1}
+    of T in S as the sum of C(t+r-1-q_i, t-i); every other r-subset of S
+    meets T. A term with T not inside S (a corrupted plan) misses every
+    r-subset of S \\ T, and only those terms are expanded user by user.
+    """
+    C, r, t = params.num_caches, params.access_degree, params.cache_param
+    M, b = plan.term_file.shape
+    slots = np.flatnonzero(plan.term_file)
+    m, j = np.divmod(slots, b)
+    position = np.full((M, C + 1), t + r, dtype=np.int64)  # t + r: not in S
+    position[np.arange(M)[:, None], plan.coded_sets] = np.arange(t + r)
+    at, ranks = m * (C + 1), plan.term_rank.reshape(-1)[slots]
+    inside, cell = np.ones(len(m), dtype=bool), m * b  # cell: flat (message, victim's slot)
+    for i, labels in enumerate(plan.subfile_sets.T):
+        q = position.reshape(-1)[at + labels[ranks]]
+        inside &= q < t + r
+        cell += np.array([binom(t + r - 1 - p, t - i) for p in range(t + r)] + [0])[q]
+    cells, holders = cell[inside], j[inside]
+    m, j = m[~inside], j[~inside]
+    if len(m):
+        rows = np.arange(len(m))
+        in_term = np.zeros((len(m), C + 1), dtype=bool)
+        in_term[rows[:, None], plan.subfile_sets[plan.term_rank[m, j]]] = True
+        members = plan.coded_sets[m][:, subset_array(t + r, r) - 1]
+        k, v = np.nonzero(~in_term[rows[:, None, None], members].any(axis=2))
+        cells, holders = np.concatenate([cells, m[k] * b + v]), np.concatenate([holders, j[k]])
+    target = np.zeros(M * b, dtype=np.int64)
+    target[cells] = holders
+    return np.bincount(cells, minlength=M * b), target, not len(m)
+
+
 def _peeling(
     params: SchemeParams, plan: _Plan, users: Sequence[tuple[int, ...]], wanted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (user, message) pair of a message serving one of ``users`` (sorted),
     as positions in ``users`` and message rows, and the slot each pair delivers.
 
-    Checks the decodability argument for all pairs at once, one slot column at
-    a time: each message with a term for the user holds exactly one term whose
-    index set misses the user, for its demand ``wanted``; the other terms meet
-    the user, so its caches hold them if their files lie in 1..N. Readable and
-    delivered subfiles must cover all binom(C, t). The first failing user in
-    ``users`` order is reported, with the first of these checks it fails.
+    Checks the decodability argument for all pairs at once, in O(M*b): each
+    term's one victim S \\ T is found from its index set, never from the slot
+    it sits in, and then each message containing a user must name files in
+    1..N and hold exactly one term the user cannot read (no term misses it
+    twice, none is missing), for its demand ``wanted``; the other terms meet
+    the user, so its caches hold them. Coverage follows by counting: the
+    pieces a user cannot read are the binom(C-r, t) t-subsets of the rest,
+    and each message S containing it delivers a different one, S minus the
+    user, so the count of its messages must be exactly that. The first
+    failing user in ``users`` order is reported, with the first of these
+    checks it fails; only then are its missing pieces listed.
     """
-    C, N, F = params.num_caches, params.num_files, params.subpacketization
-    A, b = len(users), plan.term_file.shape[1]
-    members = np.array(users, dtype=np.int64).reshape(A, params.access_degree)
-    ranks = rank_subsets(members, C)
-    lo = np.searchsorted(plan.slot_users, ranks)
-    counts = np.searchsorted(plan.slot_users, ranks, side="right") - lo
-    pair_user = np.repeat(np.arange(A), counts)
-    # Each user's range lo..lo+count-1 of the sorted slots, concatenated.
-    slots = np.arange(len(pair_user)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    messages = plan.slot_order[slots] // b
-    in_user = np.zeros((A, C + 1), dtype=bool)
-    in_user[np.arange(A)[:, None], members] = True
-    # Column F of a user's row stands for an empty slot (file 0): never unreadable.
-    covered = np.zeros((A, F + 1), dtype=bool)
-    covered[:, F] = True
-    for labels in plan.subfile_sets.T:
-        covered[:, :F] |= in_user[:, labels]
-    unreadable = ~covered.reshape(-1)
-    at = pair_user * (F + 1)  # row of each pair's user in the flat (A, F+1) tables
-    unread, target = (np.zeros(len(messages), dtype=np.int64) for _ in range(2))
-    for j, subfiles in enumerate(np.where(plan.term_file != 0, plan.term_rank, F).T):
-        hit = unreadable[at + subfiles[messages]]
-        unread += hit
-        np.putmask(target, hit, j)  # the last unreadable slot: the one slot if unread == 1
+    C, r, t, N = params.num_caches, params.access_degree, params.cache_param, params.num_files
+    (M, b), A = plan.term_file.shape, len(users)
+    where = np.full(params.num_users, -1, dtype=np.int64)  # user rank -> position, -1: inactive
+    where[rank_subsets(np.array(users, dtype=np.int64).reshape(A, r), C)] = np.arange(A)
+    unread, target, all_inside = _victims(params, plan)
+    pair_user = where[plan.slot_users].reshape(-1)
+    cells = np.flatnonzero(pair_user >= 0)
+    # The pairs ordered by user, then message, for assembly.
+    cells = cells[np.argsort(pair_user[cells].astype(np.min_scalar_type(A)), kind="stable")]
+    pair_user, messages, unread, target = pair_user[cells], cells // b, unread[cells], target[cells]
     bad_file = ((plan.term_file < 0) | (plan.term_file > N)).any(axis=1)
     served = plan.term_file[messages, target]
     failed = np.select([bad_file[messages], unread != 1, served != wanted[pair_user]], [1, 2, 3], 0)
-    covered.reshape(-1)[at + plan.term_rank[messages, target]] = True
+    delivered = plan.term_rank[messages, target]
+    # Distinct coded sets (lex-increasing rows) with every term inside its
+    # message deliver distinct pieces, so counting pairs is enough; a plan
+    # not known to be so has its distinct pieces counted.
+    step = np.diff(plan.coded_sets, axis=0)
+    if all_inside and (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+        counted = pair_user
+    else:
+        counted = np.unique(np.stack([pair_user, delivered], axis=1), axis=0)[:, 0]
+    short = np.bincount(counted, minlength=A) != binom(C - r, t)
     # A failure as 5 * user position + check (1..3 above, 4 for coverage): the
     # smallest is the first failing user's first failed check.
-    failures = np.concatenate([(5 * pair_user + failed)[failed != 0],
-                               5 * np.flatnonzero(~covered.all(axis=1)) + 4])
+    failures = np.concatenate([(5 * pair_user + failed)[failed != 0], 5 * np.flatnonzero(short) + 4])
     if len(failures):
         a, check = divmod(int(failures.min()), 5)
         user = tuple(users[a])
@@ -318,7 +361,9 @@ def _peeling(
             reason, S = _PAIR_CHECKS[check - 1], tuple(plan.coded_sets[m].tolist())
             raise DecodingError(f"transmission {S} {reason}: user {user}, demand {wanted[a]}, "
                                 f"slot files {plan.term_file[m].tolist()}", user, S, reason)
-        missing = [tuple(T) for T in plan.subfile_sets[~covered[a, :F]].tolist()]
+        covered = np.isin(plan.subfile_sets, user).any(axis=1)
+        covered[delivered[pair_user == a]] = True
+        missing = [tuple(T) for T in plan.subfile_sets[~covered].tolist()]
         raise DecodingError(f"user {user} never obtained subfile indices {missing}",
                             user, None, "never obtained subfile indices")
     return pair_user, messages, target

@@ -10,8 +10,13 @@ import sys
 
 import pytest
 
+import macc
 import macc.cli as cli
 from macc.cli import main
+
+# Child interpreters import the same macc as this test, with or without PYTHONPATH.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(macc.__file__)), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, argv):
@@ -242,7 +247,7 @@ def sweep_process(*argv):
 # Standard output buffered as it is by default, so that output still
 # buffered after a failed write would fail again when the interpreter
 # flushes it at exit.
-BUFFERED_ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+BUFFERED_ENV = {name: value for name, value in CHILD_ENV.items() if name != "PYTHONUNBUFFERED"}
 
 
 def test_sweep_stdout_reader_closing_early_exits_1():
@@ -326,6 +331,7 @@ def test_console_entry_point_in_subprocess():
         [sys.executable, "-m", "macc.cli", "verify-examples"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "RESULT: all checks passed" in proc.stdout

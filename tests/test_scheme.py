@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import macc.scheme as scheme
-from macc.combinatorics import binom, enumerate_subsets, rank_subset
+from macc.combinatorics import binom, enumerate_subsets, rank_subset, unrank_subset
 from macc.golden import REFERENCE_EXAMPLES, plain
 from macc.harness import simulate_report
 from macc.scheme import (
@@ -410,9 +410,9 @@ def brute_force_delivery(params, demand):
 def reference_decode(params, payloads, demand, strict=True):
     """The per-user decoder the batched one replaced, kept as a reference.
 
-    For each active user in turn: find its messages by binary search on the
-    plan's sorted slot users, take the one term whose index set misses the
-    user as the target, and cancel the other terms by gathering their chunks.
+    For each active user in turn: find its messages as the coded sets that
+    contain it, take the one term whose index set misses the user as the
+    target, and cancel the other terms by gathering their chunks.
     """
     scheme._check_demand(params, demand, strict)
     chunks, length = scheme._chunk_matrix(params, payloads)
@@ -420,9 +420,7 @@ def reference_decode(params, payloads, demand, strict=True):
     coded = scheme._encode(plan, chunks)
     outputs = {}
     for user, wanted in sorted(demand.entries.items()):
-        k = rank_subset(user, params.num_caches)
-        lo, hi = np.searchsorted(plan.slot_users, [k, k + 1])
-        messages = plan.slot_order[lo:hi] // plan.term_file.shape[1]
+        messages = np.flatnonzero([set(user) <= set(S) for S in plan.coded_sets.tolist()])
         in_user = np.zeros(params.num_caches + 1, dtype=bool)
         in_user[list(user)] = True
         readable = in_user[plan.subfile_sets].any(axis=1)
@@ -699,3 +697,169 @@ def test_simulate_decodes_messages_with_permuted_slots(monkeypatch):
     monkeypatch.setattr(scheme, "_delivery_plan", reversed_slots)
     outputs = simulate_end_to_end(params, payloads, demand)
     assert outputs == {u: payloads[f - 1] for u, f in demand.entries.items()}
+
+
+@pytest.mark.parametrize(
+    "entries, strict, message",
+    [
+        ({(1, 2): 1, (0, 3): 2, (4, 9): 3}, True,
+         "user (0, 3) is not a valid user identity: subset (0, 3) has elements outside 1..4"),
+        ({(1, 2): 1, (2, 5): 2}, True,
+         "user (2, 5) is not a valid user identity: subset (2, 5) has elements outside 1..4"),
+        ({(1, 2): 1, (1, 2, 3): 2, (4,): 3}, True,
+         "user (1, 2, 3) is not a valid user identity: subset (1, 2, 3) has size 3, expected 2"),
+        ({(1, 2): 1, (): 2}, True,
+         "user () is not a valid user identity: subset () has size 0, expected 2"),
+        # Labels are checked before the size, and both before the file.
+        ({(0, 1, 2): 9}, True,
+         "user (0, 1, 2) is not a valid user identity: subset (0, 1, 2) has elements outside 1..4"),
+        ({(3, 4): 1, (1, 5): 0}, True,
+         "user (1, 5) is not a valid user identity: subset (1, 5) has elements outside 1..4"),
+        ({(1, 2): 1, (3, 4): 7, (1, 3): 0}, True, "user (3, 4) demands file 7, outside 1..6"),
+        ({(2, 3): 0, (1, 2): 1}, False, "user (2, 3) demands file 0, outside 1..6"),
+        ({(1, 2): -1, (0, 3): 2}, False, "user (1, 2) demands file -1, outside 1..6"),
+        ({(1, 2): 1, (1, 3): 1}, True, "demands must be pairwise distinct in strict mode"),
+        # Every user is checked before the strict repeat check.
+        ({(1, 2): 1, (1, 3): 1, (2, 4): 9}, True, "user (2, 4) demands file 9, outside 1..6"),
+    ],
+    ids=["bad-label", "label-above-C", "wrong-size", "empty-user", "label-before-size",
+         "label-before-file", "file-above-N", "file-0", "file-first-in-order",
+         "strict-repeat", "file-before-repeat"],
+)
+def test_demand_errors_name_the_first_offending_user(entries, strict, message):
+    # The offending user is the first one in ``entries`` order, not in sorted order.
+    params = SchemeParams(4, 2, 1, 6)
+    demand = DemandAssignment(entries)
+    for run in (lambda: generate_transmissions(params, demand, strict=strict),
+                lambda: simulate_end_to_end(params, [b"x"] * 6, demand, strict=strict)):
+        with pytest.raises(DemandError) as caught:
+            run()
+        assert str(caught.value) == message
+
+
+def test_valid_demands_pass_in_both_modes():
+    params = SchemeParams(4, 2, 1, 6)
+    scheme._check_demand(params, DemandAssignment({(3, 4): 6, (1, 2): 1}), strict=True)
+    scheme._check_demand(params, DemandAssignment({(3, 4): 6, (1, 2): 6}), strict=False)
+    scheme._check_demand(params, DemandAssignment({}), strict=True)
+
+
+@pytest.mark.parametrize("C, r, t", [(64, 2, 1), (70, 1, 1)])
+def test_simulate_byte_exact_past_64_cache_labels(C, r, t):
+    # Labels above 63 would overflow a 64-bit set encoding of users or terms.
+    params = SchemeParams(C, r, t, 3)
+    demand = DemandAssignment({u: 1 + k % 3 for k, u in enumerate(params.users())})
+    payloads = [bytes((5 * i + j) % 256 for j in range(2 * C + 1)) for i in range(3)]
+    outputs = simulate_end_to_end(params, payloads, demand, strict=False)
+    assert outputs == {u: payloads[f - 1] for u, f in demand.entries.items()}
+    assert outputs.messages == binom(C, t + r)
+
+
+_REFERENCE_REASONS = (
+    "names a file not in 1..N",
+    "does not hold exactly one term the user cannot read",
+    "serves the user a file other than its demand",
+)
+
+
+def reference_check(params, plan, users, wanted):
+    """Brute-force decodability check of a plan, one (user, message) pair at a
+    time with Python sets: a user cannot read a term exactly when the term's
+    index set misses it. Returns the passing pairs (user position, message
+    row, slot) in user then message order, or the failure as
+    ``(user, coded_set, reason, message)``."""
+    C, t, N = params.num_caches, params.cache_param, params.num_files
+    coded_sets = [tuple(S) for S in plan.coded_sets.tolist()]
+    files = plan.term_file.tolist()
+    index_sets = [[unrank_subset(k, t, C) for k in row] for row in plan.term_rank.tolist()]
+    pairs = []
+    for a, user in enumerate(users):
+        failure, delivered = None, set()
+        for m, S in enumerate(coded_sets):
+            if not set(user) <= set(S):
+                continue
+            unread = [j for j, f in enumerate(files[m])
+                      if f != 0 and not set(user) & set(index_sets[m][j])]
+            if not all(0 <= f <= N for f in files[m]):
+                check = 1
+            elif len(unread) != 1:
+                check = 2
+            elif files[m][unread[0]] != wanted[a]:
+                check = 3
+            else:
+                check = 0
+                delivered.add(index_sets[m][unread[0]])
+                pairs.append((a, m, unread[0]))
+            if check and (failure is None or check < failure[0]):
+                failure = (check, m)
+        if failure:
+            check, m = failure
+            reason = _REFERENCE_REASONS[check - 1]
+            return (user, coded_sets[m], reason,
+                    f"transmission {coded_sets[m]} {reason}: user {user}, "
+                    f"demand {wanted[a]}, slot files {files[m]}")
+        missing = [T for T in combinations(range(1, C + 1), t)
+                   if not set(T) & set(user) and T not in delivered]
+        if missing:
+            return (user, None, "never obtained subfile indices",
+                    f"user {user} never obtained subfile indices {missing}")
+    return [list(column) for column in zip(*pairs)] or [[], [], []]
+
+
+_PLAN_CORRUPTIONS = ["none", "swap-file", "drop-term", "move-inside", "move-outside",
+                     "duplicate-set", "drop-message", "repeat-message", "file-0", "file--1",
+                     "file-N+1", "reverse-slots"]
+
+
+def _corrupt_plan(data, params, plan, kind):
+    C, t = params.num_caches, params.cache_param
+    term_file, term_rank = plan.term_file.copy(), plan.term_rank.copy()
+    if kind == "reverse-slots":
+        return plan._replace(term_file=term_file[:, ::-1].copy(),
+                             term_rank=term_rank[:, ::-1].copy())
+    if kind in ("drop-message", "repeat-message"):
+        m = data.draw(st.integers(0, len(term_file) - 1))
+        every = np.arange(len(term_file))
+        rows = np.delete(every, m) if kind == "drop-message" else np.insert(every, m, m)
+        return scheme._plan(params, plan.coded_sets[rows], lambda _: term_file[rows])
+    m, j = data.draw(st.sampled_from(np.argwhere(term_file != 0).tolist()))
+    S = plan.coded_sets[m].tolist()
+    if kind == "swap-file":
+        term_file[m, j] = term_file[m, j] % params.num_files + 1
+    elif kind in ("drop-term", "file-0"):
+        term_file[m, j] = 0
+    elif kind == "file--1":
+        term_file[m, j] = -1
+    elif kind == "file-N+1":
+        term_file[m, j] = params.num_files + 1
+    elif kind == "move-inside":
+        term_rank[m, j] = rank_subset(data.draw(st.sampled_from(list(combinations(S, t)))), C)
+    elif kind == "move-outside":
+        outside = [T for T in combinations(range(1, C + 1), t) if not set(T) <= set(S)]
+        if outside:
+            term_rank[m, j] = rank_subset(data.draw(st.sampled_from(outside)), C)
+    elif kind == "duplicate-set":
+        term_rank[m, j] = term_rank[m, data.draw(st.integers(0, term_rank.shape[1] - 1))]
+    return plan._replace(term_file=term_file, term_rank=term_rank)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_peeling_agrees_with_a_brute_force_check(data):
+    C = data.draw(st.integers(min_value=2, max_value=8))
+    r = data.draw(st.integers(min_value=1, max_value=C - 1))
+    t = data.draw(st.integers(min_value=1, max_value=C - r))
+    N = data.draw(st.integers(min_value=1, max_value=4))
+    params = SchemeParams(C, r, t, N)
+    active = data.draw(st.sets(st.sampled_from(list(params.users())), min_size=1, max_size=12))
+    users = sorted(active)
+    wanted = np.array(data.draw(st.lists(st.integers(1, N), min_size=len(users),
+                                         max_size=len(users))), dtype=np.int64)
+    plan = scheme._delivery_plan(params, DemandAssignment(dict(zip(users, wanted.tolist()))))
+    plan = _corrupt_plan(data, params, plan, data.draw(st.sampled_from(_PLAN_CORRUPTIONS)))
+    expected = reference_check(params, plan, users, wanted)
+    try:
+        got = [column.tolist() for column in scheme._peeling(params, plan, users, wanted)]
+    except DecodingError as error:
+        got = (error.user, error.coded_set, error.reason, str(error))
+    assert got == expected
