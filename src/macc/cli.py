@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: analyze, simulate, sweep, verify-examples, tables.
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+Exit codes: 0 success, 1 usage error or unwritable stdout, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -137,28 +137,12 @@ def _discard_stdout() -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.t is None) == (args.mn is None):
         args.parser.error("exactly one of --t and --mn is required")
-    if args.t is not None:
-        params = tuple(Fraction(v) for v in args.t)
-        kind = "t"
-    else:
-        params = tuple(args.mn)
-        kind = "mn"
-    spec = SweepSpec(
-        cache_counts=tuple(args.caches),
-        access_degrees=tuple(args.access),
-        cache_params=params,
-        schemes=tuple(args.schemes),
-        param_kind=kind,
-    )
-    rows = run_sweep(spec)
+    kind = "t" if args.t is not None else "mn"
+    params = tuple(Fraction(v) for v in args.t) if kind == "t" else tuple(args.mn)
+    rows = run_sweep(SweepSpec(cache_counts=tuple(args.caches), access_degrees=tuple(args.access),
+                               cache_params=params, schemes=tuple(args.schemes), param_kind=kind))
     if args.out is None:
-        try:
-            write_sweep_csv(rows, sys.stdout)
-            sys.stdout.flush()
-        except OSError as exc:
-            _discard_stdout()
-            print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
-            return 1
+        write_sweep_csv(rows, sys.stdout)
     else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -260,12 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Union[Sequence[str], None] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    args.parser = parser
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+            args.parser = parser
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a write error surfaces here at the latest
+    except OSError as exc:
+        _discard_stdout()
+        print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+        return 1
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except ValueError as exc:

@@ -4,7 +4,8 @@ Placement fills C caches with subfiles indexed by t-subsets of [C]; delivery
 sends one XOR-coded message per (t+r)-subset; each user, identified with the
 r-subset of caches it reads, peels every message whose index set contains it.
 The byte path reads the placement as a rule (U reads W_{i,T} exactly when
-T meets U) and runs one integer delivery plan through encoder and decoder.
+T meets U) and runs one integer delivery plan through encoder and decoder;
+``decode_user`` peels one user from the cache contents it is given.
 
 Parameters follow the usual naming: C caches, access degree r, cache
 parameter t (each cache holds the fraction t/C of the library), N files.
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from functools import reduce
+from itertools import chain
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -241,18 +243,6 @@ class _Plan(NamedTuple):
     slot_users: np.ndarray  # (M, b) lex rank of the user at each slot of the layout
 
 
-def _plan(params: SchemeParams, coded_sets: np.ndarray, slot_files) -> _Plan:
-    """The plan over ``coded_sets`` minus those without a term; ``slot_files``
-    maps the (M, b) lex ranks of the users the slots serve to their files."""
-    C, t, r = params.num_caches, params.cache_param, params.access_degree
-    users = rank_subsets(coded_sets[:, subset_array(t + r, r) - 1], C)
-    term_file = slot_files(users)
-    keep = term_file.any(axis=1)
-    coded_sets, term_file, users = coded_sets[keep], term_file[keep], users[keep]
-    term_rank = rank_subsets(coded_sets[:, subset_array(t + r, t)[::-1] - 1], C)
-    return _Plan(coded_sets, term_file, term_rank, subset_array(C, t), users)
-
-
 def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
     """One row per (t+r)-subset S holding an active user, in lex order; the
     slot of user U carries W_{d_U, S \\ U}, file 0 if U is inactive."""
@@ -261,7 +251,13 @@ def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
     file_of = np.zeros(params.num_users, dtype=np.int64)
     ranks = rank_subsets(np.array(active, np.int64).reshape(-1, r), C)
     file_of[ranks] = [demand.entries[u] for u in active]
-    return _plan(params, subset_array(C, t + r), file_of.__getitem__)
+    coded_sets = subset_array(C, t + r)
+    slot_users = rank_subsets(coded_sets[:, subset_array(t + r, r) - 1], C)
+    term_file = file_of[slot_users]
+    keep = term_file.any(axis=1)
+    coded_sets, term_file, slot_users = coded_sets[keep], term_file[keep], slot_users[keep]
+    term_rank = rank_subsets(coded_sets[:, subset_array(t + r, t)[::-1] - 1], C)
+    return _Plan(coded_sets, term_file, term_rank, subset_array(C, t), slot_users)
 
 
 _PAIR_CHECKS = (
@@ -393,39 +389,52 @@ def decode_user(
 ) -> set[SubfileId]:
     """Subfiles of the demanded file a user recovers from the transmissions.
 
-    Returns the peeled subfiles only; together with the index sets already
-    readable from the user's caches they cover all binom(C, t) pieces.
-    Raises DecodingError if a term does not fit the plan layout, a message
-    is not peelable or a piece stays missing. The list is turned into a plan
-    and checked by the decoder of ``simulate_end_to_end``, for this one user;
-    it reads the placement rule, not ``caches``. Each call scans the whole
-    list for the messages naming the user, so it costs O(len(transmissions)).
+    The user reads the entries of ``caches`` it names. Each message whose coded
+    set S contains the user must carry terms W_{f,T} with T a t-subset of S, no
+    T twice and f in 1..N; exactly one term none of those caches holds; and that
+    one for the user's demand, which it peels. Every piece of the demanded file
+    must be cached or peeled. Each rule is checked over all of the user's
+    messages before the next; the first failure raises DecodingError. Each
+    call scans the whole list, so it costs O(len(transmissions)).
     """
     C, r, t, N = params.num_caches, params.access_degree, params.cache_param, params.num_files
     user = validate_subset(user, C, r)
     if user not in demand.entries:
         raise DemandError(f"user {user} has no demand assigned")
-    wanted = demand.entries[user]
-    # Only a message whose coded set contains the user can hold a term for it.
-    relevant = [tx for tx in transmissions if set(user).issubset(tx.coded_set)]
-    b = binom(t + r, t)
-    coded_sets = []
-    term_file = np.zeros((len(relevant), b), dtype=np.int64)
-    for m, tx in enumerate(relevant):
-        coded_sets.append(validate_subset(tx.coded_set, C, t + r))
-        # Slot j holds the index set that is j-th in reverse lex order.
-        slot_of = {T: b - 1 - j for j, T in enumerate(combinations(coded_sets[m], t))}
-        for term in tx.terms:
-            j = slot_of.get(tuple(sorted(term.index_set)))
-            if j is None or term_file[m, j] or not 1 <= term.file_index <= N:
-                reason = f"needs a {t}-subset of it no other term uses and a file in 1..{N}"
-                raise DecodingError(f"term {term} of transmission {coded_sets[m]} {reason}",
-                                    user, coded_sets[m], reason)
-            term_file[m, j] = term.file_index
-    plan = _plan(params, np.array(coded_sets, np.int64).reshape(-1, t + r), lambda _: term_file)
-    _, messages, target = _peeling(params, plan, [user], np.array([wanted]))
-    pieces = plan.subfile_sets[plan.term_rank[messages, target]].tolist()
-    return {SubfileId(wanted, tuple(T)) for T in pieces}
+    wanted, valid = demand.entries[user], set(params.subfile_index_sets())
+    held = [cache.subfiles for cache in caches if cache.cache_label in user]  # never merged
+    messages = []
+    for tx in [tx for tx in transmissions if set(user).issubset(tx.coded_set)]:
+        S, terms, sets = validate_subset(tx.coded_set, C, t + r), tx.terms, {T for _, T in tx.terms}
+        if not (len(sets) == len(terms) and valid.issuperset(sets)
+                and set(S).issuperset(chain.from_iterable(sets))
+                and all(1 <= f <= N for f, _ in terms)):
+            # A malformed term, or index sets out of order: check term by term.
+            terms, sets = [], set()
+            for term in tx.terms:
+                f, T = term.file_index, tuple(sorted(term.index_set))
+                if T not in valid or not set(T) <= set(S) or T in sets or not 1 <= f <= N:
+                    reason = f"needs a {t}-subset of it no other term uses and a file in 1..{N}"
+                    raise DecodingError(f"term {term} of transmission {S} {reason}",
+                                        user, S, reason)
+                sets.add(T)
+                terms.append((f, T))
+        # The terms none of the caches holds; a set difference hashes each term once.
+        messages.append((S, terms, reduce(set.difference, held, set(terms))))
+    wrong = ([m for m in messages if len(m[2]) != 1]
+             or [m for m in messages if {f for f, _ in m[2]} != {wanted}])
+    if wrong:
+        S, terms, unread = wrong[0]
+        reason = _PAIR_CHECKS[1] if len(unread) != 1 else _PAIR_CHECKS[2]
+        raise DecodingError(f"transmission {S} {reason}: user {user}, demand {wanted}, "
+                            f"terms {[tuple(term) for term in terms]}", user, S, reason)
+    peeled = set().union(*(unread for _, _, unread in messages))
+    missing = reduce(set.difference, held, {(wanted, T) for T in valid} - peeled)
+    if missing:
+        raise DecodingError(f"user {user} never obtained subfile indices "
+                            f"{sorted(T for _, T in missing)}",
+                            user, None, "never obtained subfile indices")
+    return {SubfileId(*piece) for piece in peeled}
 
 
 def _chunk_matrix(params: SchemeParams, file_payloads: Sequence[bytes]) -> tuple[np.ndarray, int]:

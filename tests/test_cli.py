@@ -232,16 +232,27 @@ class FullStream(io.StringIO):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def test_sweep_stdout_write_error_exits_1(monkeypatch, capsys):
+# One small run of each subcommand that writes to standard output.
+SUBCOMMANDS = {
+    "analyze": ["analyze", "-C", "4", "-r", "2", "--t", "1"],
+    "simulate": ["simulate", "-C", "4", "-r", "2", "--t", "1", "--json"],
+    "sweep": ["sweep", "-C", "4", "-r", "2", "--t", "1"],
+    "verify-examples": ["verify-examples"],
+    "tables": ["tables"],
+}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_stdout_write_error_exits_1(argv, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", FullStream())
-    code = main(["sweep", "-C", "4", "-r", "2", "--t", "1"])
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: cannot write to standard output: [Errno 28] No space left on device\n"
 
 
-def sweep_process(*argv):
-    return [sys.executable, "-m", "macc.cli", "sweep", *argv]
+def cli_process(*argv):
+    return [sys.executable, "-m", "macc.cli", *argv]
 
 
 # Standard output buffered as it is by default, so that output still
@@ -253,9 +264,9 @@ BUFFERED_ENV = {name: value for name, value in CHILD_ENV.items() if name != "PYT
 def test_sweep_stdout_reader_closing_early_exits_1():
     # About 1 MB of CSV, far more than a pipe buffers, so writes go on
     # after the reader has closed its end.
-    argv = sweep_process("-C", ",".join(map(str, range(1, 17))),
-                         "-r", ",".join(map(str, range(1, 17))),
-                         "--mn", ",".join(f"{p}/8" for p in range(9)))
+    argv = cli_process("sweep", "-C", ",".join(map(str, range(1, 17))),
+                       "-r", ",".join(map(str, range(1, 17))),
+                       "--mn", ",".join(f"{p}/8" for p in range(9)))
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=BUFFERED_ENV)
     header = proc.stdout.readline()
@@ -267,11 +278,37 @@ def test_sweep_stdout_reader_closing_early_exits_1():
     assert err == "error: cannot write to standard output: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_stdout_reader_gone_exits_1(argv):
+    # The reader closes its end before the run starts, as `| head -0` may;
+    # output small enough to sit in the buffer fails when it is flushed.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(cli_process(*argv), stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60, env=BUFFERED_ENV)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write to standard output: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
-def test_sweep_stdout_on_full_device_exits_1():
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_stdout_on_full_device_exits_1(argv):
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(sweep_process("-C", "4", "-r", "2", "--t", "1"), stdout=full,
-                              stderr=subprocess.PIPE, text=True, timeout=60, env=BUFFERED_ENV)
+        proc = subprocess.run(cli_process(*argv), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=60, env=BUFFERED_ENV)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write to standard output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_help_on_full_device_exits_1():
+    # argparse ignores the failed write; the buffered help fails when flushed.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(cli_process("--help"), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=60, env=BUFFERED_ENV)
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write to standard output: [Errno 28] No space left on device\n"
 

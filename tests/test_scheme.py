@@ -463,6 +463,17 @@ def test_simulation_and_delivery_match_the_construction(data):
     txs = generate_transmissions(params, demand, strict=False)
     assert txs == brute_force_delivery(params, demand)
     assert outputs.messages == len(txs)
+    # decode_user, reading the caches, peels what the batched check delivers.
+    plan = scheme._delivery_plan(params, demand)
+    users = demand.active_users()
+    wanted = np.array([demand.entries[u] for u in users], dtype=np.int64)
+    pair_user, messages, target = scheme._peeling(params, plan, users, wanted)
+    delivered = plan.subfile_sets[plan.term_rank[messages, target]].tolist()
+    caches = build_placement(params)
+    for a, user in enumerate(users):
+        assert decode_user(params, user, demand, txs, caches) == {
+            SubfileId(demand.entries[user], tuple(T))
+            for T, p in zip(delivered, pair_user.tolist()) if p == a}
 
 
 def _tx_with(txs, user):
@@ -501,21 +512,130 @@ def _file_out_of_range(bad_file):
     return corrupt
 
 
+def _drop_own_term(txs, user, params):
+    i = _tx_with(txs, user)
+    terms = tuple(term for term in txs[i].terms if set(term.index_set) & set(user))
+    return txs[:i] + [replace(txs[i], terms=terms)] + txs[i + 1:]
+
+
+def _term_outside_coded_set(txs, user, params):
+    i = _tx_with(txs, user)
+    outside = next(T for T in combinations(range(1, params.num_caches + 1), params.cache_param)
+                   if not set(T) <= set(txs[i].coded_set))
+    first = txs[i].terms[0]
+    terms = (SubfileId(first.file_index, outside),) + txs[i].terms[1:]
+    return txs[:i] + [replace(txs[i], terms=terms)] + txs[i + 1:]
+
+
+def _repeat_term(txs, user, params):
+    i = _tx_with(txs, user)
+    return txs[:i] + [replace(txs[i], terms=txs[i].terms + txs[i].terms[:1])] + txs[i + 1:]
+
+
+_MALFORMED_TERM = "needs a 2-subset of it no other term uses and a file in 1..15"
+
+
 @pytest.mark.parametrize(
-    "corrupt",
-    [_swap_own_file, _add_second_unreadable_term, _drop_message,
-     _file_out_of_range(0), _file_out_of_range(16)],
-    ids=["swapped-file", "second-unreadable-term", "dropped-message", "file-0", "file-N+1"],
+    "corrupt, reason",
+    [(_swap_own_file, "serves the user a file other than its demand"),
+     # The extra term reuses the index set of the user's own term.
+     (_add_second_unreadable_term, _MALFORMED_TERM),
+     (_drop_message, "never obtained subfile indices"),
+     (_file_out_of_range(0), _MALFORMED_TERM),
+     (_file_out_of_range(16), _MALFORMED_TERM),
+     (_term_outside_coded_set, _MALFORMED_TERM),
+     (_repeat_term, _MALFORMED_TERM),
+     (_drop_own_term, "does not hold exactly one term the user cannot read")],
+    ids=["swapped-file", "second-unreadable-term", "dropped-message", "file-0", "file-N+1",
+         "term-outside-coded-set", "repeated-term", "dropped-own-term"],
 )
-def test_decode_user_rejects_corrupted_transmissions(corrupt):
+def test_decode_user_rejects_corrupted_transmissions(corrupt, reason):
     params = SchemeParams(6, 2, 2, 15)
     demand = full_demand(params)
     caches = build_placement(params)
     txs = generate_transmissions(params, demand)
     user = (2, 5)
     assert decode_user(params, user, demand, txs, caches)
-    with pytest.raises(DecodingError):
+    with pytest.raises(DecodingError) as caught:
         decode_user(params, user, demand, corrupt(txs, user, params), caches)
+    assert (caught.value.user, caught.value.reason) == (user, reason)
+
+
+def test_decode_user_reads_the_caches_it_is_given():
+    params = SchemeParams(6, 2, 2, 15)
+    demand = full_demand(params)
+    txs = generate_transmissions(params, demand)
+    caches = build_placement(params)
+    user = (2, 5)
+    expected = decode_user(params, user, demand, txs, caches)
+    with pytest.raises(DecodingError) as caught:
+        decode_user(params, user, demand, txs, [])
+    assert caught.value.user == user
+    # A piece of the user's own file it reads from cache 2 only, and a term
+    # of another user's file it must cancel.
+    interfering = next(term for term in txs[_tx_with(txs, user)].terms
+                       if set(term.index_set) & set(user) == {2})
+    own = SubfileId(demand.entries[user], (1, 2))
+    for needed, reason in [(own, "never obtained subfile indices"),
+                           (interfering, "does not hold exactly one term the user cannot read")]:
+        thinned = [replace(c, subfiles=c.subfiles - {needed}) if c.cache_label == 2 else c
+                   for c in caches]
+        with pytest.raises(DecodingError) as caught:
+            decode_user(params, user, demand, txs, thinned)
+        assert (caught.value.user, caught.value.reason) == (user, reason)
+    shuffled = list(caches)
+    np.random.default_rng(0).shuffle(shuffled)
+    assert decode_user(params, user, demand, txs, shuffled) == expected
+    # Were a cache outside the user read, its own pieces would be readable.
+    everything = frozenset().union(*(c.subfiles for c in caches))
+    others = [CacheContent(k, everything) for k in (1, 3, 4, 6)]
+    assert decode_user(params, user, demand, txs, others + caches) == expected
+
+
+def test_decode_user_accepts_repeated_messages_and_unsorted_index_sets():
+    params = SchemeParams(6, 2, 2, 15)
+    demand = full_demand(params)
+    txs = generate_transmissions(params, demand)
+    caches = build_placement(params)
+    unsorted = [replace(tx, terms=tuple(SubfileId(f, T[::-1]) for f, T in tx.terms)) for tx in txs]
+    for user in params.users():
+        expected = decode_user(params, user, demand, txs, caches)
+        assert decode_user(params, user, demand, txs + txs[::3], caches) == expected
+        assert decode_user(params, user, demand, unsorted, caches) == expected
+
+
+def _nth(k, corrupt):
+    """``corrupt`` applied to the k-th message naming the user, not the first."""
+    def apply(txs, user, params):
+        i = [n for n, tx in enumerate(txs) if set(user) <= set(tx.coded_set)][k]
+        return txs[:i] + corrupt(txs[i:], user, params)
+    return apply
+
+
+@pytest.mark.parametrize(
+    "corruptions, failing, reason",
+    [([_nth(0, _swap_own_file), _nth(1, _drop_own_term)], 1,
+      "does not hold exactly one term the user cannot read"),
+     ([_nth(0, _swap_own_file), _nth(1, _drop_own_term), _nth(2, _repeat_term)], 2,
+      _MALFORMED_TERM),
+     ([_nth(2, _swap_own_file), _nth(1, _drop_message)], 2,
+      "serves the user a file other than its demand")],
+    ids=["no-term-before-demand", "malformed-before-all", "demand-before-coverage"],
+)
+def test_decode_user_takes_each_check_over_all_messages(corruptions, failing, reason):
+    # A later message failing an earlier check wins over an earlier message
+    # failing a later one.
+    params = SchemeParams(6, 2, 2, 15)
+    demand = full_demand(params)
+    txs = generate_transmissions(params, demand)
+    user = (2, 5)
+    coded_set = [tx for tx in txs if set(user) <= set(tx.coded_set)][failing].coded_set
+    for corrupt in corruptions:
+        txs = corrupt(txs, user, params)
+    with pytest.raises(DecodingError) as caught:
+        decode_user(params, user, demand, txs, build_placement(params))
+    assert (caught.value.user, caught.value.coded_set, caught.value.reason) == (
+        user, coded_set, reason)
 
 
 def _plan_swap_file(plan, params):
@@ -531,8 +651,14 @@ def _plan_second_unreadable_term(plan, params):
     return plan._replace(term_rank=term_rank)
 
 
+def _plan_rows(plan, rows):
+    """The plan with only the messages at ``rows``, in that order."""
+    return plan._replace(coded_sets=plan.coded_sets[rows], term_file=plan.term_file[rows],
+                         term_rank=plan.term_rank[rows], slot_users=plan.slot_users[rows])
+
+
 def _plan_drop_message(plan, params):
-    return scheme._plan(params, plan.coded_sets[1:], lambda _: plan.term_file[1:])
+    return _plan_rows(plan, slice(1, None))
 
 
 def _plan_negative_file(plan, params):
@@ -821,7 +947,7 @@ def _corrupt_plan(data, params, plan, kind):
         m = data.draw(st.integers(0, len(term_file) - 1))
         every = np.arange(len(term_file))
         rows = np.delete(every, m) if kind == "drop-message" else np.insert(every, m, m)
-        return scheme._plan(params, plan.coded_sets[rows], lambda _: term_file[rows])
+        return _plan_rows(plan, rows)
     m, j = data.draw(st.sampled_from(np.argwhere(term_file != 0).tolist()))
     S = plan.coded_sets[m].tolist()
     if kind == "swap-file":
