@@ -29,11 +29,19 @@ from .scheme import SchemeParams
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but usage errors exit 1 instead of the default 2."""
+    """argparse, but usage errors exit 1 instead of the default 2, and a
+    failed write of help to standard output is not ignored."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse drops an OSError from the write; main reports it and exits 1.
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def _int_list(text: str) -> list[int]:

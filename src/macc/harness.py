@@ -331,10 +331,15 @@ _CELLS = {
 }
 
 # Schemes defined only at integer cache parameters: at a fractional t both
-# ``evaluate_scheme`` and ``run_sweep`` give this one gap without computing
+# ``evaluate_scheme`` and ``_Block.entry`` give this one gap without computing
 # cells, so their functions in ``_CELLS`` only ever see an int t.
 _INTEGER_ONLY = frozenset({Scheme.SPE, Scheme.CLWZC, Scheme.SR1, Scheme.SR2})
 _INTEGER_ONLY_GAP = Undefined("defined only at integer cache parameters")
+
+
+@functools.cache
+def _access_degree_gap(C: int, r: int) -> Undefined:
+    return Undefined(f"access degree {r} exceeds cache count {C}")
 
 
 def evaluate_scheme(
@@ -353,7 +358,7 @@ def evaluate_scheme(
     if mn is None:
         mn = t / C
     if r > C:
-        cells = Undefined(f"access degree {r} exceeds cache count {C}")
+        cells = _access_degree_gap(C, r)
     elif t.denominator != 1 and scheme in _INTEGER_ONLY:
         cells = _INTEGER_ONLY_GAP
     else:
@@ -385,32 +390,34 @@ def _sweep_grid(param_kind: str, values: list[Fraction], C: int) -> list[_Point]
 
 
 class _Block(NamedTuple):
-    """The rows of one (scheme, C, r), one per point of C's grid.
-
-    ``entries`` holds, per point, the row ``evaluate_scheme`` returned or
-    the gap of a point that needs no evaluation. For r beyond C it is the
-    one access-degree gap of the whole block, which a t beyond C overrides.
-    """
+    """One (scheme, C, r) of a sweep, one row per point of C's grid."""
 
     scheme: Scheme
     C: int
     r: int
     grid: list[_Point]
-    entries: Union[list[Union[ComparisonRow, Undefined]], Undefined]
 
     def entry(self, i: int) -> Union[ComparisonRow, Undefined]:
-        if not isinstance(self.entries, Undefined):
-            return self.entries[i]
-        t_gap = self.grid[i][2]
-        return self.entries if t_gap is None else t_gap
+        """The row ``evaluate_scheme`` gives at point i, or the gap of a point
+        that needs no evaluation: a t beyond C, then an r beyond C, then a
+        scheme in ``_INTEGER_ONLY`` at a fractional t."""
+        t, mn, t_gap = self.grid[i]
+        # Undefined is falsy, so the gap is tested with `is not None`.
+        if t_gap is not None:
+            return t_gap
+        if self.r > self.C:
+            return _access_degree_gap(self.C, self.r)
+        if t.denominator != 1 and self.scheme in _INTEGER_ONLY:
+            return _INTEGER_ONLY_GAP
+        return evaluate_scheme(self.scheme, self.C, self.r, t, mn)
 
 
 class SweepRows(Sequence[ComparisonRow]):
     """The rows of a sweep, read-only, in order (scheme, C, r, t).
 
-    They are held as one block per (scheme, C, r). Every grid has the same
-    number of points, so row i is row i % width of block i // width. A gap
-    row is built each time it is read.
+    They are held as one block per (scheme, C, r) and computed when read,
+    so none is kept. Every grid has the same number of points, so row i is
+    row i % width of block i // width.
     """
 
     def __init__(self, blocks: list[_Block], width: int) -> None:
@@ -436,37 +443,30 @@ class SweepRows(Sequence[ComparisonRow]):
 def run_sweep(spec: SweepSpec) -> SweepRows:
     """All grid rows in deterministic order (scheme, C, r, t).
 
-    A row whose t exceeds C carries that gap, even when r exceeds C too;
-    a row with only r beyond C carries the access-degree gap, and a scheme
-    in ``_INTEGER_ONLY`` at a fractional t the integer-only gap. Every other
+    The grids are built and checked here, so a negative t fails before any
+    row is read; the rows themselves are computed when written or read. A
+    row whose t exceeds C carries that gap, even when r exceeds C too; a
+    row with only r beyond C carries the access-degree gap, and a scheme in
+    ``_INTEGER_ONLY`` at a fractional t the integer-only gap. Every other
     row comes from ``evaluate_scheme``.
     """
     scheme_order = {s: i for i, s in enumerate(Scheme)}
     values = sorted({Fraction(p) for p in spec.cache_params})
     access_degrees = sorted(set(spec.access_degrees))
     grids = {C: _sweep_grid(spec.param_kind, values, C) for C in sorted(set(spec.cache_counts))}
-    blocks = []
-    for scheme in sorted(set(spec.schemes), key=scheme_order.__getitem__):
-        integer_only = scheme in _INTEGER_ONLY
-        for C, grid in grids.items():
-            for r in access_degrees:
-                if r > C:
-                    entries = Undefined(f"access degree {r} exceeds cache count {C}")
-                else:
-                    # Undefined is falsy, so the gaps are tested with `is not None`.
-                    entries = [
-                        t_gap if t_gap is not None
-                        else _INTEGER_ONLY_GAP if integer_only and t.denominator != 1
-                        else evaluate_scheme(scheme, C, r, t, mn)
-                        for t, mn, t_gap in grid
-                    ]
-                blocks.append(_Block(scheme, C, r, grid, entries))
+    blocks = [
+        _Block(scheme, C, r, grid)
+        for scheme in sorted(set(spec.schemes), key=scheme_order.__getitem__)
+        for C, grid in grids.items()
+        for r in access_degrees
+    ]
     return SweepRows(blocks, len(values))
 
 
 def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
     """What ``run_sweep`` returned as CSV, one ``stream.write`` per block.
 
+    Each block's rows are computed, rendered and dropped before the next.
     Cells: empty for an undefined value, the integer for an int or a whole
     Fraction, otherwise 12 significant digits. The mn column always takes
     the 12-digit form. Each piece is rendered once per call: each distinct

@@ -112,8 +112,8 @@ class CacheContent:
 class Transmission:
     """One coded message: the XOR of ``terms``, addressed by ``coded_set``.
 
-    With every user active the term list has exactly binom(t+r, r) entries,
-    one per r-subset U of the coded set, carrying W_{d_U, coded_set \\ U}.
+    There is one term per active user U inside the coded set, carrying
+    W_{d_U, coded_set \\ U}: binom(t+r, r) of them when every user is active.
     Terms are ordered lexicographically by the user subset they serve.
     """
 
@@ -225,39 +225,72 @@ def accessible_fraction(params: SchemeParams) -> Fraction:
 
 
 class _Plan(NamedTuple):
-    """A delivery as integer arrays: one row per message, one column per slot.
+    """A delivery as integer arrays: one row per message, one entry per term.
 
-    Slot j of coded set S serves the user at the j-th r-subset of positions
-    of S in lex order, with a term indexed by the rest of S (so the t-subsets
-    of positions in reverse lex order) for file ``term_file`` (0: no term).
-    That layout is only where the encoder puts a term: the decoder reads each
-    term's index set from ``term_rank``. User U reads subfile T exactly when
-    T meets U: ``subfile_sets`` lists every T by rank, and that rule is the
-    whole placement.
+    The terms of message m are the run of entries whose ``term_message`` is
+    m, so they are grouped by message in row order; within a message they
+    follow the lex order of the users they serve. That order is only where
+    the encoder puts a term: the decoder finds the user a term serves from
+    its index set ``term_rank`` (the lex rank of T) and its message. User U
+    reads subfile T exactly when T meets U: ``subfile_sets`` lists every T
+    by rank, and that rule is the whole placement.
     """
 
     coded_sets: np.ndarray  # (M, t+r) cache labels
-    term_file: np.ndarray  # (M, b)
-    term_rank: np.ndarray  # (M, b) lex rank of the term's index set
+    term_message: np.ndarray  # (terms,) row of the term's message, nondecreasing
+    term_file: np.ndarray  # (terms,) file index
+    term_rank: np.ndarray  # (terms,) lex rank of the term's index set
     subfile_sets: np.ndarray  # (F, t) every index set, by rank
-    slot_users: np.ndarray  # (M, b) lex rank of the user at each slot of the layout
 
 
 def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
-    """One row per (t+r)-subset S holding an active user, in lex order; the
-    slot of user U carries W_{d_U, S \\ U}, file 0 if U is inactive."""
+    """The term list: W_{d_U, T} for every active user U and every t-subset T
+    of [C] \\ U, sent in the message S = U ∪ T.
+
+    That is A·binom(C-r, t) terms for A active users, with no work for an
+    inactive one. The ranks of T and S come from a binomial table and the
+    place of each label in S. The label x at place p of [C] \\ U has
+    x - 1 - p labels of U below it, so as the i-th label of T it sits at
+    place i + x - 1 - p of S; the j-th label of U sits at place j plus the
+    number of labels of T below it. One stable sort by the rank of S puts
+    the messages in lex order and keeps the terms of each in the lex order
+    of their users.
+    """
     C, r, t = params.num_caches, params.access_degree, params.cache_param
-    active = demand.active_users()
-    file_of = np.zeros(params.num_users, dtype=np.int64)
-    ranks = rank_subsets(np.array(active, np.int64).reshape(-1, r), C)
-    file_of[ranks] = [demand.entries[u] for u in active]
-    coded_sets = subset_array(C, t + r)
-    slot_users = rank_subsets(coded_sets[:, subset_array(t + r, r) - 1], C)
-    term_file = file_of[slot_users]
-    keep = term_file.any(axis=1)
-    coded_sets, term_file, slot_users = coded_sets[keep], term_file[keep], slot_users[keep]
-    term_rank = rank_subsets(coded_sets[:, subset_array(t + r, t)[::-1] - 1], C)
-    return _Plan(coded_sets, term_file, term_rank, subset_array(C, t), slot_users)
+    k, active = t + r, demand.active_users()
+    users = np.array(active, dtype=np.int64).reshape(-1, r)
+    A = len(users)
+    free = np.ones((A, C + 1), dtype=bool)
+    free[:, 0] = False
+    free[np.arange(A)[:, None], users] = False
+    rest = np.nonzero(free)[1].reshape(A, C - r)  # each user's other labels, increasing
+    picks = subset_array(C - r, t) - 1  # (K, t) places in the rest, in lex order
+    K = len(picks)
+    # below[q, b]: how many of the places in pick b lie below place q of the rest.
+    below = (picks[:, :, None] < np.arange(C - r + 1)).sum(axis=1).T
+    # The lex rank of a k-subset is C(C, k) - 1 - the sum of C(C - x, k - i) over
+    # its labels x at places i; weight[x, i] is that term, and weight[x, r + i]
+    # the one of a t-subset.
+    weight = np.array([[binom(C - x, k - i) for i in range(k)] for x in range(C + 1)], np.int64)
+    set_rank = np.full((A, K), binom(C, k) - 1, dtype=np.int64)
+    term_rank = np.full((A, K), binom(C, t) - 1, dtype=np.int64)
+    for i in range(t):
+        set_rank -= np.take(weight[rest, i + rest - 1 - np.arange(C - r)], picks[:, i], axis=1)
+        term_rank -= np.take(weight[rest, r + i], picks[:, i], axis=1)
+    for j in range(r):
+        set_rank -= weight.reshape(-1)[(users[:, j] * k + j)[:, None] + below[users[:, j] - 1 - j]]
+    set_rank = set_rank.reshape(-1)
+    order = np.argsort(set_rank.astype(np.min_scalar_type(binom(C, k))), kind="stable")
+    new = np.diff(set_rank[order], prepend=-1) != 0
+    # Each message's labels, placed from its first term.
+    a, b = np.divmod(order[new], K)
+    T, rows = rest[a[:, None], picks[b]], np.arange(len(a))[:, None]
+    coded_sets = np.empty((len(a), k), dtype=np.int64)
+    coded_sets[rows, np.arange(t) + T - 1 - picks[b]] = T
+    coded_sets[rows, np.arange(r) + below[users[a] - 1 - np.arange(r), b[:, None]]] = users[a]
+    files = np.array([demand.entries[u] for u in active], dtype=np.int64)
+    return _Plan(coded_sets, np.cumsum(new) - 1, files[order // K],
+                 term_rank.reshape(-1)[order], subset_array(C, t))
 
 
 _PAIR_CHECKS = (
@@ -268,101 +301,138 @@ _PAIR_CHECKS = (
 
 
 def _victims(params: SchemeParams, plan: _Plan) -> tuple[np.ndarray, np.ndarray, bool]:
-    """How many terms of each message each of its users cannot read, and the
-    slot of such a term (the one, where there is exactly one), as flat (M*b,)
-    arrays over the layout's (message, user) cells; and whether every term's
-    index set lies inside its message.
+    """Every (user, term) pair where the user cannot read the term, as the
+    user's lex rank among the r-subsets of [C] and the term's index, ordered
+    by term; and whether every term's index set lies inside its message.
 
-    A term W_{f,T} with T inside S misses exactly one user of S, its victim
-    S \\ T, whose layout slot follows from the positions q_0 < ... < q_{t-1}
-    of T in S as the sum of C(t+r-1-q_i, t-i); every other r-subset of S
-    meets T. A term with T not inside S (a corrupted plan) misses every
-    r-subset of S \\ T, and only those terms are expanded user by user.
+    A term W_{f,T} with T inside its message S misses exactly one user of S,
+    its victim S \\ T; every other r-subset of S meets T. Its labels are the
+    labels of S at the places T does not take: from the places
+    q_0 < ... < q_{t-1} of T, the victim's places are the r-subset of
+    places at lex position sum C(t+r-1-q_i, t-i). A term with T not inside
+    S (a corrupted plan) misses every r-subset of S \\ T, and only those
+    terms are expanded user by user.
     """
     C, r, t = params.num_caches, params.access_degree, params.cache_param
-    M, b = plan.term_file.shape
-    slots = np.flatnonzero(plan.term_file)
-    m, j = np.divmod(slots, b)
-    position = np.full((M, C + 1), t + r, dtype=np.int64)  # t + r: not in S
-    position[np.arange(M)[:, None], plan.coded_sets] = np.arange(t + r)
-    at, ranks = m * (C + 1), plan.term_rank.reshape(-1)[slots]
-    inside, cell = np.ones(len(m), dtype=bool), m * b  # cell: flat (message, victim's slot)
+    k, M, n = t + r, len(plan.coded_sets), len(plan.term_rank)
+    place = np.full((M, C + 1), k, dtype=np.min_scalar_type(k))  # k: not in S
+    place[np.arange(M)[:, None], plan.coded_sets] = np.arange(k)
+    at = plan.term_message * (C + 1)
+    inside, slot = np.ones(n, dtype=bool), np.zeros(n, dtype=np.int64)
     for i, labels in enumerate(plan.subfile_sets.T):
-        q = position.reshape(-1)[at + labels[ranks]]
-        inside &= q < t + r
-        cell += np.array([binom(t + r - 1 - p, t - i) for p in range(t + r)] + [0])[q]
-    cells, holders = cell[inside], j[inside]
-    m, j = m[~inside], j[~inside]
-    if len(m):
-        rows = np.arange(len(m))
-        in_term = np.zeros((len(m), C + 1), dtype=bool)
-        in_term[rows[:, None], plan.subfile_sets[plan.term_rank[m, j]]] = True
-        members = plan.coded_sets[m][:, subset_array(t + r, r) - 1]
-        k, v = np.nonzero(~in_term[rows[:, None, None], members].any(axis=2))
-        cells, holders = np.concatenate([cells, m[k] * b + v]), np.concatenate([holders, j[k]])
-    target = np.zeros(M * b, dtype=np.int64)
-    target[cells] = holders
-    return np.bincount(cells, minlength=M * b), target, not len(m)
+        index = labels[plan.term_rank]
+        index += at
+        q = place.reshape(-1)[index]
+        inside &= q < k
+        slot += np.array([binom(k - 1 - p, t - i) for p in range(k)] + [0])[q]
+    # The victim's rank: C(C, r) - 1 - the sum of C(C - x, r - j) over its labels
+    # x at places j, read from one (k, r) table per message.
+    weight = np.array([[binom(C - x, r - j) for j in range(r)] for x in range(C + 1)], np.int64)
+    table, places = weight[plan.coded_sets].reshape(-1), subset_array(k, r) - 1
+    slot[~inside] = 0  # a term outside its message has no one victim
+    victims, at = np.full(n, binom(C, r) - 1, dtype=np.int64), plan.term_message * (k * r)
+    for offset in (places * r + np.arange(r)).T:  # flat (place, j) of the victim's j-th label
+        index = offset[slot]
+        index += at
+        victims -= table[index]
+    victims, terms = victims[inside], np.flatnonzero(inside)
+    if inside.all():
+        return victims, terms, True
+    outside = np.flatnonzero(~inside)
+    rows = np.arange(len(outside))[:, None]
+    in_term = np.zeros((len(outside), C + 1), dtype=bool)
+    in_term[rows, plan.subfile_sets[plan.term_rank[outside]]] = True
+    members = plan.coded_sets[plan.term_message[outside]][:, places]
+    o, v = np.nonzero(~in_term[rows[:, :, None], members].any(axis=2))
+    victims = np.concatenate([victims, rank_subsets(members[o, v], C)])
+    terms = np.concatenate([terms, outside[o]])
+    order = np.argsort(terms, kind="stable")
+    return victims[order], terms[order], False
 
 
 def _peeling(
     params: SchemeParams, plan: _Plan, users: Sequence[tuple[int, ...]], wanted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Every (user, message) pair of a message serving one of ``users`` (sorted),
-    as positions in ``users`` and message rows, and the slot each pair delivers.
+    as the position in ``users`` and the term the pair delivers, ordered by
+    user, then message.
 
-    Checks the decodability argument for all pairs at once, in O(M*b): each
-    term's one victim S \\ T is found from its index set, never from the slot
-    it sits in, and then each message containing a user must name files in
-    1..N and hold exactly one term the user cannot read (no term misses it
-    twice, none is missing), for its demand ``wanted``; the other terms meet
-    the user, so its caches hold them. Coverage follows by counting: the
-    pieces a user cannot read are the binom(C-r, t) t-subsets of the rest,
-    and each message S containing it delivers a different one, S minus the
-    user, so the count of its messages must be exactly that. The first
-    failing user in ``users`` order is reported, with the first of these
-    checks it fails; only then are its missing pieces listed.
+    Checks the decodability argument for all pairs at once, in O(terms): each
+    term's one victim S \\ T is found from its index set and its message,
+    never from where it sits, and then each message containing a user must
+    name files in 1..N and hold exactly one term the user cannot read (no
+    term misses it twice, none is missing), for its demand ``wanted``; the
+    other terms meet the user, so its caches hold them. Coverage follows by
+    counting: the pieces a user cannot read are the binom(C-r, t) t-subsets
+    of the rest, and each message S containing it delivers a different one,
+    S minus the user, so it must be the victim in exactly that many messages.
+    Then no message containing it is left out, as there are no more such
+    coded sets. The first failing user in ``users`` order is reported, with
+    the first of these checks it fails; only then are its messages listed
+    and its missing pieces found.
     """
     C, r, t, N = params.num_caches, params.access_degree, params.cache_param, params.num_files
-    (M, b), A = plan.term_file.shape, len(users)
-    where = np.full(params.num_users, -1, dtype=np.int64)  # user rank -> position, -1: inactive
-    where[rank_subsets(np.array(users, dtype=np.int64).reshape(A, r), C)] = np.arange(A)
-    unread, target, all_inside = _victims(params, plan)
-    pair_user = where[plan.slot_users].reshape(-1)
-    cells = np.flatnonzero(pair_user >= 0)
-    # The pairs ordered by user, then message, for assembly.
-    cells = cells[np.argsort(pair_user[cells].astype(np.min_scalar_type(A)), kind="stable")]
-    pair_user, messages, unread, target = pair_user[cells], cells // b, unread[cells], target[cells]
-    bad_file = ((plan.term_file < 0) | (plan.term_file > N)).any(axis=1)
-    served = plan.term_file[messages, target]
+    M, A = len(plan.coded_sets), len(users)
+    user_sets = np.array(users, dtype=np.int64).reshape(A, r)
+    # User rank -> position, -1 for an inactive user, in the smallest type that holds A.
+    where = np.full(params.num_users, -1, dtype=np.min_scalar_type(-1 - A))
+    where[rank_subsets(user_sets, C)] = np.arange(A)
+    victims, terms, all_inside = _victims(params, plan)
+    at = where[victims]
+    del victims
+    # The terms come in message order, so one stable sort orders the pairs.
+    order = np.flatnonzero(at >= 0)
+    order = order[np.argsort(at[order].astype(np.min_scalar_type(A)), kind="stable")]
+    at, terms = at[order], terms[order]
+    del order
+    messages = plan.term_message[terms]
+    new = np.ones(len(at), dtype=bool)
+    new[1:] = (at[1:] != at[:-1]) | (messages[1:] != messages[:-1])
+    first = np.flatnonzero(new)
+    unread = np.diff(first, append=len(at))
+    pair_user, messages, target = at[first], messages[first], terms[first]
+    bad_file = np.zeros(M, dtype=bool)
+    bad_file[plan.term_message[(plan.term_file < 1) | (plan.term_file > N)]] = True
+    served = plan.term_file[target]
     failed = np.select([bad_file[messages], unread != 1, served != wanted[pair_user]], [1, 2, 3], 0)
-    delivered = plan.term_rank[messages, target]
     # Distinct coded sets (lex-increasing rows) with every term inside its
     # message deliver distinct pieces, so counting pairs is enough; a plan
     # not known to be so has its distinct pieces counted.
     step = np.diff(plan.coded_sets, axis=0)
-    if all_inside and (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+    increasing = (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all()
+    if all_inside and increasing:
         counted = pair_user
     else:
-        counted = np.unique(np.stack([pair_user, delivered], axis=1), axis=0)[:, 0]
+        counted = np.unique(np.stack([pair_user, plan.term_rank[target]], axis=1), axis=0)[:, 0]
     short = np.bincount(counted, minlength=A) != binom(C - r, t)
-    # A failure as 5 * user position + check (1..3 above, 4 for coverage): the
-    # smallest is the first failing user's first failed check.
-    failures = np.concatenate([(5 * pair_user + failed)[failed != 0], 5 * np.flatnonzero(short) + 4])
-    if len(failures):
-        a, check = divmod(int(failures.min()), 5)
-        user = tuple(users[a])
-        if check < 4:
-            m = messages[np.flatnonzero((pair_user == a) & (failed == check))[0]]
-            reason, S = _PAIR_CHECKS[check - 1], tuple(plan.coded_sets[m].tolist())
+    if not increasing:
+        # Coded sets may repeat: count the messages that contain each user.
+        member = np.zeros((M, C + 1), dtype=bool)
+        member[np.arange(M)[:, None], plan.coded_sets] = True
+        holders = member[:, user_sets].all(axis=2).sum(axis=0)
+        short |= holders != np.bincount(pair_user, minlength=A)
+    failing = np.concatenate([pair_user[failed != 0], np.flatnonzero(short)])
+    if len(failing):
+        a = int(failing.min())
+        user, mine = tuple(users[a]), pair_user == a
+        holding = np.flatnonzero(np.isin(plan.coded_sets, user).sum(axis=1) == r)
+        count, file = np.zeros(M, dtype=np.int64), np.zeros(M, dtype=np.int64)
+        count[messages[mine]], file[messages[mine]] = unread[mine], served[mine]
+        count, file = count[holding], file[holding]
+        check = np.select([bad_file[holding], count != 1, file != wanted[a]], [1, 2, 3], 0)
+        if check.any():
+            first_check = int(check[check != 0].min())
+            m = holding[(check == first_check).argmax()]
+            reason, S = _PAIR_CHECKS[first_check - 1], tuple(plan.coded_sets[m].tolist())
             raise DecodingError(f"transmission {S} {reason}: user {user}, demand {wanted[a]}, "
-                                f"slot files {plan.term_file[m].tolist()}", user, S, reason)
+                                f"term files {plan.term_file[plan.term_message == m].tolist()}",
+                                user, S, reason)
         covered = np.isin(plan.subfile_sets, user).any(axis=1)
-        covered[delivered[pair_user == a]] = True
+        covered[plan.term_rank[target[mine]]] = True
         missing = [tuple(T) for T in plan.subfile_sets[~covered].tolist()]
         raise DecodingError(f"user {user} never obtained subfile indices {missing}",
                             user, None, "never obtained subfile indices")
-    return pair_user, messages, target
+    return pair_user, target
 
 
 def generate_transmissions(
@@ -376,11 +446,11 @@ def generate_transmissions(
     """
     _check_demand(params, demand, strict)
     plan = _delivery_plan(params, demand)
-    index_sets = plan.subfile_sets[plan.term_rank].tolist()
-    return [
-        Transmission(tuple(S), tuple(SubfileId(f, tuple(T)) for f, T in zip(files, sets) if f))
-        for S, files, sets in zip(plan.coded_sets.tolist(), plan.term_file.tolist(), index_sets)
-    ]
+    terms = [SubfileId(f, tuple(T)) for f, T in
+             zip(plan.term_file.tolist(), plan.subfile_sets[plan.term_rank].tolist())]
+    bounds = np.searchsorted(plan.term_message, np.arange(len(plan.coded_sets) + 1)).tolist()
+    return [Transmission(tuple(S), tuple(terms[lo:hi]))
+            for S, lo, hi in zip(plan.coded_sets.tolist(), bounds, bounds[1:])]
 
 
 def decode_user(
@@ -438,9 +508,9 @@ def decode_user(
 
 
 def _chunk_matrix(params: SchemeParams, file_payloads: Sequence[bytes]) -> tuple[np.ndarray, int]:
-    """Split payloads into the (N+1, F, chunk_len) uint8 matrix, zero-padded,
+    """Split payloads into the (N, F, chunk_len) uint8 matrix, zero-padded,
     and return it with the payload length. Subfile T of file i is row
-    (i, rank(T)); file 0 is all zeros, so empty plan slots XOR nothing."""
+    (i - 1, rank(T))."""
     N = params.num_files
     if len(file_payloads) != N:
         raise ValueError(f"expected {N} payloads, got {len(file_payloads)}")
@@ -449,38 +519,82 @@ def _chunk_matrix(params: SchemeParams, file_payloads: Sequence[bytes]) -> tuple
         raise ValueError(f"payloads must share one length, got lengths {sorted(lengths)}")
     (length,) = lengths or {0}
     F = params.subpacketization
-    chunks = np.zeros((N + 1, F, -(-length // F)), dtype=np.uint8)
-    for i, payload in enumerate(file_payloads, start=1):
+    chunks = np.zeros((N, F, -(-length // F)), dtype=np.uint8)
+    for i, payload in enumerate(file_payloads):
         chunks[i].reshape(-1)[:length] = np.frombuffer(payload, dtype=np.uint8)
     return chunks, length
 
 
+def _places(
+    plan: _Plan, F: int
+) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """How the byte passes walk the terms, a place at a time: the messages in
+    decreasing order of their term counts, the index of each message's first
+    term, c_j for each place j, and the chunk row (f - 1)·F + rank(T) of
+    each term. The messages with more than j terms, which hold a term at
+    place j, are the first c_j of that order."""
+    M, n = len(plan.coded_sets), len(plan.term_message)
+    starts = np.searchsorted(plan.term_message, np.arange(M))
+    sizes = np.diff(starts, append=n)
+    most = sizes.max(initial=0)
+    by_size = np.argsort((most - sizes).astype(np.min_scalar_type(most)), kind="stable")
+    rows = plan.term_file - 1
+    rows *= F
+    rows += plan.term_rank
+    counts = (M - np.cumsum(np.bincount(sizes, minlength=2))[:-1]).tolist()
+    return by_size, starts, counts, rows
+
+
 def _encode(plan: _Plan, chunks: np.ndarray) -> np.ndarray:
-    """XOR each message's terms, slot by slot, into one (M, chunk_len) buffer."""
-    coded = np.zeros((len(plan.term_file), chunks.shape[2]), dtype=np.uint8)
-    for j in range(plan.term_file.shape[1]):
-        coded ^= chunks[plan.term_file[:, j], plan.term_rank[:, j]]
-    return coded
+    """XOR each message's terms into one (M, chunk_len) buffer, a place at a
+    time (see ``_places``)."""
+    N, F, L = chunks.shape
+    by_size, starts, counts, rows = _places(plan, F)
+    first, flat = starts[by_size], chunks.reshape(N * F, L)
+    coded = np.zeros((len(by_size), L), dtype=np.uint8)
+    for j, c in enumerate(counts):
+        coded[:c] ^= flat[rows[first[:c] + j]]
+    out = np.empty_like(coded)
+    out[by_size] = coded
+    return out
 
 
-def _leave_one_out(plan: _Plan, chunks: np.ndarray, coded: np.ndarray) -> np.ndarray:
-    """The (M, b, chunk_len) pieces the slots deliver: slot j of a message is
-    the coded message XOR every term but slot j's, from one forward and one
-    backward scan over the slot columns."""
-    M, b = plan.term_file.shape
+def _leave_one_out(
+    plan: _Plan, chunks: np.ndarray, coded: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The piece of each term, its coded message XOR every other term of the
+    message, as a (terms, chunk_len) buffer and the row of each term's piece.
 
-    def term(j: int) -> np.ndarray:
-        return chunks[plan.term_file[:, j], plan.term_rank[:, j]]
+    One forward and one backward scan run over the terms of each message, a
+    place at a time (see ``_places``). The buffer holds the pieces place by
+    place, so each step of a scan XORs whole runs of rows.
+    """
+    N, F, L = chunks.shape
+    M, n = len(coded), len(plan.term_message)
+    by_size, starts, counts, rows = _places(plan, F)
+    first, flat = starts[by_size], chunks.reshape(N * F, L)
+    offsets = np.cumsum([0] + counts).tolist()
 
-    pieces = np.empty((M, b, chunks.shape[2]), dtype=np.uint8)
-    pieces[:, 0] = coded
-    for j in range(1, b):
-        np.bitwise_xor(pieces[:, j - 1], term(j - 1), out=pieces[:, j])
+    def terms(j: int, c: int) -> np.ndarray:
+        """The chunks of the terms at place j of the first c messages."""
+        return flat[rows[first[:c] + j]]
+
+    pieces = np.empty((n, L), dtype=np.uint8)
+    pieces[:counts[0]] = coded[by_size[:counts[0]]]
+    for j in range(1, len(counts)):
+        previous, c = offsets[j - 1], counts[j]
+        np.bitwise_xor(pieces[previous:previous + c], terms(j - 1, c),
+                       out=pieces[offsets[j]:offsets[j] + c])
     after = np.zeros_like(coded)
-    for j in range(b - 1, 0, -1):
-        after ^= term(j)
-        pieces[:, j - 1] ^= after
-    return pieces
+    for j in range(len(counts) - 1, 0, -1):
+        previous, c = offsets[j - 1], counts[j]
+        after[:c] ^= terms(j, c)
+        pieces[previous:previous + c] ^= after[:c]
+    # The piece of term j of message m is at row offsets[j] + the place of m in by_size.
+    position = np.empty(M, dtype=np.int64)
+    position[by_size] = np.arange(M)
+    m = plan.term_message
+    return pieces, np.array(offsets)[np.arange(n) - starts[m]] + position[m]
 
 
 class Decoded(dict):
@@ -504,19 +618,19 @@ def simulate_end_to_end(
     plan = _delivery_plan(params, demand)
     users = demand.active_users()
     wanted = np.array([demand.entries[u] for u in users], dtype=np.int64)
-    pair_user, messages, target = _peeling(params, plan, users, wanted)
-    pieces = _leave_one_out(plan, chunks, _encode(plan, chunks))
+    pair_user, target = _peeling(params, plan, users, wanted)
+    pieces, row = _leave_one_out(plan, chunks, _encode(plan, chunks))
     del chunks
-    delivered = plan.term_rank[messages, target]
+    delivered, row = plan.term_rank[target], row[target]
     bounds = np.searchsorted(pair_user, np.arange(len(users) + 1)).tolist()
-    decoded = np.empty((params.subpacketization, pieces.shape[2]), dtype=np.uint8)
+    decoded = np.empty((params.subpacketization, pieces.shape[1]), dtype=np.uint8)
     flat = decoded.reshape(-1)
     outputs = Decoded()
     for user, f, lo, hi in zip(users, wanted.tolist(), bounds, bounds[1:]):
         # Start from the cached file: _peeling proved that the pieces the user
         # cannot read are exactly the delivered ones, and those are overwritten.
         flat[:length] = np.frombuffer(file_payloads[f - 1], dtype=np.uint8)
-        decoded[delivered[lo:hi]] = pieces[messages[lo:hi], target[lo:hi]]
+        decoded[delivered[lo:hi]] = pieces[row[lo:hi]]
         outputs[user] = flat[:length].tobytes()
-    outputs.messages = len(plan.term_file)
+    outputs.messages = len(plan.coded_sets)
     return outputs

@@ -7,6 +7,7 @@ and one simulation.
 """
 
 import importlib.util
+import io
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +41,8 @@ def test_tracer_wraps_every_layer_and_restores_it():
         layers.install_all(tracer, macc)
         assert macc.harness.evaluate_scheme is not before[0]["evaluate_scheme"]
         rows = macc.harness.run_sweep(spec)
+        # The rows are evaluated when they are written.
+        macc.harness.write_sweep_csv(rows, io.StringIO())
         macc.harness.simulate_report(4, 2, 1)
     assert len(rows) == len(Scheme) * 3 * 3 * 4
     for scheme in Scheme:

@@ -313,6 +313,21 @@ def test_help_on_full_device_exits_1():
     assert proc.stderr == "error: cannot write to standard output: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("argv, env", [
+    (["--help"], {**CHILD_ENV, "PYTHONUNBUFFERED": "1"}),
+    (["sweep", "--help"], BUFFERED_ENV),
+    (["sweep", "--help"], {**CHILD_ENV, "PYTHONUNBUFFERED": "1"}),
+], ids=["main-unbuffered", "subcommand-buffered", "subcommand-unbuffered"])
+def test_any_help_on_full_device_exits_1(argv, env):
+    # Unbuffered, the write itself fails, and argparse would ignore that.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(cli_process(*argv), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write to standard output: [Errno 28] No space left on device\n"
+
+
 def test_verify_examples_passes(capsys):
     code, out, _ = run_cli(capsys, ["verify-examples"])
     assert code == 0

@@ -1,5 +1,7 @@
 """Placement, delivery, decoding and byte-level simulation."""
 
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import macc.scheme as scheme
 from macc.combinatorics import binom, enumerate_subsets, rank_subset, unrank_subset
 from macc.golden import REFERENCE_EXAMPLES, plain
-from macc.harness import simulate_report
+from macc.harness import SplitMix64, make_demand, scheme_dump, simulate_report
 from macc.scheme import (
     CacheContent,
     DecodingError,
@@ -412,7 +414,8 @@ def reference_decode(params, payloads, demand, strict=True):
 
     For each active user in turn: find its messages as the coded sets that
     contain it, take the one term whose index set misses the user as the
-    target, and cancel the other terms by gathering their chunks.
+    target, and cancel the other terms of the message by gathering their
+    chunks.
     """
     scheme._check_demand(params, demand, strict)
     chunks, length = scheme._chunk_matrix(params, payloads)
@@ -420,24 +423,25 @@ def reference_decode(params, payloads, demand, strict=True):
     coded = scheme._encode(plan, chunks)
     outputs = {}
     for user, wanted in sorted(demand.entries.items()):
-        messages = np.flatnonzero([set(user) <= set(S) for S in plan.coded_sets.tolist()])
         in_user = np.zeros(params.num_caches + 1, dtype=bool)
         in_user[list(user)] = True
         readable = in_user[plan.subfile_sets].any(axis=1)
-        files = plan.term_file[messages]
-        unreadable = ~readable[plan.term_rank[messages]] & (files != 0)
-        assert ((files >= 0) & (files <= params.num_files)).all()
-        assert (unreadable.sum(axis=1) == 1).all()
-        target = unreadable.argmax(axis=1)
-        assert (files[np.arange(len(messages)), target] == wanted).all()
-        others = files.copy()
-        others[np.arange(len(messages)), target] = 0
-        cancel = np.bitwise_xor.reduce(chunks[others, plan.term_rank[messages]], axis=1)
         pieces = np.empty(chunks.shape[1:], dtype=np.uint8)
-        pieces[readable] = chunks[wanted, readable]
-        pieces[plan.term_rank[messages, target]] = coded[messages] ^ cancel
+        pieces[readable] = chunks[wanted - 1, readable]
         covered = readable.copy()
-        covered[plan.term_rank[messages, target]] = True
+        for m, S in enumerate(plan.coded_sets.tolist()):
+            if not set(user) <= set(S):
+                continue
+            terms = np.flatnonzero(plan.term_message == m)
+            files, ranks = plan.term_file[terms], plan.term_rank[terms]
+            assert ((files >= 1) & (files <= params.num_files)).all()
+            unreadable = ~readable[ranks]
+            assert unreadable.sum() == 1
+            assert files[unreadable][0] == wanted
+            others = ~unreadable
+            cancel = np.bitwise_xor.reduce(chunks[files[others] - 1, ranks[others]], axis=0)
+            pieces[ranks[unreadable][0]] = coded[m] ^ cancel
+            covered[ranks[unreadable][0]] = True
         assert covered.all()
         outputs[user] = pieces.tobytes()[:length]
     return outputs
@@ -467,13 +471,43 @@ def test_simulation_and_delivery_match_the_construction(data):
     plan = scheme._delivery_plan(params, demand)
     users = demand.active_users()
     wanted = np.array([demand.entries[u] for u in users], dtype=np.int64)
-    pair_user, messages, target = scheme._peeling(params, plan, users, wanted)
-    delivered = plan.subfile_sets[plan.term_rank[messages, target]].tolist()
+    pair_user, target = scheme._peeling(params, plan, users, wanted)
+    delivered = plan.subfile_sets[plan.term_rank[target]].tolist()
     caches = build_placement(params)
     for a, user in enumerate(users):
         assert decode_user(params, user, demand, txs, caches) == {
             SubfileId(demand.entries[user], tuple(T))
             for T, p in zip(delivered, pair_user.tolist()) if p == a}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_plan_holds_one_term_per_active_user_and_index_set(data):
+    # The term list is the paper's delivery, term for term: W_{d_U, T} for
+    # every active U and t-subset T of the other labels, in message U ∪ T.
+    C = data.draw(st.integers(min_value=2, max_value=8))
+    r = data.draw(st.integers(min_value=1, max_value=C - 1))
+    t = data.draw(st.integers(min_value=1, max_value=C - r))
+    params = SchemeParams(C, r, t, 3)
+    active = data.draw(st.sets(st.sampled_from(list(params.users())), min_size=1))
+    files = data.draw(st.lists(st.integers(1, 3), min_size=len(active), max_size=len(active)))
+    demand = DemandAssignment(dict(zip(sorted(active), files)))
+    plan = scheme._delivery_plan(params, demand)
+    assert len(plan.term_message) == len(plan.term_file) == len(plan.term_rank)
+    assert len(plan.term_rank) == len(active) * binom(C - r, t)
+    terms = []
+    for m, f, k in zip(plan.term_message.tolist(), plan.term_file.tolist(),
+                       plan.term_rank.tolist()):
+        S, T = tuple(plan.coded_sets[m].tolist()), unrank_subset(k, t, C)
+        user = tuple(x for x in S if x not in T)
+        assert set(T) <= set(S) and user in demand.entries and f == demand.entries[user]
+        terms.append((S, user, T))
+    assert terms == sorted(terms)  # messages in lex order, terms by user within each
+    assert sorted((U, T) for _, U, T in terms) == sorted(
+        (U, T) for U in active for T in combinations(sorted(set(range(1, C + 1)) - set(U)), t))
+    assert [S for S, _, _ in terms] == [tuple(plan.coded_sets[m].tolist())
+                                      for m in plan.term_message.tolist()]
+    assert np.array_equal(np.unique(plan.term_message), np.arange(len(plan.coded_sets)))
 
 
 def _tx_with(txs, user):
@@ -640,21 +674,31 @@ def test_decode_user_takes_each_check_over_all_messages(corruptions, failing, re
 
 def _plan_swap_file(plan, params):
     term_file = plan.term_file.copy()
-    term_file[0, 0] = term_file[0, 0] % params.num_files + 1
+    term_file[0] = term_file[0] % params.num_files + 1
     return plan._replace(term_file=term_file)
 
 
 def _plan_second_unreadable_term(plan, params):
-    # Slot 1 takes the index set of slot 0, which misses slot 0's user.
+    # Term 1 takes the index set of term 0, which misses term 0's user.
     term_rank = plan.term_rank.copy()
-    term_rank[0, 1] = term_rank[0, 0]
+    term_rank[1] = term_rank[0]
     return plan._replace(term_rank=term_rank)
 
 
+def _plan_terms(plan, terms):
+    """The plan with only the terms at ``terms``, in that order."""
+    return plan._replace(term_message=plan.term_message[terms], term_file=plan.term_file[terms],
+                         term_rank=plan.term_rank[terms])
+
+
 def _plan_rows(plan, rows):
-    """The plan with only the messages at ``rows``, in that order."""
-    return plan._replace(coded_sets=plan.coded_sets[rows], term_file=plan.term_file[rows],
-                         term_rank=plan.term_rank[rows], slot_users=plan.slot_users[rows])
+    """The plan with only the messages at ``rows``, in that order, each with its terms."""
+    rows = np.arange(len(plan.coded_sets))[rows]
+    picks = [np.flatnonzero(plan.term_message == m) for m in rows]
+    terms = np.concatenate([np.zeros(0, dtype=np.int64)] + picks)
+    return _plan_terms(plan, terms)._replace(
+        coded_sets=plan.coded_sets[rows],
+        term_message=np.repeat(np.arange(len(rows)), [len(p) for p in picks]))
 
 
 def _plan_drop_message(plan, params):
@@ -663,7 +707,7 @@ def _plan_drop_message(plan, params):
 
 def _plan_negative_file(plan, params):
     term_file = plan.term_file.copy()
-    term_file[0, 0] = -1
+    term_file[0] = -1
     return plan._replace(term_file=term_file)
 
 
@@ -696,35 +740,35 @@ def test_flipped_coded_byte_is_a_byte_mismatch(monkeypatch):
         simulate_report(6, 2, 2, file_size=90)
 
 
-def _slot(plan, coded_set, user):
-    """Row of a coded set in the plan and the slot serving ``user`` in it."""
+def _term(plan, params, coded_set, user):
+    """Row of a coded set in the plan and the index of the term serving ``user`` in it."""
     row = plan.coded_sets.tolist().index(list(coded_set))
-    return row, list(combinations(coded_set, len(user))).index(user)
+    T = tuple(x for x in coded_set if x not in user)
+    terms = np.flatnonzero(plan.term_message == row)
+    return row, int(terms[plan.term_rank[terms] == rank_subset(T, params.num_caches)][0])
 
 
 def _plan_swap_demand(coded_set, user):
     def corrupt(plan, params):
-        row, j = _slot(plan, coded_set, user)
+        _, k = _term(plan, params, coded_set, user)
         term_file = plan.term_file.copy()
-        term_file[row, j] = term_file[row, j] % params.num_files + 1
+        term_file[k] = term_file[k] % params.num_files + 1
         return plan._replace(term_file=term_file)
     return corrupt
 
 
 def _plan_drop_term(coded_set, user):
     def corrupt(plan, params):
-        row, j = _slot(plan, coded_set, user)
-        term_file = plan.term_file.copy()
-        term_file[row, j] = 0
-        return plan._replace(term_file=term_file)
+        _, k = _term(plan, params, coded_set, user)
+        return _plan_terms(plan, np.delete(np.arange(len(plan.term_rank)), k))
     return corrupt
 
 
 def _plan_misdirect(coded_set, user, index_set):
     def corrupt(plan, params):
-        row, j = _slot(plan, coded_set, user)
+        _, k = _term(plan, params, coded_set, user)
         term_rank = plan.term_rank.copy()
-        term_rank[row, j] = rank_subset(index_set, params.num_caches)
+        term_rank[k] = rank_subset(index_set, params.num_caches)
         return plan._replace(term_rank=term_rank)
     return corrupt
 
@@ -735,7 +779,7 @@ def _plan_misdirect(coded_set, user, index_set):
         (_plan_swap_demand((1, 4, 5, 6), (1, 6)), (1, 4, 5, 6),
          "serves the user a file other than its demand",
          "transmission (1, 4, 5, 6) serves the user a file other than its demand: user (1, 6), "
-         "demand {demand}, slot files {slot_files}"),
+         "demand {demand}, term files {term_files}"),
         # (2, 3) misses the user too, so the message still peels, but the
         # piece (4, 5) is never delivered.
         (_plan_misdirect((1, 4, 5, 6), (1, 6), (2, 3)), None,
@@ -744,7 +788,7 @@ def _plan_misdirect(coded_set, user, index_set):
         (_plan_drop_term((1, 4, 5, 6), (1, 6)), (1, 4, 5, 6),
          "does not hold exactly one term the user cannot read",
          "transmission (1, 4, 5, 6) does not hold exactly one term the user cannot read: "
-         "user (1, 6), demand {demand}, slot files {slot_files}"),
+         "user (1, 6), demand {demand}, term files {term_files}"),
     ],
     ids=["demand-vs-demand", "coverage-vs-demand", "no-term-vs-demand"],
 )
@@ -769,9 +813,10 @@ def test_decoding_error_names_the_smallest_failing_user(
         simulate_end_to_end(params, payloads, demand)
     error = caught.value
     assert (error.user, error.coded_set, error.reason) == ((1, 6), coded_set, reason)
-    row, _ = _slot(corrupted["plan"], (1, 4, 5, 6), (1, 6))
-    assert str(error) == message.format(
-        demand=demand.entries[(1, 6)], slot_files=corrupted["plan"].term_file[row].tolist())
+    plan = corrupted["plan"]
+    row = plan.coded_sets.tolist().index([1, 4, 5, 6])
+    term_files = plan.term_file[plan.term_message == row].tolist()
+    assert str(error) == message.format(demand=demand.entries[(1, 6)], term_files=term_files)
 
 
 def test_decode_user_error_fields():
@@ -806,21 +851,28 @@ def test_edge_cases_decode_byte_exact(params, active, size):
     assert outputs.messages == len(generate_transmissions(params, demand))
 
 
-def test_simulate_decodes_messages_with_permuted_slots(monkeypatch):
+def test_empty_demand_sends_and_decodes_nothing():
+    params = SchemeParams(5, 2, 2, 3)
+    demand = DemandAssignment({})
+    assert generate_transmissions(params, demand) == []
+    outputs = simulate_end_to_end(params, [b"abc"] * 3, demand)
+    assert outputs == {} and outputs.messages == 0
+
+
+def test_simulate_decodes_messages_with_permuted_terms(monkeypatch):
     # XOR does not care where a term sits in its message, so a plan whose
-    # slot columns are reversed must still decode: each user's piece is taken
-    # at the slot the check finds, not at the slot the layout assigns it.
+    # messages list their terms in reverse must still decode: each user's
+    # piece is taken at the term the check finds, not where it was built.
     params = SchemeParams(6, 2, 2, 15)
     demand = full_demand(params)
     payloads = [bytes((11 * i + j) % 256 for j in range(50)) for i in range(15)]
     build = scheme._delivery_plan
 
-    def reversed_slots(p, d):
+    def reversed_terms(p, d):
         plan = build(p, d)
-        return plan._replace(term_file=plan.term_file[:, ::-1].copy(),
-                             term_rank=plan.term_rank[:, ::-1].copy())
+        return _plan_terms(plan, np.lexsort((-np.arange(len(plan.term_rank)), plan.term_message)))
 
-    monkeypatch.setattr(scheme, "_delivery_plan", reversed_slots)
+    monkeypatch.setattr(scheme, "_delivery_plan", reversed_terms)
     outputs = simulate_end_to_end(params, payloads, demand)
     assert outputs == {u: payloads[f - 1] for u, f in demand.entries.items()}
 
@@ -891,31 +943,33 @@ _REFERENCE_REASONS = (
 def reference_check(params, plan, users, wanted):
     """Brute-force decodability check of a plan, one (user, message) pair at a
     time with Python sets: a user cannot read a term exactly when the term's
-    index set misses it. Returns the passing pairs (user position, message
-    row, slot) in user then message order, or the failure as
+    index set misses it. Returns the passing pairs (user position, term) in
+    user then message order, or the failure as
     ``(user, coded_set, reason, message)``."""
     C, t, N = params.num_caches, params.cache_param, params.num_files
     coded_sets = [tuple(S) for S in plan.coded_sets.tolist()]
     files = plan.term_file.tolist()
-    index_sets = [[unrank_subset(k, t, C) for k in row] for row in plan.term_rank.tolist()]
+    index_sets = [unrank_subset(k, t, C) for k in plan.term_rank.tolist()]
+    terms_of = [[] for _ in coded_sets]
+    for k, m in enumerate(plan.term_message.tolist()):
+        terms_of[m].append(k)
     pairs = []
     for a, user in enumerate(users):
         failure, delivered = None, set()
         for m, S in enumerate(coded_sets):
             if not set(user) <= set(S):
                 continue
-            unread = [j for j, f in enumerate(files[m])
-                      if f != 0 and not set(user) & set(index_sets[m][j])]
-            if not all(0 <= f <= N for f in files[m]):
+            unread = [k for k in terms_of[m] if not set(user) & set(index_sets[k])]
+            if not all(1 <= files[k] <= N for k in terms_of[m]):
                 check = 1
             elif len(unread) != 1:
                 check = 2
-            elif files[m][unread[0]] != wanted[a]:
+            elif files[unread[0]] != wanted[a]:
                 check = 3
             else:
                 check = 0
-                delivered.add(index_sets[m][unread[0]])
-                pairs.append((a, m, unread[0]))
+                delivered.add(index_sets[unread[0]])
+                pairs.append((a, unread[0]))
             if check and (failure is None or check < failure[0]):
                 failure = (check, m)
         if failure:
@@ -923,50 +977,78 @@ def reference_check(params, plan, users, wanted):
             reason = _REFERENCE_REASONS[check - 1]
             return (user, coded_sets[m], reason,
                     f"transmission {coded_sets[m]} {reason}: user {user}, "
-                    f"demand {wanted[a]}, slot files {files[m]}")
+                    f"demand {wanted[a]}, term files {[files[k] for k in terms_of[m]]}")
         missing = [T for T in combinations(range(1, C + 1), t)
                    if not set(T) & set(user) and T not in delivered]
         if missing:
             return (user, None, "never obtained subfile indices",
                     f"user {user} never obtained subfile indices {missing}")
-    return [list(column) for column in zip(*pairs)] or [[], [], []]
+    return [list(column) for column in zip(*pairs)] or [[], []]
 
 
 _PLAN_CORRUPTIONS = ["none", "swap-file", "drop-term", "move-inside", "move-outside",
-                     "duplicate-set", "drop-message", "repeat-message", "file-0", "file--1",
-                     "file-N+1", "reverse-slots"]
+                     "duplicate-set", "drop-message", "repeat-message", "repeat-message-less-a-term",
+                     "file-0", "file--1", "file-N+1", "permute-terms"]
 
 
 def _corrupt_plan(data, params, plan, kind):
     C, t = params.num_caches, params.cache_param
+    every = np.arange(len(plan.term_rank))
+    if kind in ("drop-message", "repeat-message", "repeat-message-less-a-term"):
+        m = data.draw(st.integers(0, len(plan.coded_sets) - 1))
+        rows = np.arange(len(plan.coded_sets))
+        rows = np.delete(rows, m) if kind == "drop-message" else np.insert(rows, m, m)
+        plan = _plan_rows(plan, rows)
+        if kind == "repeat-message-less-a-term":
+            # The first copy of message m lacks one of its terms.
+            copy = np.flatnonzero(plan.term_message == m)
+            dropped = data.draw(st.sampled_from(copy.tolist()))
+            plan = _plan_terms(plan, np.delete(np.arange(len(plan.term_rank)), dropped))
+        return plan
+    k = data.draw(st.sampled_from(every.tolist()))
+    m = plan.term_message[k]
+    if kind == "drop-term":
+        return _plan_terms(plan, np.delete(every, k))
+    if kind == "permute-terms":
+        terms = np.flatnonzero(plan.term_message == m)
+        every[terms] = data.draw(st.permutations(terms.tolist()))
+        return _plan_terms(plan, every)
     term_file, term_rank = plan.term_file.copy(), plan.term_rank.copy()
-    if kind == "reverse-slots":
-        return plan._replace(term_file=term_file[:, ::-1].copy(),
-                             term_rank=term_rank[:, ::-1].copy())
-    if kind in ("drop-message", "repeat-message"):
-        m = data.draw(st.integers(0, len(term_file) - 1))
-        every = np.arange(len(term_file))
-        rows = np.delete(every, m) if kind == "drop-message" else np.insert(every, m, m)
-        return _plan_rows(plan, rows)
-    m, j = data.draw(st.sampled_from(np.argwhere(term_file != 0).tolist()))
-    S = plan.coded_sets[m].tolist()
+    S, same_message = plan.coded_sets[m].tolist(), np.flatnonzero(plan.term_message == m)
     if kind == "swap-file":
-        term_file[m, j] = term_file[m, j] % params.num_files + 1
-    elif kind in ("drop-term", "file-0"):
-        term_file[m, j] = 0
-    elif kind == "file--1":
-        term_file[m, j] = -1
-    elif kind == "file-N+1":
-        term_file[m, j] = params.num_files + 1
+        term_file[k] = term_file[k] % params.num_files + 1
+    elif kind in ("file-0", "file--1", "file-N+1"):
+        term_file[k] = {"file-0": 0, "file--1": -1, "file-N+1": params.num_files + 1}[kind]
     elif kind == "move-inside":
-        term_rank[m, j] = rank_subset(data.draw(st.sampled_from(list(combinations(S, t)))), C)
+        term_rank[k] = rank_subset(data.draw(st.sampled_from(list(combinations(S, t)))), C)
     elif kind == "move-outside":
         outside = [T for T in combinations(range(1, C + 1), t) if not set(T) <= set(S)]
         if outside:
-            term_rank[m, j] = rank_subset(data.draw(st.sampled_from(outside)), C)
+            term_rank[k] = rank_subset(data.draw(st.sampled_from(outside)), C)
     elif kind == "duplicate-set":
-        term_rank[m, j] = term_rank[m, data.draw(st.integers(0, term_rank.shape[1] - 1))]
+        term_rank[k] = term_rank[data.draw(st.sampled_from(same_message.tolist()))]
     return plan._replace(term_file=term_file, term_rank=term_rank)
+
+
+def test_peeling_agrees_with_a_brute_force_check_on_terms_partly_outside():
+    # A term whose index set has some labels in its message and some outside
+    # misses every user of S minus T; every such move of every term is checked.
+    params = SchemeParams(5, 1, 3, 2)
+    users, wanted = [(1,), (2,), (4,)], np.array([1, 2, 1])
+    plan = scheme._delivery_plan(params, DemandAssignment(dict(zip(users, wanted.tolist()))))
+    for k, m in enumerate(plan.term_message.tolist()):
+        S = set(plan.coded_sets[m].tolist())
+        for T in combinations(range(1, 6), 3):
+            if not 0 < len(S & set(T)) < 3:
+                continue
+            term_rank = plan.term_rank.copy()
+            term_rank[k] = rank_subset(T, 5)
+            moved = plan._replace(term_rank=term_rank)
+            try:
+                got = [column.tolist() for column in scheme._peeling(params, moved, users, wanted)]
+            except DecodingError as error:
+                got = (error.user, error.coded_set, error.reason, str(error))
+            assert got == reference_check(params, moved, users, wanted)
 
 
 @settings(deadline=None, max_examples=300)
@@ -989,3 +1071,49 @@ def test_peeling_agrees_with_a_brute_force_check(data):
     except DecodingError as error:
         got = (error.user, error.coded_set, error.reason, str(error))
     assert got == expected
+
+
+def seeded_partial_demand(C, r, t, active, mode, seed=0):
+    """Parameters and demand as ``simulate_report`` draws them for ``active`` users."""
+    params = SchemeParams(C, r, t, min(binom(C, r), active))
+    demand = make_demand(params, mode, SplitMix64(seed).spawn(), active)
+    return params, demand, mode != "random"
+
+
+# Digests of scheme_dump (as compact JSON) and of generate_transmissions
+# (as the repr of ``plain``) for partial populations, taken while the plan
+# still held one slot per (message, user) with file 0 for inactive users.
+@pytest.mark.parametrize(
+    "point, messages, dump_sha256, transmissions_sha256",
+    [
+        ((14, 3, 4, 60, "random"), 3429,
+         "aad88941d04e81bd0d6818a743d761a9e630270d83953c02e60bf084198059cd",
+         "6258c14a2feab72770e2ccc054e38c7f05f95e42853d2b3bd343c8c395f2b910"),
+        ((9, 3, 3, 5, "random"), 68,
+         "b27a4c063cc3ec05923ba45bb52baefb0532e388d712d7083d753df91596582d",
+         "efcab20c63389d149db7cecbd3370696ce23307709945231c77be68d5d5a486b"),
+        ((8, 2, 3, 10, "distinct"), 55,
+         "cef6cd3e8e539c64e3ad58fada649470f7f87d932f306a39ea15a8d13a2f218e",
+         "3b448f9ed6c75128cad2195122d61ef05fa1c1c8226d8e3eca4beb31a518f96f"),
+    ],
+    ids=["14-3-4-60-random", "9-3-3-5-random", "8-2-3-10-strict"],
+)
+def test_partial_population_delivery_golden_digest(point, messages, dump_sha256,
+                                                   transmissions_sha256):
+    params, demand, strict = seeded_partial_demand(*point)
+    txs = generate_transmissions(params, demand, strict)
+    assert len(txs) == messages
+    assert hashlib.sha256(repr(plain(txs)).encode()).hexdigest() == transmissions_sha256
+    dump = json.dumps(scheme_dump(params, demand, strict)).encode()
+    assert hashlib.sha256(dump).hexdigest() == dump_sha256
+
+
+def test_partial_random_simulate_report_is_frozen():
+    # The benchmark's partial-random operation at seed 0.
+    assert simulate_report(14, 3, 4, file_size=4096, seed=0, demand_mode="random",
+                           active=60) == {
+        "params": {"C": 14, "r": 3, "t": 4, "N": 60}, "seed": 0, "demand_mode": "random",
+        "file_size": 4096, "active_users": 60, "population": 364, "decoded_ok": 60,
+        "transmissions": 3429, "subpacketization": 1001, "measured_rate": "3429/1001",
+        "analytic_rate": "24/7", "rates_equal": False,
+    }
