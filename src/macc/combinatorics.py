@@ -99,11 +99,11 @@ def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def subset_array(n: int, k: int) -> np.ndarray:
-    """All k-subsets of [n] (k >= 1) as the rows of an int64 array, in lex order."""
+    """All k-subsets of [n] as the rows of a (C(n, k), k) int64 array, in lex order."""
     import numpy as np
 
     flat = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), k)), np.int64)
-    return flat.reshape(-1, k)
+    return flat.reshape(binom(n, k), k)
 
 
 def rank_subsets(subsets: np.ndarray, n: int) -> np.ndarray:

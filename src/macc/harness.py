@@ -247,7 +247,7 @@ def _proposed(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
     K = binom(C, r)
     if isinstance(t, int):
         return K, delivery_rate(C, r, t), binom(C, t), ""
-    rate = rate_memory_curve(C, r, 1, [mn])[0].rate
+    (rate,) = rate_memory_curve(C, r, [mn])
     return (K, rate, Undefined("memory sharing point"),
             "memory sharing between adjacent integer cache parameters")
 
@@ -370,22 +370,20 @@ def evaluate_scheme(
     return ComparisonRow(scheme, C, r, t, mn, K, rate, per_user, F, note)
 
 
-_Point = tuple[Fraction, Fraction, Union[Undefined, None]]
+_Point = tuple[Fraction, Fraction]
 
 
 def _sweep_grid(param_kind: str, values: list[Fraction], C: int) -> list[_Point]:
     """The (t, mn) points of one cache count in increasing order.
 
-    Each point carries the gap of a t beyond C, or None. A negative t is
-    refused with the error ``evaluate_scheme`` gives.
+    A negative t is refused with the error ``evaluate_scheme`` gives.
     """
     grid = []
     for value in values:
         t, mn = (value, value / C) if param_kind == "t" else (value * C, value)
         if t < 0:
             raise ValueError(f"cache parameter {t} outside 0..{C}")
-        gap = Undefined(f"cache parameter {t} exceeds cache count {C}") if t > C else None
-        grid.append((t, mn, gap))
+        grid.append((t, mn))
     return grid
 
 
@@ -401,10 +399,9 @@ class _Block(NamedTuple):
         """The row ``evaluate_scheme`` gives at point i, or the gap of a point
         that needs no evaluation: a t beyond C, then an r beyond C, then a
         scheme in ``_INTEGER_ONLY`` at a fractional t."""
-        t, mn, t_gap = self.grid[i]
-        # Undefined is falsy, so the gap is tested with `is not None`.
-        if t_gap is not None:
-            return t_gap
+        t, mn = self.grid[i]
+        if t.numerator > self.C * t.denominator:
+            return Undefined(f"cache parameter {t} exceeds cache count {self.C}")
         if self.r > self.C:
             return _access_degree_gap(self.C, self.r)
         if t.denominator != 1 and self.scheme in _INTEGER_ONLY:
@@ -436,7 +433,7 @@ class SweepRows(Sequence[ComparisonRow]):
         entry = block.entry(i)
         if isinstance(entry, ComparisonRow):
             return entry
-        t, mn, _ = block.grid[i]
+        t, mn = block.grid[i]
         return _gap_row(block.scheme, block.C, block.r, t, mn, entry)
 
 
@@ -502,7 +499,7 @@ def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
         heads = points.get(block.C)
         if heads is None:
             heads = points[block.C] = [
-                f"{cell(t)},{render_decimal(mn)}," for t, mn, _ in block.grid
+                f"{cell(t)},{render_decimal(mn)}," for t, mn in block.grid
             ]
         prefix = f"{block.scheme.value},{block.C},{block.r},"
         lines = []

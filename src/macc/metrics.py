@@ -29,12 +29,6 @@ class SchemeReport:
     cache_fraction: Fraction
 
 
-@dataclass(frozen=True)
-class RateMemoryPoint:
-    memory_fraction: Fraction
-    rate: Fraction
-
-
 @lru_cache(maxsize=4096)
 def delivery_rate(C: int, r: int, t: int) -> Fraction:
     """Total delivered volume in file units: binom(C, t+r) / binom(C, t).
@@ -64,40 +58,21 @@ def analyze(params: SchemeParams) -> SchemeReport:
     )
 
 
-@lru_cache(maxsize=4096)
-def _check_segment_convexity(C: int, r: int, lo: int, hi: int) -> None:
-    """Verify the integer-t rate sequence is convex near the segment [lo, hi].
-
-    Interpolating between adjacent integer points is only the lower convex
-    envelope if the sequence itself is convex there. This has held at every
-    parameter point exercised; a violation would make the interpolated value
-    non-achievable-optimal, so it aborts rather than silently returning it.
-    Memoised on its integer arguments; a failing check raises on every call.
-    """
-    for m in range(max(lo - 1, 0) + 1, min(hi + 1, C)):
-        left = delivery_rate(C, r, m - 1)
-        mid = delivery_rate(C, r, m)
-        right = delivery_rate(C, r, m + 1)
-        if left - 2 * mid + right < 0:
-            raise RuntimeError(
-                f"integer-t rate sequence not convex at C={C}, r={r}, t={m}; "
-                "linear interpolation would not be the lower envelope"
-            )
-
-
-def rate_memory_curve(
-    C: int, r: int, N: int, memory_points: Sequence[Fraction]
-) -> list[RateMemoryPoint]:
+def rate_memory_curve(C: int, r: int, memory_points: Sequence[Fraction]) -> list[Fraction]:
     """Rates along M/N, sharing memory between adjacent integer-t schemes.
 
-    At M/N = t/C with integer t the value is the closed-form rate; between
-    grid points it is the straight line through the two neighbours. Points
-    are returned in input order.
+    At M/N = t/C with integer t the value is the closed-form rate R(t);
+    between grid points it is the straight line through the two neighbours.
+    Rates are returned in input order.
+
+    That line is the lower convex envelope because R is convex on 0..C.
+    Up to t = C - r + 1, R(t) = prod_{j=1..r} ((C - r + 2j)/(t + j) - 1),
+    and every factor is nonnegative, nonincreasing and convex there. A
+    product of two such functions is again one ((fg)'' = f''g + 2f'g' + fg'',
+    each term nonnegative), and R is 0 beyond that point.
     """
     if not 1 <= r <= C:
         raise ValueError(f"access degree must satisfy 1 <= r <= {C}, got {r}")
-    if N < 1:
-        raise ValueError(f"number of files must be positive, got {N}")
     out = []
     for mn in memory_points:
         if not isinstance(mn, Fraction):
@@ -106,13 +81,8 @@ def rate_memory_curve(
             raise ValueError(f"memory fraction {mn} outside [0, 1]")
         scaled = mn * C
         lo = int(scaled)
-        hi = lo if scaled == lo else lo + 1
-        _check_segment_convexity(C, r, lo, hi)
-        r_lo = delivery_rate(C, r, lo)
-        if hi == lo:
-            rate = r_lo
-        else:
-            r_hi = delivery_rate(C, r, hi)
-            rate = r_lo + (scaled - lo) * (r_hi - r_lo)
-        out.append(RateMemoryPoint(mn, rate))
+        rate = delivery_rate(C, r, lo)
+        if scaled != lo:
+            rate += (scaled - lo) * (delivery_rate(C, r, lo + 1) - rate)
+        out.append(rate)
     return out

@@ -56,8 +56,9 @@ class SubfileId(NamedTuple):
 class SchemeParams:
     """Validated parameter tuple (C, r, t, N).
 
-    t + r > C is permitted: the delivery phase is then empty (every user
-    already reaches all subfiles of every file through its caches).
+    t = 0 is no caching: every file is one subfile, sent uncoded once per
+    active user. t + r > C is permitted: the delivery phase is then empty
+    (every user already reaches all subfiles of every file through its caches).
     """
 
     num_caches: int
@@ -71,8 +72,8 @@ class SchemeParams:
             raise ValueError(f"num_caches must be positive, got {C}")
         if not 1 <= r <= C:
             raise ValueError(f"access_degree must satisfy 1 <= r <= {C}, got {r}")
-        if not 1 <= t <= C:
-            raise ValueError(f"cache_param must satisfy 1 <= t <= {C}, got {t}")
+        if not 0 <= t <= C:
+            raise ValueError(f"cache_param must satisfy 0 <= t <= {C}, got {t}")
         if N < 1:
             raise ValueError(f"num_files must be positive, got {N}")
 

@@ -63,6 +63,16 @@ def test_analyze_accepts_mn_decimal(capsys):
     assert json.loads(out)["params"]["t"] == 1
 
 
+def test_analyze_and_simulate_accept_no_caching(capsys):
+    # t = 0: every user gets its whole file uncoded, rate binom(C, r).
+    code, out, _ = run_cli(capsys, ["analyze", "-C", "5", "-r", "2", "--mn", "0"])
+    assert code == 0
+    assert json.loads(out)["rate"]["exact"] == "10/1"
+    code, out, _ = run_cli(capsys, ["simulate", "-C", "5", "-r", "2", "--t", "0"])
+    assert code == 0
+    assert out == "10 users decoded OK, measured rate = analytic rate = 10/1\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -73,6 +83,8 @@ def test_analyze_accepts_mn_decimal(capsys):
         ["analyze", "-r", "2", "--t", "1"],
         ["analyze", "-C", "4", "-r", "2", "--mn", "nonsense"],
         ["sweep", "-C", "4", "-r", "2", "--t", "1", "--schemes", "bogus"],
+        ["sweep", "-C", "a", "-r", "2", "--t", "1"],
+        ["sweep", "-C", "4", "-r", "2", "--mn", "nonsense"],
         ["no-such-command"],
     ],
 )

@@ -13,9 +13,12 @@ from macc.harness import (
     SplitMix64,
     SweepSpec,
     evaluate_scheme,
+    make_demand,
     run_sweep,
+    simulate_report,
     write_sweep_csv,
 )
+from macc.scheme import SchemeParams
 
 
 def scalar_bytes(rng, n):
@@ -178,6 +181,8 @@ def test_cache_parameter_gap_precedes_access_degree_gap(scheme):
         assert notes[(r, 3)] == "cache parameter 3 exceeds cache count 2"
         assert notes[(r, Fraction(5, 2))] == "cache parameter 5/2 exceeds cache count 2"
     assert notes[(3, 1)] == "access degree 3 exceeds cache count 2"
+    row = evaluate_scheme(scheme, 2, 3, Fraction(1))
+    assert row.note == notes[(3, 1)] and not row.defined
     assert notes[(1, 1)] == evaluate_scheme(scheme, 2, 1, Fraction(1)).note
     if scheme is Scheme.PROPOSED:
         assert not notes[(1, 1)]
@@ -187,3 +192,38 @@ def test_sweep_refuses_negative_cache_parameter():
     spec = SweepSpec((5, 2), (3,), (Fraction(-1), Fraction(1)), (Scheme.PROPOSED,))
     with pytest.raises(ValueError, match=r"cache parameter -1 outside 0\.\.2"):
         run_sweep(spec)
+
+
+ONE = (Fraction(1),)
+PROPOSED = (Scheme.PROPOSED,)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: evaluate_scheme(Scheme.PROPOSED, 4, 2, Fraction(5)),
+         r"cache parameter 5 outside 0\.\.4"),
+        (lambda: evaluate_scheme(Scheme.HKD, 4, 2, Fraction(-1, 2)),
+         r"cache parameter -1/2 outside 0\.\.4"),
+        (lambda: SweepSpec((), (1,), ONE, PROPOSED), "at least one C, one r and one cache"),
+        (lambda: SweepSpec((1,), (1,), ONE, ()), "at least one scheme"),
+        (lambda: SweepSpec((1,), (1,), ONE, PROPOSED, "M"), "param_kind must be 't' or 'mn'"),
+        (lambda: SweepSpec((0, 1), (1,), ONE, PROPOSED), "cache counts must be positive"),
+        (lambda: SweepSpec((1,), (0,), ONE, PROPOSED), "access degrees must be positive"),
+        (lambda: SweepSpec((1,), (1,), (Fraction(3, 2),), PROPOSED, "mn"),
+         r"memory fraction 3/2 outside \[0, 1\]"),
+        (lambda: make_demand(SchemeParams(4, 2, 1, 6), "random", SplitMix64(0), 0),
+         r"active user count must lie in 1\.\.6, got 0"),
+        (lambda: make_demand(SchemeParams(4, 2, 1, 6), "random", SplitMix64(0), 7),
+         r"active user count must lie in 1\.\.6, got 7"),
+        (lambda: make_demand(SchemeParams(4, 2, 1, 6), "zipf", SplitMix64(0)),
+         "unknown demand mode 'zipf'"),
+        (lambda: simulate_report(4, 2, 1, file_size=-1), "file size must be nonnegative, got -1"),
+    ],
+    ids=["evaluate-t-above-C", "evaluate-t-negative", "sweep-no-C", "sweep-no-scheme",
+         "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
+         "demand-active-above-K", "demand-mode", "simulate-negative-size"],
+)
+def test_public_entry_points_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -85,23 +85,21 @@ def test_delivery_rate_domain():
 
 
 def test_curve_endpoints_and_grid():
-    points = rate_memory_curve(4, 2, 6, [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
-    assert [p.rate for p in points] == [6, 1, Fraction(1, 6), 0]
+    rates = rate_memory_curve(4, 2, [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+    assert rates == [6, 1, Fraction(1, 6), 0]
 
 
 def test_curve_midpoint_interpolation():
-    (point,) = rate_memory_curve(4, 2, 6, [Fraction(3, 8)])
-    assert point.rate == Fraction(7, 12)
-    assert point.memory_fraction == Fraction(3, 8)
+    assert rate_memory_curve(4, 2, [Fraction(3, 8)]) == [Fraction(7, 12)]
 
 
 def test_curve_rejects_out_of_range():
     with pytest.raises(ValueError):
-        rate_memory_curve(4, 2, 6, [Fraction(9, 8)])
+        rate_memory_curve(4, 2, [Fraction(9, 8)])
     with pytest.raises(ValueError):
-        rate_memory_curve(4, 2, 6, [Fraction(-1, 8)])
+        rate_memory_curve(4, 2, [Fraction(-1, 8)])
     with pytest.raises(ValueError):
-        rate_memory_curve(4, 5, 6, [Fraction(1, 2)])
+        rate_memory_curve(4, 5, [Fraction(1, 2)])
 
 
 def test_curve_piecewise_linear_between_grid_points():
@@ -114,8 +112,7 @@ def test_curve_piecewise_linear_between_grid_points():
         r_right = delivery_rate(C, r, t + 1)
         for w in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 3)):
             mn = left + w * (right - left)
-            (point,) = rate_memory_curve(C, r, 1, [mn])
-            assert point.rate == r_left + w * (r_right - r_left)
+            assert rate_memory_curve(C, r, [mn]) == [r_left + w * (r_right - r_left)]
 
 
 @given(
@@ -132,14 +129,27 @@ def test_curve_nonincreasing_property(C, data):
         )
     )
     mns = sorted(Fraction(f) for f in fractions)
-    points = rate_memory_curve(C, r, 1, mns)
-    for a, b in zip(points, points[1:]):
-        assert b.rate <= a.rate
+    rates = rate_memory_curve(C, r, mns)
+    for a, b in zip(rates, rates[1:]):
+        assert b <= a
 
 
 def test_curve_convex_on_fine_grid():
     C, r = 10, 3
     grid = [Fraction(i, 3 * C) for i in range(3 * C + 1)]
-    rates = [p.rate for p in rate_memory_curve(C, r, 1, grid)]
+    rates = rate_memory_curve(C, r, grid)
     for left, mid, right in zip(rates, rates[1:], rates[2:]):
         assert left - 2 * mid + right >= 0
+
+
+def test_integer_t_rates_are_convex():
+    # Memory sharing between adjacent integer t is the lower convex envelope
+    # only because R(t) is convex; rate_memory_curve relies on that theorem.
+    checked = 0
+    for C in range(1, 49):
+        for r in range(1, C + 1):
+            rates = [delivery_rate(C, r, t) for t in range(C + 1)]
+            for m in range(1, C):
+                assert rates[m - 1] - 2 * rates[m] + rates[m + 1] >= 0, (C, r, m)
+                checked += 1
+    assert checked == 36848

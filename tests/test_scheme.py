@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import macc.scheme as scheme
 from macc.combinatorics import binom, enumerate_subsets, rank_subset, unrank_subset
@@ -55,9 +55,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SchemeParams(4, 2, 5, 1)
     with pytest.raises(ValueError):
-        SchemeParams(4, 2, 0, 1)
+        SchemeParams(4, 2, -1, 1)
     with pytest.raises(ValueError):
         SchemeParams(4, 2, 1, 0)
+    # t = 0 is no caching: one subfile per file.
+    assert SchemeParams(4, 2, 0, 1).subpacketization == 1
     p = SchemeParams(4, 3, 2, 6)
     assert p.num_users == 4
     assert p.subpacketization == 6
@@ -203,6 +205,8 @@ def test_demand_validation_errors():
         DemandAssignment.from_request_vector(params, (1, 2, 3))
     with pytest.raises(DemandError):
         DemandAssignment({(1, 1): 2})
+    with pytest.raises(DemandError, match=r"user \(1, 2\) assigned more than one demand"):
+        DemandAssignment({(1, 2): 1, (2, 1): 2})
 
 
 def test_decode_user_first_example_trace():
@@ -452,7 +456,7 @@ def reference_decode(params, payloads, demand, strict=True):
 def test_simulation_and_delivery_match_the_construction(data):
     C = data.draw(st.integers(min_value=1, max_value=8))
     r = data.draw(st.integers(min_value=1, max_value=C))
-    t = data.draw(st.integers(min_value=1, max_value=C))
+    t = data.draw(st.integers(min_value=0, max_value=C))
     N = data.draw(st.integers(min_value=1, max_value=4))
     params = SchemeParams(C, r, t, N)
     users = list(params.users())
@@ -1051,9 +1055,11 @@ def test_peeling_agrees_with_a_brute_force_check_on_terms_partly_outside():
             assert got == reference_check(params, moved, users, wanted)
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_peeling_agrees_with_a_brute_force_check(data):
+# Each kind draws its own examples; "two-kinds" applies two drawn kinds in turn.
+@pytest.mark.parametrize("kind", _PLAN_CORRUPTIONS + ["two-kinds"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_peeling_agrees_with_a_brute_force_check(kind, data):
     C = data.draw(st.integers(min_value=2, max_value=8))
     r = data.draw(st.integers(min_value=1, max_value=C - 1))
     t = data.draw(st.integers(min_value=1, max_value=C - r))
@@ -1064,7 +1070,11 @@ def test_peeling_agrees_with_a_brute_force_check(data):
     wanted = np.array(data.draw(st.lists(st.integers(1, N), min_size=len(users),
                                          max_size=len(users))), dtype=np.int64)
     plan = scheme._delivery_plan(params, DemandAssignment(dict(zip(users, wanted.tolist()))))
-    plan = _corrupt_plan(data, params, plan, data.draw(st.sampled_from(_PLAN_CORRUPTIONS)))
+    if kind == "two-kinds":
+        plan = _corrupt_plan(data, params, plan, data.draw(st.sampled_from(_PLAN_CORRUPTIONS)))
+        assume(len(plan.term_rank) > 0)  # the second kind needs a term to act on
+        kind = data.draw(st.sampled_from(_PLAN_CORRUPTIONS))
+    plan = _corrupt_plan(data, params, plan, kind)
     expected = reference_check(params, plan, users, wanted)
     try:
         got = [column.tolist() for column in scheme._peeling(params, plan, users, wanted)]
