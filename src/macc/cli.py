@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .baselines import Scheme
-from .combinatorics import binom
 from .harness import (
     SweepSpec,
     analyze_report,
@@ -75,8 +74,6 @@ def _scheme_list(text: str) -> list[Scheme]:
 
 
 def _integer_t(C: int, t: Union[int, None], mn: Union[Fraction, None], parser_error) -> int:
-    if (t is None) == (mn is None):
-        parser_error("exactly one of --t and --mn is required")
     if t is not None:
         return t
     scaled = mn * C
@@ -90,7 +87,9 @@ def _integer_t(C: int, t: Union[int, None], mn: Union[Fraction, None], parser_er
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t = _integer_t(args.caches, args.t, args.mn, args.parser.error)
-    files = args.files if args.files is not None else binom(args.caches, args.access)
+    files = args.files
+    if files is None:
+        files = SchemeParams(args.caches, args.access, t, 1).num_users
     params = SchemeParams(args.caches, args.access, t, files)
     print(json.dumps(analyze_report(params), indent=2))
     return 0
@@ -143,8 +142,6 @@ def _discard_stdout() -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if (args.t is None) == (args.mn is None):
-        args.parser.error("exactly one of --t and --mn is required")
     kind = "t" if args.t is not None else "mn"
     params = tuple(Fraction(v) for v in args.t) if kind == "t" else tuple(args.mn)
     rows = run_sweep(SweepSpec(cache_counts=tuple(args.caches), access_degrees=tuple(args.access),
@@ -183,22 +180,22 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _add_point_flags(sub: argparse.ArgumentParser, lists: bool = False) -> None:
+    point = sub.add_mutually_exclusive_group(required=True)
     if lists:
         sub.add_argument("--caches", "-C", type=_int_list, required=True,
                          help="comma list of cache counts")
         sub.add_argument("--access", "-r", type=_int_list, required=True,
                          help="comma list of access degrees")
-        sub.add_argument("--t", type=_int_list, default=None,
-                         help="comma list of integer cache parameters")
-        sub.add_argument("--mn", type=_fraction_list, default=None,
-                         help="comma list of memory fractions M/N (p/q or decimal)")
+        point.add_argument("--t", type=_int_list, help="comma list of integer cache parameters")
+        point.add_argument("--mn", type=_fraction_list,
+                           help="comma list of memory fractions M/N (p/q or decimal)")
     else:
         sub.add_argument("--caches", "-C", type=int, required=True, help="number of caches")
         sub.add_argument("--access", "-r", type=int, required=True,
                          help="caches each user reads")
-        sub.add_argument("--t", type=int, default=None, help="integer cache parameter t")
-        sub.add_argument("--mn", type=parse_fraction, default=None,
-                         help="memory fraction M/N; must give integer t = C*M/N")
+        point.add_argument("--t", type=int, help="integer cache parameter t")
+        point.add_argument("--mn", type=parse_fraction,
+                           help="memory fraction M/N; must give integer t = C*M/N")
 
 
 def build_parser() -> argparse.ArgumentParser:

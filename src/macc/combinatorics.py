@@ -25,9 +25,8 @@ if TYPE_CHECKING:
 def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), exact at any size, 0 outside 0 <= k <= n.
 
-    The out-of-range zero is load-bearing: alternating sums such as the
-    accessible-memory expression rely on terms like C(n-s, t-s) vanishing
-    once s exceeds t.
+    The out-of-range zero is load-bearing: the accessible fraction
+    1 - C(C-r, t)/C(C, t) relies on C(C-r, t) vanishing once t exceeds C - r.
     """
     if n < 0:
         raise ValueError(f"binom requires n >= 0, got n={n}")

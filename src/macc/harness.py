@@ -43,7 +43,7 @@ from .golden import (
     TABLE_RATIO_TOLERANCE,
     plain,
 )
-from .metrics import delivery_rate, rate_memory_curve
+from .metrics import analyze, delivery_rate, rate_memory_curve
 from .scheme import (
     DemandAssignment,
     SchemeParams,
@@ -670,7 +670,7 @@ def simulate_report(
     Raises RuntimeError if any user's bytes mismatch (a construction bug)
     and ValueError for unusable parameters or an over-cap population.
     """
-    K_full = binom(C, r)
+    K_full = SchemeParams(C, r, t, 1).num_users
     if K_full > SIMULATE_USER_CAP and not force:
         raise ValueError(
             f"binom({C},{r}) = {K_full} users exceeds the simulation cap of "
@@ -766,8 +766,6 @@ def scheme_dump(
 
 def analyze_report(params: SchemeParams) -> dict:
     """The analytic summary as a JSON-ready dict, rationals as p/q + decimal."""
-    from .metrics import analyze
-
     report = analyze(params)
 
     def rational(x: Fraction) -> dict:

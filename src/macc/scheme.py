@@ -13,6 +13,7 @@ parameter t (each cache holds the fraction t/C of the library), N files.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -35,11 +36,12 @@ class DecodingError(RuntimeError):
 
     This cannot happen for a correct placement/delivery pair, so it is raised
     loudly instead of being swallowed: it always indicates a construction bug.
-    ``user`` is the failing user, ``coded_set`` the message it failed on (None
+    ``user`` is the failing user (None for a malformed plan, which is refused
+    before any user is checked), ``coded_set`` the message it failed on (None
     when a subfile was never delivered) and ``reason`` the rule it broke.
     """
 
-    def __init__(self, message: str, user: tuple[int, ...],
+    def __init__(self, message: str, user: tuple[int, ...] | None,
                  coded_set: tuple[int, ...] | None, reason: str) -> None:
         super().__init__(message)
         self.user, self.coded_set, self.reason = user, coded_set, reason
@@ -145,7 +147,11 @@ class DemandAssignment:
                 raise DemandError(f"user {user} repeats a cache label")
             if key in normalized:
                 raise DemandError(f"user {key} assigned more than one demand")
-            normalized[key] = int(file_index)
+            try:
+                normalized[key] = operator.index(file_index)
+            except TypeError as exc:
+                raise DemandError(f"user {key} demands {file_index!r}, not an integer "
+                                  "file index") from exc
         object.__setattr__(self, "entries", normalized)
 
     @classmethod
@@ -212,17 +218,12 @@ def accessible_subfile_indices(params: SchemeParams, user: Sequence[int]) -> set
 def accessible_fraction(params: SchemeParams) -> Fraction:
     """Fraction of each file a user reaches through its r caches.
 
-    Inclusion-exclusion over the caches gives
-        (1/binom(C,t)) * sum_{n=1..r} (-1)^(n+1) binom(r,n) binom(C-n, t-n),
-    the same value for every user by symmetry. Terms with n > t vanish
-    through the out-of-range binomial convention.
+    A user misses exactly the t-subsets of the C - r caches it does not
+    read, so the fraction is 1 - binom(C-r, t)/binom(C, t), the same for
+    every user; binom(C-r, t) = 0 when t > C - r.
     """
     C, r, t = params.num_caches, params.access_degree, params.cache_param
-    total = sum(
-        (-1) ** (n + 1) * binom(r, n) * binom(C - n, t - n)
-        for n in range(1, r + 1)
-    )
-    return Fraction(total, binom(C, t))
+    return 1 - Fraction(binom(C - r, t), binom(C, t))
 
 
 class _Plan(NamedTuple):
@@ -299,20 +300,20 @@ _PAIR_CHECKS = (
     "does not hold exactly one term the user cannot read",
     "serves the user a file other than its demand",
 )
+_MALFORMED = "is out of lex order or holds a term outside it"
 
 
-def _victims(params: SchemeParams, plan: _Plan) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Every (user, term) pair where the user cannot read the term, as the
-    user's lex rank among the r-subsets of [C] and the term's index, ordered
-    by term; and whether every term's index set lies inside its message.
+def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
+    """The one user each term misses, as its lex rank among the r-subsets of
+    [C], in term order.
 
-    A term W_{f,T} with T inside its message S misses exactly one user of S,
-    its victim S \\ T; every other r-subset of S meets T. Its labels are the
-    labels of S at the places T does not take: from the places
-    q_0 < ... < q_{t-1} of T, the victim's places are the r-subset of
-    places at lex position sum C(t+r-1-q_i, t-i). A term with T not inside
-    S (a corrupted plan) misses every r-subset of S \\ T, and only those
-    terms are expanded user by user.
+    The scheme sends each coded set once, in lex order, with every term's
+    index set T inside its message S; the first message that breaks this is
+    refused before any user is checked. A term W_{f,T} with T inside S misses
+    exactly one user of S, its victim S \\ T; every other r-subset of S meets
+    T. Its labels are the labels of S at the places T does not take: from
+    the places q_0 < ... < q_{t-1} of T, the victim's places are the
+    r-subset of places at lex position sum C(t+r-1-q_i, t-i).
     """
     C, r, t = params.num_caches, params.access_degree, params.cache_param
     k, M, n = t + r, len(plan.coded_sets), len(plan.term_rank)
@@ -326,29 +327,23 @@ def _victims(params: SchemeParams, plan: _Plan) -> tuple[np.ndarray, np.ndarray,
         q = place.reshape(-1)[index]
         inside &= q < k
         slot += np.array([binom(k - 1 - p, t - i) for p in range(k)] + [0])[q]
+    step = np.diff(plan.coded_sets, axis=0)
+    malformed = np.zeros(M, dtype=bool)
+    malformed[1:] = step[np.arange(M - 1), (step != 0).argmax(axis=1)] <= 0
+    malformed[plan.term_message[~inside]] = True
+    if malformed.any():
+        S = tuple(plan.coded_sets[malformed.argmax()].tolist())
+        raise DecodingError(f"transmission {S} {_MALFORMED}", None, S, _MALFORMED)
     # The victim's rank: C(C, r) - 1 - the sum of C(C - x, r - j) over its labels
     # x at places j, read from one (k, r) table per message.
     weight = np.array([[binom(C - x, r - j) for j in range(r)] for x in range(C + 1)], np.int64)
     table, places = weight[plan.coded_sets].reshape(-1), subset_array(k, r) - 1
-    slot[~inside] = 0  # a term outside its message has no one victim
     victims, at = np.full(n, binom(C, r) - 1, dtype=np.int64), plan.term_message * (k * r)
     for offset in (places * r + np.arange(r)).T:  # flat (place, j) of the victim's j-th label
         index = offset[slot]
         index += at
         victims -= table[index]
-    victims, terms = victims[inside], np.flatnonzero(inside)
-    if inside.all():
-        return victims, terms, True
-    outside = np.flatnonzero(~inside)
-    rows = np.arange(len(outside))[:, None]
-    in_term = np.zeros((len(outside), C + 1), dtype=bool)
-    in_term[rows, plan.subfile_sets[plan.term_rank[outside]]] = True
-    members = plan.coded_sets[plan.term_message[outside]][:, places]
-    o, v = np.nonzero(~in_term[rows[:, :, None], members].any(axis=2))
-    victims = np.concatenate([victims, rank_subsets(members[o, v], C)])
-    terms = np.concatenate([terms, outside[o]])
-    order = np.argsort(terms, kind="stable")
-    return victims[order], terms[order], False
+    return victims
 
 
 def _peeling(
@@ -358,8 +353,9 @@ def _peeling(
     as the position in ``users`` and the term the pair delivers, ordered by
     user, then message.
 
-    Checks the decodability argument for all pairs at once, in O(terms): each
-    term's one victim S \\ T is found from its index set and its message,
+    Checks the decodability argument for all pairs at once, in O(terms),
+    after ``_victims`` has refused a plan of the wrong shape: each term's
+    one victim S \\ T is found from its index set and its message,
     never from where it sits, and then each message containing a user must
     name files in 1..N and hold exactly one term the user cannot read (no
     term misses it twice, none is missing), for its demand ``wanted``; the
@@ -378,14 +374,11 @@ def _peeling(
     # User rank -> position, -1 for an inactive user, in the smallest type that holds A.
     where = np.full(params.num_users, -1, dtype=np.min_scalar_type(-1 - A))
     where[rank_subsets(user_sets, C)] = np.arange(A)
-    victims, terms, all_inside = _victims(params, plan)
-    at = where[victims]
-    del victims
+    at = where[_victims(params, plan)]
     # The terms come in message order, so one stable sort orders the pairs.
-    order = np.flatnonzero(at >= 0)
-    order = order[np.argsort(at[order].astype(np.min_scalar_type(A)), kind="stable")]
-    at, terms = at[order], terms[order]
-    del order
+    terms = np.flatnonzero(at >= 0)
+    terms = terms[np.argsort(at[terms].astype(np.min_scalar_type(A)), kind="stable")]
+    at = at[terms]
     messages = plan.term_message[terms]
     new = np.ones(len(at), dtype=bool)
     new[1:] = (at[1:] != at[:-1]) | (messages[1:] != messages[:-1])
@@ -396,22 +389,7 @@ def _peeling(
     bad_file[plan.term_message[(plan.term_file < 1) | (plan.term_file > N)]] = True
     served = plan.term_file[target]
     failed = np.select([bad_file[messages], unread != 1, served != wanted[pair_user]], [1, 2, 3], 0)
-    # Distinct coded sets (lex-increasing rows) with every term inside its
-    # message deliver distinct pieces, so counting pairs is enough; a plan
-    # not known to be so has its distinct pieces counted.
-    step = np.diff(plan.coded_sets, axis=0)
-    increasing = (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all()
-    if all_inside and increasing:
-        counted = pair_user
-    else:
-        counted = np.unique(np.stack([pair_user, plan.term_rank[target]], axis=1), axis=0)[:, 0]
-    short = np.bincount(counted, minlength=A) != binom(C - r, t)
-    if not increasing:
-        # Coded sets may repeat: count the messages that contain each user.
-        member = np.zeros((M, C + 1), dtype=bool)
-        member[np.arange(M)[:, None], plan.coded_sets] = True
-        holders = member[:, user_sets].all(axis=2).sum(axis=0)
-        short |= holders != np.bincount(pair_user, minlength=A)
+    short = np.bincount(pair_user, minlength=A) != binom(C - r, t)
     failing = np.concatenate([pair_user[failed != 0], np.flatnonzero(short)])
     if len(failing):
         a = int(failing.min())

@@ -86,6 +86,9 @@ def test_analyze_and_simulate_accept_no_caching(capsys):
         ["sweep", "-C", "a", "-r", "2", "--t", "1"],
         ["sweep", "-C", "4", "-r", "2", "--mn", "nonsense"],
         ["no-such-command"],
+        ["sweep", "-C", "4", "-r", "2", "--t", "1", "--mn", "1/4"],
+        ["sweep", "-C", "4", "-r", "2"],
+        ["simulate", "-C", "4", "-r", "2"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -99,6 +102,9 @@ def test_invalid_parameters_exit_1(capsys):
     assert "error" in err
     code, _, _ = run_cli(capsys, ["sweep", "-C", "4", "-r", "2", "--t=-1"])
     assert code == 1
+    for command in ("analyze", "simulate"):
+        code, _, err = run_cli(capsys, [command, "-C", "-1", "-r", "1", "--t", "0"])
+        assert (code, err) == (1, "error: num_caches must be positive, got -1\n")
 
 
 def test_help_exits_0(capsys):

@@ -128,7 +128,7 @@ def test_accessible_fraction_matches_brute_force():
 
 
 def test_accessible_fraction_complement_identity():
-    # Inclusion-exclusion sum equals 1 - binom(C-r, t)/binom(C, t).
+    # A user misses exactly the t-subsets of the C - r caches it does not read.
     for C in range(1, 11):
         for r in range(1, C + 1):
             for t in range(1, C + 1):
@@ -207,6 +207,13 @@ def test_demand_validation_errors():
         DemandAssignment({(1, 1): 2})
     with pytest.raises(DemandError, match=r"user \(1, 2\) assigned more than one demand"):
         DemandAssignment({(1, 2): 1, (2, 1): 2})
+    # A file index must be an integer: no float or string is truncated or parsed.
+    with pytest.raises(DemandError, match=r"user \(1, 2\) demands 1\.9, not an integer"):
+        DemandAssignment({(1, 2): 1.9, (1, 3): 2})
+    with pytest.raises(DemandError, match=r"user \(1, 3\) demands '2', not an integer"):
+        DemandAssignment({(1, 2): 1, (1, 3): "2"})
+    assert DemandAssignment({(1, 2): np.int64(3), (1, 3): np.uint8(2)}).entries == {
+        (1, 2): 3, (1, 3): 2}
 
 
 def test_decode_user_first_example_trace():
@@ -715,19 +722,65 @@ def _plan_negative_file(plan, params):
     return plan._replace(term_file=term_file)
 
 
+def _plan_repeat_message(plan, params):
+    return _plan_rows(plan, np.insert(np.arange(len(plan.coded_sets)), 3, 3))
+
+
+def _plan_swap_messages(plan, params):
+    rows = np.arange(len(plan.coded_sets))
+    rows[[3, 4]] = rows[[4, 3]]
+    return _plan_rows(plan, rows)
+
+
+def _term(plan, params, coded_set, user):
+    """Row of a coded set in the plan and the index of the term serving ``user`` in it."""
+    row = plan.coded_sets.tolist().index(list(coded_set))
+    T = tuple(x for x in coded_set if x not in user)
+    terms = np.flatnonzero(plan.term_message == row)
+    return row, int(terms[plan.term_rank[terms] == rank_subset(T, params.num_caches)][0])
+
+
+def _plan_misdirect(coded_set, user, index_set):
+    def corrupt(plan, params):
+        _, k = _term(plan, params, coded_set, user)
+        term_rank = plan.term_rank.copy()
+        term_rank[k] = rank_subset(index_set, params.num_caches)
+        return plan._replace(term_rank=term_rank)
+    return corrupt
+
+
+def _plan_drop_coded_set(coded_set):
+    def corrupt(plan, params):
+        return _plan_rows(plan, np.flatnonzero((plan.coded_sets != coded_set).any(axis=1)))
+    return corrupt
+
+
+# The full plan at (6, 2, 2) sends every 4-subset of [6] in lex order:
+# (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 4, 5), (1, 2, 4, 6), ...
+# A plan of the wrong shape is refused at its first malformed message.
 @pytest.mark.parametrize(
-    "corrupt",
-    [_plan_swap_file, _plan_second_unreadable_term, _plan_drop_message, _plan_negative_file],
-    ids=["swapped-file", "second-unreadable-term", "dropped-message", "negative-file"],
+    "corrupt, malformed",
+    [(_plan_swap_file, None), (_plan_second_unreadable_term, None),
+     (_plan_drop_message, None), (_plan_negative_file, None),
+     (_plan_misdirect((1, 2, 3, 6), (1, 2), (4, 5)), (1, 2, 3, 6)),
+     (_plan_repeat_message, (1, 2, 4, 5)), (_plan_swap_messages, (1, 2, 4, 5))],
+    ids=["swapped-file", "second-unreadable-term", "dropped-message", "negative-file",
+         "term-outside-message", "repeated-message", "swapped-messages"],
 )
-def test_simulate_rejects_corrupted_plans(corrupt, monkeypatch):
+def test_simulate_rejects_corrupted_plans(corrupt, malformed, monkeypatch):
     params = SchemeParams(6, 2, 2, 15)
     demand = full_demand(params)
     payloads = [bytes([i]) * 30 for i in range(15)]
     build = scheme._delivery_plan
     monkeypatch.setattr(scheme, "_delivery_plan", lambda p, d: corrupt(build(p, d), p))
-    with pytest.raises(DecodingError):
+    with pytest.raises(DecodingError) as caught:
         simulate_end_to_end(params, payloads, demand)
+    error = caught.value
+    if malformed:
+        assert (error.user, error.coded_set, error.reason) == (
+            None, malformed, "is out of lex order or holds a term outside it")
+    else:
+        assert error.user is not None
 
 
 def test_flipped_coded_byte_is_a_byte_mismatch(monkeypatch):
@@ -742,14 +795,6 @@ def test_flipped_coded_byte_is_a_byte_mismatch(monkeypatch):
     monkeypatch.setattr(scheme, "_encode", flip_one_byte)
     with pytest.raises(RuntimeError, match="byte mismatch"):
         simulate_report(6, 2, 2, file_size=90)
-
-
-def _term(plan, params, coded_set, user):
-    """Row of a coded set in the plan and the index of the term serving ``user`` in it."""
-    row = plan.coded_sets.tolist().index(list(coded_set))
-    T = tuple(x for x in coded_set if x not in user)
-    terms = np.flatnonzero(plan.term_message == row)
-    return row, int(terms[plan.term_rank[terms] == rank_subset(T, params.num_caches)][0])
 
 
 def _plan_swap_demand(coded_set, user):
@@ -768,15 +813,6 @@ def _plan_drop_term(coded_set, user):
     return corrupt
 
 
-def _plan_misdirect(coded_set, user, index_set):
-    def corrupt(plan, params):
-        _, k = _term(plan, params, coded_set, user)
-        term_rank = plan.term_rank.copy()
-        term_rank[k] = rank_subset(index_set, params.num_caches)
-        return plan._replace(term_rank=term_rank)
-    return corrupt
-
-
 @pytest.mark.parametrize(
     "corrupt_smaller, coded_set, reason, message",
     [
@@ -784,9 +820,8 @@ def _plan_misdirect(coded_set, user, index_set):
          "serves the user a file other than its demand",
          "transmission (1, 4, 5, 6) serves the user a file other than its demand: user (1, 6), "
          "demand {demand}, term files {term_files}"),
-        # (2, 3) misses the user too, so the message still peels, but the
-        # piece (4, 5) is never delivered.
-        (_plan_misdirect((1, 4, 5, 6), (1, 6), (2, 3)), None,
+        # Without the coded set, the piece (4, 5) is never delivered.
+        (_plan_drop_coded_set((1, 4, 5, 6)), None,
          "never obtained subfile indices",
          "user (1, 6) never obtained subfile indices [(4, 5)]"),
         (_plan_drop_term((1, 4, 5, 6), (1, 6)), (1, 4, 5, 6),
@@ -817,9 +852,10 @@ def test_decoding_error_names_the_smallest_failing_user(
         simulate_end_to_end(params, payloads, demand)
     error = caught.value
     assert (error.user, error.coded_set, error.reason) == ((1, 6), coded_set, reason)
-    plan = corrupted["plan"]
-    row = plan.coded_sets.tolist().index([1, 4, 5, 6])
-    term_files = plan.term_file[plan.term_message == row].tolist()
+    plan, term_files = corrupted["plan"], None
+    if coded_set:
+        row = plan.coded_sets.tolist().index(list(coded_set))
+        term_files = plan.term_file[plan.term_message == row].tolist()
     assert str(error) == message.format(demand=demand.entries[(1, 6)], term_files=term_files)
 
 
@@ -949,7 +985,9 @@ def reference_check(params, plan, users, wanted):
     time with Python sets: a user cannot read a term exactly when the term's
     index set misses it. Returns the passing pairs (user position, term) in
     user then message order, or the failure as
-    ``(user, coded_set, reason, message)``."""
+    ``(user, coded_set, reason, message)``. A plan of the wrong shape, with a
+    message not after the one before it or holding a term outside it, is
+    refused first, with no user."""
     C, t, N = params.num_caches, params.cache_param, params.num_files
     coded_sets = [tuple(S) for S in plan.coded_sets.tolist()]
     files = plan.term_file.tolist()
@@ -957,6 +995,11 @@ def reference_check(params, plan, users, wanted):
     terms_of = [[] for _ in coded_sets]
     for k, m in enumerate(plan.term_message.tolist()):
         terms_of[m].append(k)
+    for m, S in enumerate(coded_sets):
+        if (m > 0 and S <= coded_sets[m - 1]) or any(
+                not set(index_sets[k]) <= set(S) for k in terms_of[m]):
+            reason = "is out of lex order or holds a term outside it"
+            return (None, S, reason, f"transmission {S} {reason}")
     pairs = []
     for a, user in enumerate(users):
         failure, delivered = None, set()
@@ -1004,8 +1047,10 @@ def _corrupt_plan(data, params, plan, kind):
         rows = np.delete(rows, m) if kind == "drop-message" else np.insert(rows, m, m)
         plan = _plan_rows(plan, rows)
         if kind == "repeat-message-less-a-term":
-            # The first copy of message m lacks one of its terms.
+            # The first copy of message m lacks one of its terms. Under
+            # "two-kinds" the first kind may have left message m no term.
             copy = np.flatnonzero(plan.term_message == m)
+            assume(len(copy) > 0)
             dropped = data.draw(st.sampled_from(copy.tolist()))
             plan = _plan_terms(plan, np.delete(np.arange(len(plan.term_rank)), dropped))
         return plan
@@ -1036,7 +1081,7 @@ def _corrupt_plan(data, params, plan, kind):
 
 def test_peeling_agrees_with_a_brute_force_check_on_terms_partly_outside():
     # A term whose index set has some labels in its message and some outside
-    # misses every user of S minus T; every such move of every term is checked.
+    # is refused at its message; every such move of every term is checked.
     params = SchemeParams(5, 1, 3, 2)
     users, wanted = [(1,), (2,), (4,)], np.array([1, 2, 1])
     plan = scheme._delivery_plan(params, DemandAssignment(dict(zip(users, wanted.tolist()))))
