@@ -49,7 +49,7 @@ def is_defined(value: object) -> bool:
     return not isinstance(value, Undefined)
 
 
-def _check_mn(mn: Fraction) -> Fraction:
+def check_memory_fraction(mn: Fraction) -> Fraction:
     if not isinstance(mn, Fraction):
         mn = Fraction(mn)
     if not 0 <= mn <= 1:
@@ -62,7 +62,7 @@ def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
 
     Exists only when r divides C (K = C users on consecutive caches).
     """
-    mn = _check_mn(mn)
+    mn = check_memory_fraction(mn)
     if C % r != 0:
         return Undefined(f"requires r | C, got C={C}, r={r}")
     value = Fraction(C - C * r * mn, 1 + C * mn)
@@ -95,7 +95,7 @@ def rk_lower_bound(C: int, r: int, mn: Fraction) -> Rational:
     zero on [1/C, 2/C], then zero. The pieces agree exactly at both
     breakpoints.
     """
-    mn = _check_mn(mn)
+    mn = check_memory_fraction(mn)
     if 2 * r < C:
         return Undefined(f"bound stated only for r >= C/2, got C={C}, r={r}")
     q = Fraction((C - r) * (C - r + 1), 2 * C)

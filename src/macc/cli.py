@@ -24,7 +24,6 @@ from .harness import (
     verify_reference_cases,
     write_sweep_csv,
 )
-from .scheme import SchemeParams
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,11 +86,7 @@ def _integer_t(C: int, t: Union[int, None], mn: Union[Fraction, None], parser_er
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t = _integer_t(args.caches, args.t, args.mn, args.parser.error)
-    files = args.files
-    if files is None:
-        files = SchemeParams(args.caches, args.access, t, 1).num_users
-    params = SchemeParams(args.caches, args.access, t, files)
-    print(json.dumps(analyze_report(params), indent=2))
+    print(json.dumps(analyze_report(args.caches, args.access, t, args.files), indent=2))
     return 0
 
 
@@ -159,24 +154,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_lines(ok: bool, lines: list[str], as_json: bool) -> int:
-    if as_json:
+def _cmd_check(args: argparse.Namespace) -> int:
+    ok, lines = args.check()
+    if args.json:
         print(json.dumps({"ok": ok, "lines": lines}, indent=2))
     else:
         for line in lines:
             print(line)
         print("RESULT: " + ("all checks passed" if ok else "checks FAILED"))
     return 0 if ok else 2
-
-
-def _cmd_verify_examples(args: argparse.Namespace) -> int:
-    ok, lines = verify_reference_cases()
-    return _report_lines(ok, lines, args.json)
-
-
-def _cmd_tables(args: argparse.Namespace) -> int:
-    ok, lines = run_tables()
-    return _report_lines(ok, lines, args.json)
 
 
 def _add_point_flags(sub: argparse.ArgumentParser, lists: bool = False) -> None:
@@ -218,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="library size (default: number of active users)")
     simulate.add_argument("--file-size", type=int, default=64, help="bytes per file")
     simulate.add_argument("--seed", type=int, default=0, help="root seed")
-    simulate.add_argument("--demand-mode", choices=("distinct", "random", "worst"),
-                          default="distinct")
+    simulate.add_argument("--demand-mode", choices=("distinct", "random"), default="distinct")
     simulate.add_argument("--active", type=int, default=None,
                           help="simulate only this many (seeded) active users")
     simulate.add_argument("--force", action="store_true",
@@ -237,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subparsers.add_parser("verify-examples",
                                    help="regenerate the frozen reference cases")
     verify.add_argument("--json", action="store_true", help="machine-readable report")
-    verify.set_defaults(func=_cmd_verify_examples)
+    verify.set_defaults(func=_cmd_check, check=verify_reference_cases)
 
     tables = subparsers.add_parser("tables", help="recompute the published ratio tables")
     tables.add_argument("--json", action="store_true", help="machine-readable report")
-    tables.set_defaults(func=_cmd_tables)
+    tables.set_defaults(func=_cmd_check, check=run_tables)
 
     return parser
 

@@ -20,6 +20,7 @@ from typing import IO, NamedTuple, Union
 from .baselines import (
     Scheme,
     Undefined,
+    check_memory_fraction,
     clwzc_rate,
     clwzc_subpacketization,
     crd_affine,
@@ -119,20 +120,8 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def bytes(self, n: int) -> bytes:
-        """The next ceil(n/8) outputs as little-endian words, cut to n bytes.
-
-        Vectorised form of ``next_u64`` in a loop: the states are
-        state + gamma * (1..k) mod 2^64, and uint64 arithmetic wraps the
-        same way the masked integer arithmetic does. numpy is imported here,
-        not with the module, so that it loads after the package's own modules
-        are compiled, which lowers the peak memory of importing the package.
-        """
-        import numpy as np
-
-        k = -(-n // 8)
-        z = np.uint64(self._state) + np.uint64(self._GAMMA) * np.arange(1, k + 1, dtype=np.uint64)
-        self._state = (self._state + k * self._GAMMA) & self._MASK
-        return _splitmix_outputs(z).astype("<u8").tobytes()[:n]
+        """The next ceil(n/8) outputs as little-endian words, cut to n bytes."""
+        return b"".join(self.next_u64().to_bytes(8, "little") for _ in range(-(-n // 8)))[:n]
 
     def spawned_bytes(self, count: int, n: int) -> list[bytes]:
         """``[self.spawn().bytes(n) for _ in range(count)]`` in array passes.
@@ -224,9 +213,9 @@ class SweepSpec:
             raise ValueError("cache counts must be positive")
         if any(r < 1 for r in self.access_degrees):
             raise ValueError("access degrees must be positive")
-        outside = [mn for mn in self.cache_params if not 0 <= mn <= 1]
-        if self.param_kind == "mn" and outside:
-            raise ValueError(f"memory fraction {outside[0]} outside [0, 1]")
+        if self.param_kind == "mn":
+            for mn in self.cache_params:
+                check_memory_fraction(mn)
 
 
 Cells = Union[tuple[CellValue, CellValue, CellValue, str], Undefined]
@@ -627,10 +616,9 @@ def make_demand(
 ) -> DemandAssignment:
     """Build a demand assignment for a simulation run.
 
-    ``distinct`` (and its alias ``worst``) deals a seeded permutation of the
-    file indices, one per user; ``random`` draws files independently and
-    allows repeats. ``active_count`` keeps only a seeded choice of that many
-    users.
+    ``distinct`` deals a seeded permutation of the file indices, one per
+    user; ``random`` draws files independently and allows repeats.
+    ``active_count`` keeps only a seeded choice of that many users.
     """
     N = params.num_files
     users = list(params.users())
@@ -641,7 +629,7 @@ def make_demand(
             )
         rng.shuffle(users)
         users = sorted(users[:active_count])
-    if mode in ("distinct", "worst"):
+    if mode == "distinct":
         if N < len(users):
             raise ValueError(
                 f"distinct demands need N >= {len(users)} files, got N = {N}"
@@ -703,10 +691,11 @@ def simulate_report(
     full_population = len(demand.entries) == K_full
     if full_population and measured != analytic:
         raise RuntimeError(
-            f"measured rate {measured} differs from analytic rate {analytic}"
+            f"measured rate {render_fraction(measured)} differs from analytic rate "
+            f"{render_fraction(analytic)}"
         )
     return {
-        "params": {"C": C, "r": r, "t": t, "N": N},
+        "params": _params_record(params),
         "seed": seed,
         "demand_mode": demand_mode,
         "file_size": file_size,
@@ -719,6 +708,11 @@ def simulate_report(
         "analytic_rate": render_fraction(analytic),
         "rates_equal": measured == analytic,
     }
+
+
+def _params_record(params: SchemeParams) -> dict:
+    return {"C": params.num_caches, "r": params.access_degree, "t": params.cache_param,
+            "N": params.num_files}
 
 
 def _subfile_token(subfile: SubfileId) -> str:
@@ -737,12 +731,7 @@ def scheme_dump(
     caches = build_placement(params)
     transmissions = generate_transmissions(params, demand, strict)
     return {
-        "params": {
-            "C": params.num_caches,
-            "r": params.access_degree,
-            "t": params.cache_param,
-            "N": params.num_files,
-        },
+        "params": _params_record(params),
         "demand": {
             ",".join(str(x) for x in user): file_index
             for user, file_index in sorted(demand.entries.items())
@@ -764,20 +753,21 @@ def scheme_dump(
     }
 
 
-def analyze_report(params: SchemeParams) -> dict:
-    """The analytic summary as a JSON-ready dict, rationals as p/q + decimal."""
+def analyze_report(C: int, r: int, t: int, N: Union[int, None] = None) -> dict:
+    """The analytic summary as a JSON-ready dict, rationals as p/q + decimal.
+
+    The library size N defaults to the number of users, binom(C, r).
+    """
+    if N is None:
+        N = SchemeParams(C, r, t, 1).num_users
+    params = SchemeParams(C, r, t, N)
     report = analyze(params)
 
     def rational(x: Fraction) -> dict:
         return {"exact": render_fraction(x), "decimal": render_decimal(x)}
 
     return {
-        "params": {
-            "C": params.num_caches,
-            "r": params.access_degree,
-            "t": params.cache_param,
-            "N": params.num_files,
-        },
+        "params": _params_record(params),
         "num_users": report.num_users,
         "subpacketization": report.subpacketization,
         "coding_gain": report.coding_gain,

@@ -12,6 +12,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
+from .baselines import check_memory_fraction
 from .combinatorics import binom
 from .scheme import SchemeParams, accessible_fraction
 
@@ -75,11 +76,7 @@ def rate_memory_curve(C: int, r: int, memory_points: Sequence[Fraction]) -> list
         raise ValueError(f"access degree must satisfy 1 <= r <= {C}, got {r}")
     out = []
     for mn in memory_points:
-        if not isinstance(mn, Fraction):
-            mn = Fraction(mn)
-        if not 0 <= mn <= 1:
-            raise ValueError(f"memory fraction {mn} outside [0, 1]")
-        scaled = mn * C
+        scaled = check_memory_fraction(mn) * C
         lo = int(scaled)
         rate = delivery_rate(C, r, lo)
         if scaled != lo:

@@ -132,9 +132,10 @@ class Transmission:
 class DemandAssignment:
     """Map from active user (r-subset of cache labels) to demanded file index.
 
-    Keys are normalized to sorted tuples. Any subset of the user population
-    may be active; validation against concrete parameters happens inside the
-    operations that consume the assignment.
+    Keys are normalized to sorted tuples of integer labels and values to
+    integer file indices; a float or string in either is refused. Any subset
+    of the user population may be active; validation against concrete
+    parameters happens inside the operations that consume the assignment.
     """
 
     entries: Mapping[tuple[int, ...], int]
@@ -142,7 +143,10 @@ class DemandAssignment:
     def __post_init__(self) -> None:
         normalized = {}
         for user, file_index in dict(self.entries).items():
-            key = tuple(sorted(user))
+            try:
+                key = tuple(sorted(map(operator.index, user)))
+            except TypeError as exc:
+                raise DemandError(f"user {user} has a cache label that is not an integer") from exc
             if len(set(key)) != len(key):
                 raise DemandError(f"user {user} repeats a cache label")
             if key in normalized:
@@ -170,26 +174,22 @@ class DemandAssignment:
 def _check_demand(params: SchemeParams, demand: DemandAssignment, strict: bool) -> None:
     """Validate a demand assignment against concrete parameters.
 
-    One array pass over every user's labels, sizes and files finds the first
-    offending user in ``entries`` order; only that user's error is spelled
-    out. Strict mode additionally requires pairwise-distinct file indices,
-    the regime the rate analysis assumes. Decoding itself never needs it.
+    Keys are sorted integer tuples without repeats, so a user is valid
+    exactly when it has r labels, the first at least 1 and the last at most
+    C. The first offending user in ``entries`` order is reported. Strict mode
+    additionally requires pairwise-distinct file indices, the regime the rate
+    analysis assumes. Decoding itself never needs it.
     """
     C, r, N = params.num_caches, params.access_degree, params.num_files
-    users, A = list(demand.entries), len(demand.entries)
-    sizes = np.fromiter(map(len, users), np.int64, A)
-    labels = np.fromiter(chain.from_iterable(users), np.int64, int(sizes.sum()))
-    files = np.fromiter(demand.entries.values(), np.int64, A)
-    bad = (sizes != r) | (files < 1) | (files > N)
-    bad[np.repeat(np.arange(A), sizes)[(labels < 1) | (labels > C)]] = True
-    if bad.any():
-        user = users[int(bad.argmax())]
-        try:
-            validate_subset(user, C, r)
-        except ValueError as exc:
-            raise DemandError(f"user {user} is not a valid user identity: {exc}") from exc
-        raise DemandError(f"user {user} demands file {demand.entries[user]}, outside 1..{N}")
-    if strict and len(set(demand.entries.values())) != A:
+    for user, file_index in demand.entries.items():
+        if len(user) != r or user[0] < 1 or user[-1] > C:
+            try:
+                validate_subset(user, C, r)
+            except ValueError as exc:
+                raise DemandError(f"user {user} is not a valid user identity: {exc}") from exc
+        if not 1 <= file_index <= N:
+            raise DemandError(f"user {user} demands file {file_index}, outside 1..{N}")
+    if strict and len(set(demand.entries.values())) != len(demand.entries):
         raise DemandError("demands must be pairwise distinct in strict mode")
 
 
@@ -445,6 +445,9 @@ def decode_user(
     must be cached or peeled. Each rule is checked over all of the user's
     messages before the next; the first failure raises DecodingError. Each
     call scans the whole list, so it costs O(len(transmissions)).
+
+    A repeated coded set is accepted: this decodes what it receives, and a
+    repeat carries no new piece; ``_peeling`` refuses plans the scheme cannot send.
     """
     C, r, t, N = params.num_caches, params.access_degree, params.cache_param, params.num_files
     user = validate_subset(user, C, r)

@@ -7,12 +7,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import macc
 import macc.cli as cli
+import macc.harness as harness
+from macc.baselines import Undefined
 from macc.cli import main
+from macc.scheme import Transmission
 
 # Child interpreters import the same macc as this test, with or without PYTHONPATH.
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -89,6 +93,7 @@ def test_analyze_and_simulate_accept_no_caching(capsys):
         ["sweep", "-C", "4", "-r", "2", "--t", "1", "--mn", "1/4"],
         ["sweep", "-C", "4", "-r", "2"],
         ["simulate", "-C", "4", "-r", "2"],
+        ["simulate", "-C", "4", "-r", "2", "--t", "1", "--demand-mode", "worst"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -394,6 +399,51 @@ def test_runtime_error_maps_to_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["tables"])
     assert code == 2
     assert "verification failure: tables went sideways" in err
+
+
+def test_rate_mismatch_reports_both_rates_as_p_over_q(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "delivery_rate", lambda C, r, t: Fraction(1, 7))
+    code, _, err = run_cli(capsys, ["simulate", "-C", "4", "-r", "2", "--t", "1"])
+    assert (code, err) == (
+        2, "verification failure: measured rate 1/1 differs from analytic rate 1/7\n")
+
+
+def test_verify_examples_reports_diverging_transmissions(capsys, monkeypatch):
+    generate = harness.generate_transmissions
+
+    def reverse_first_drop_last(params, demand, strict=True):
+        txs = generate(params, demand, strict)
+        txs[0] = Transmission(txs[0].coded_set, txs[0].terms[::-1])
+        return txs[:-1]
+
+    monkeypatch.setattr(harness, "generate_transmissions", reverse_first_drop_last)
+    code, out, _ = run_cli(capsys, ["verify-examples"])
+    assert code == 2
+    assert out.splitlines()[:3] == [
+        "FAIL case 1 (C=4, r=2, t=1): generated transmissions diverge from reference",
+        "  coded set (1, 2, 3): expected ((1, (3,)), (2, (2,)), (4, (1,))), "
+        "got ((4, (1,)), (2, (2,)), (1, (3,)))",
+        "  expected 4 transmissions, got 3",
+    ]
+    assert out.endswith("RESULT: checks FAILED\n")
+
+
+@pytest.mark.parametrize(
+    "name, patch, line",
+    [
+        ("spe_special_rate", lambda C, r, t: Undefined("patched"),
+         "FAIL table-1 C=5 r=2 t=2: patched"),
+        ("accessible_fraction", lambda params: 0,
+         "FAIL column comparison at C=4: [True, True, True, True, True, False, True]"),
+    ],
+    ids=["undefined-competitor", "column-comparison"],
+)
+def test_tables_report_failed_checks(capsys, monkeypatch, name, patch, line):
+    monkeypatch.setattr(harness, name, patch)
+    code, out, _ = run_cli(capsys, ["tables"])
+    assert code == 2
+    assert line in out.splitlines()
+    assert out.endswith("RESULT: checks FAILED\n")
 
 
 def test_console_entry_point_in_subprocess():

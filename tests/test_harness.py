@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from macc.baselines import Scheme, Undefined
+from macc.baselines import (
+    Scheme,
+    Undefined,
+    clwzc_rate,
+    clwzc_subpacketization,
+    hkd_subpacketization,
+    sr1_rate_value,
+)
+from macc.combinatorics import enumerate_subsets
 from macc.cli import main
 from macc.harness import (
     ComparisonRow,
@@ -34,6 +42,12 @@ def test_bytes_matches_next_u64_stream(seed, n):
     assert fast.bytes(n) == scalar_bytes(slow, n)
     assert fast.next_u64() == slow.next_u64()
     assert fast.bytes(n + 3) == scalar_bytes(slow, n + 3)
+
+
+def test_splitmix64_matches_published_outputs_for_seed_0():
+    rng = SplitMix64(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 @pytest.mark.parametrize("count", [1, 3, 330])
@@ -219,10 +233,18 @@ PROPOSED = (Scheme.PROPOSED,)
         (lambda: make_demand(SchemeParams(4, 2, 1, 6), "zipf", SplitMix64(0)),
          "unknown demand mode 'zipf'"),
         (lambda: simulate_report(4, 2, 1, file_size=-1), "file size must be nonnegative, got -1"),
+        (lambda: hkd_subpacketization(4, 2, -1), "t must be nonnegative, got -1"),
+        (lambda: clwzc_rate(4, 2, -1), "t must be nonnegative, got -1"),
+        (lambda: clwzc_subpacketization(4, 2, -1), "t must be nonnegative, got -1"),
+        (lambda: sr1_rate_value(4, 2, 3), r"needs t\*r <= C, got C=4, r=2, t=3"),
+        (lambda: list(enumerate_subsets(3, -1)), "subset size must be nonnegative, got -1"),
+        (lambda: SplitMix64(0).next_below(0), "need a positive bound, got 0"),
     ],
     ids=["evaluate-t-above-C", "evaluate-t-negative", "sweep-no-C", "sweep-no-scheme",
          "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
-         "demand-active-above-K", "demand-mode", "simulate-negative-size"],
+         "demand-active-above-K", "demand-mode", "simulate-negative-size", "hkd-F-negative-t",
+         "clwzc-rate-negative-t", "clwzc-F-negative-t", "sr1-tr-above-C",
+         "subsets-negative-size", "next-below-0"],
 )
 def test_public_entry_points_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):

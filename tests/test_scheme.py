@@ -214,6 +214,12 @@ def test_demand_validation_errors():
         DemandAssignment({(1, 2): 1, (1, 3): "2"})
     assert DemandAssignment({(1, 2): np.int64(3), (1, 3): np.uint8(2)}).entries == {
         (1, 2): 3, (1, 3): 2}
+    # So must a cache label: (1.5, 2) or ("1", "2") is not user (1, 2).
+    for user in [(1.5, 2), (1.0, 2.0), ("1", "2")]:
+        with pytest.raises(DemandError) as caught:
+            DemandAssignment({(3, 4): 1, user: 2})
+        assert str(caught.value) == f"user {user} has a cache label that is not an integer"
+    assert DemandAssignment({(np.int64(2), np.uint8(1)): 1}).entries == {(1, 2): 1}
 
 
 def test_decode_user_first_example_trace():
