@@ -52,7 +52,7 @@ def is_defined(value: object) -> bool:
 def check_memory_fraction(mn: Fraction) -> Fraction:
     if not isinstance(mn, Fraction):
         mn = Fraction(mn)
-    if not 0 <= mn <= 1:
+    if not 0 <= mn.numerator <= mn.denominator:
         raise ValueError(f"memory fraction {mn} outside [0, 1]")
     return mn
 
@@ -70,11 +70,11 @@ def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
 
 
 def hkd_subpacketization(C: int, r: int, t: int) -> Count:
-    """r * binom(C/r, t); zero when t exceeds C/r."""
-    if C % r != 0:
-        return Undefined(f"requires r | C, got C={C}, r={r}")
+    """r * binom(C/r, t); zero when t exceeds C/r. A negative t is refused first."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
+    if C % r != 0:
+        return Undefined(f"requires r | C, got C={C}, r={r}")
     return r * math.comb(C // r, t) if t <= C // r else 0
 
 

@@ -7,10 +7,12 @@ randomness flows from one seeded splittable generator.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import io
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -226,21 +228,6 @@ integer cache parameter and a Fraction elsewhere.
 """
 
 
-def _gap_row(
-    scheme: Scheme, C: int, r: int, t: Fraction, mn: Fraction, gap: Undefined
-) -> ComparisonRow:
-    return ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, note=gap.reason)
-
-
-def _proposed(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
-    K = binom(C, r)
-    if isinstance(t, int):
-        return K, delivery_rate(C, r, t), binom(C, t), ""
-    (rate,) = rate_memory_curve(C, r, [mn])
-    return (K, rate, Undefined("memory sharing point"),
-            "memory sharing between adjacent integer cache parameters")
-
-
 def _hkd(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
     rate = hkd_rate(C, r, mn)
     if isinstance(rate, Undefined):
@@ -308,7 +295,6 @@ def _crd_affine(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
 
 
 _CELLS = {
-    Scheme.PROPOSED: _proposed,
     Scheme.HKD: _hkd,
     Scheme.RK: _rk,
     Scheme.RK_LB: _rk_lb,
@@ -319,47 +305,76 @@ _CELLS = {
     Scheme.CRD_AFFINE: _crd_affine,
 }
 
-# Schemes defined only at integer cache parameters: at a fractional t both
-# ``evaluate_scheme`` and ``_Block.entry`` give this one gap without computing
-# cells, so their functions in ``_CELLS`` only ever see an int t.
+# Schemes defined only at integer cache parameters: at a fractional t
+# ``_block_cells`` gives this one gap without computing cells, so their
+# functions in ``_CELLS`` only ever see an int t.
 _INTEGER_ONLY = frozenset({Scheme.SPE, Scheme.CLWZC, Scheme.SR1, Scheme.SR2})
 _INTEGER_ONLY_GAP = Undefined("defined only at integer cache parameters")
+_SHARING_GAP = Undefined("memory sharing point")
+
+_Point = tuple[Fraction, Fraction]
 
 
-@functools.cache
-def _access_degree_gap(C: int, r: int) -> Undefined:
-    return Undefined(f"access degree {r} exceeds cache count {C}")
+def _proposed_cells(C: int, r: int, grid: Sequence[_Point]) -> list[Cells]:
+    """The scheme of this package at each point of ``grid``, all within 0..C.
 
-
-def evaluate_scheme(
-    scheme: Scheme, C: int, r: int, t: Fraction, mn: Union[Fraction, None] = None
-) -> ComparisonRow:
-    """One comparison row; parameter points a scheme lacks come back undefined.
-
-    ``mn`` is the memory fraction t / C. A sweep passes the one object its
-    grid holds, so that every row at that point shares it; by default it is
-    computed here. The per-user rate is rate / K.
+    Integer t takes the closed form; the fractional points share one
+    ``rate_memory_curve`` call.
     """
-    if not isinstance(t, Fraction):
-        t = Fraction(t)
-    if not 0 <= t.numerator <= C * t.denominator:
-        raise ValueError(f"cache parameter {t} outside 0..{C}")
-    if mn is None:
-        mn = t / C
+    K = binom(C, r)
+    shared = iter(rate_memory_curve(C, r, [mn for t, mn in grid if t.denominator != 1]))
+    return [
+        (K, delivery_rate(C, r, t.numerator), binom(C, t.numerator), "") if t.denominator == 1
+        else (K, next(shared), _SHARING_GAP,
+              "memory sharing between adjacent integer cache parameters")
+        for t, _ in grid
+    ]
+
+
+def _block_cells(scheme: Scheme, C: int, r: int, grid: Sequence[_Point]) -> list[Cells]:
+    """The cells of one scheme at each (t, mn) point of ``grid``, in order.
+
+    ``grid`` is sorted by t. The gaps are decided here and nowhere else, in
+    this order: a t beyond C, then an r beyond C (the rest of the block),
+    then a scheme in ``_INTEGER_ONLY`` at a fractional t.
+    """
+    n = bisect.bisect_right(grid, C, key=operator.itemgetter(0))
+    beyond = [Undefined(f"cache parameter {t} exceeds cache count {C}") for t, _ in grid[n:]]
     if r > C:
-        cells = _access_degree_gap(C, r)
-    elif t.denominator != 1 and scheme in _INTEGER_ONLY:
-        cells = _INTEGER_ONLY_GAP
-    else:
-        cells = _CELLS[scheme](C, r, t.numerator if t.denominator == 1 else t, mn)
+        return [Undefined(f"access degree {r} exceeds cache count {C}")] * n + beyond
+    if scheme is Scheme.PROPOSED:
+        return _proposed_cells(C, r, grid[:n]) + beyond
+    compute = _CELLS[scheme]
+    integer_only = scheme in _INTEGER_ONLY
+    return [
+        compute(C, r, t.numerator, mn) if t.denominator == 1
+        else _INTEGER_ONLY_GAP if integer_only
+        else compute(C, r, t, mn)
+        for t, mn in grid[:n]
+    ] + beyond
+
+
+def _row(scheme: Scheme, C: int, r: int, point: _Point, cells: Cells) -> ComparisonRow:
+    """The row of ``cells`` at ``point``; the per-user rate is rate / K."""
+    t, mn = point
     if isinstance(cells, Undefined):
-        return _gap_row(scheme, C, r, t, mn, cells)
+        return ComparisonRow(scheme, C, r, t, mn, cells, cells, cells, cells, note=cells.reason)
     K, rate, F, note = cells
     per_user = rate if isinstance(rate, Undefined) else rate / K
     return ComparisonRow(scheme, C, r, t, mn, K, rate, per_user, F, note)
 
 
-_Point = tuple[Fraction, Fraction]
+def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRow:
+    """One comparison row; parameter points a scheme lacks come back undefined.
+
+    The memory fraction is t / C and the per-user rate rate / K.
+    """
+    t = Fraction(t)
+    if not 0 <= t.numerator <= C * t.denominator:
+        raise ValueError(f"cache parameter {t} outside 0..{C}")
+    point = (t, t / C)
+    (cells,) = _block_cells(scheme, C, r, [point])
+    return _row(scheme, C, r, point, cells)
 
 
 def _sweep_grid(param_kind: str, values: list[Fraction], C: int) -> list[_Point]:
@@ -384,19 +399,6 @@ class _Block(NamedTuple):
     r: int
     grid: list[_Point]
 
-    def entry(self, i: int) -> Union[ComparisonRow, Undefined]:
-        """The row ``evaluate_scheme`` gives at point i, or the gap of a point
-        that needs no evaluation: a t beyond C, then an r beyond C, then a
-        scheme in ``_INTEGER_ONLY`` at a fractional t."""
-        t, mn = self.grid[i]
-        if t.numerator > self.C * t.denominator:
-            return Undefined(f"cache parameter {t} exceeds cache count {self.C}")
-        if self.r > self.C:
-            return _access_degree_gap(self.C, self.r)
-        if t.denominator != 1 and self.scheme in _INTEGER_ONLY:
-            return _INTEGER_ONLY_GAP
-        return evaluate_scheme(self.scheme, self.C, self.r, t, mn)
-
 
 class SweepRows(Sequence[ComparisonRow]):
     """The rows of a sweep, read-only, in order (scheme, C, r, t).
@@ -418,23 +420,17 @@ class SweepRows(Sequence[ComparisonRow]):
         if isinstance(position, range):
             return [self[i] for i in position]
         number, i = divmod(position, self._width)
-        block = self._blocks[number]
-        entry = block.entry(i)
-        if isinstance(entry, ComparisonRow):
-            return entry
-        t, mn = block.grid[i]
-        return _gap_row(block.scheme, block.C, block.r, t, mn, entry)
+        scheme, C, r, grid = self._blocks[number]
+        (cells,) = _block_cells(scheme, C, r, grid[i:i + 1])
+        return _row(scheme, C, r, grid[i], cells)
 
 
 def run_sweep(spec: SweepSpec) -> SweepRows:
     """All grid rows in deterministic order (scheme, C, r, t).
 
     The grids are built and checked here, so a negative t fails before any
-    row is read; the rows themselves are computed when written or read. A
-    row whose t exceeds C carries that gap, even when r exceeds C too; a
-    row with only r beyond C carries the access-degree gap, and a scheme in
-    ``_INTEGER_ONLY`` at a fractional t the integer-only gap. Every other
-    row comes from ``evaluate_scheme``.
+    row is read; the rows themselves are computed when written or read, by
+    ``_block_cells``, which also gives ``evaluate_scheme`` its cells.
     """
     scheme_order = {s: i for i, s in enumerate(Scheme)}
     values = sorted({Fraction(p) for p in spec.cache_params})
@@ -452,12 +448,13 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
 def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
     """What ``run_sweep`` returned as CSV, one ``stream.write`` per block.
 
-    Each block's rows are computed, rendered and dropped before the next.
-    Cells: empty for an undefined value, the integer for an int or a whole
-    Fraction, otherwise 12 significant digits. The mn column always takes
-    the 12-digit form. Each piece is rendered once per call: each distinct
-    exact value, the (t, mn) columns of each C, and the "defined,note" tail
-    of each distinct note, quoted by ``csv.writer``.
+    Each block's cells are computed, rendered and dropped before the next;
+    no ``ComparisonRow`` is built. Cells: empty for an undefined value, the
+    integer for an int or a whole Fraction, otherwise 12 significant digits.
+    The mn column always takes the 12-digit form. Each piece is rendered
+    once per call: each distinct exact value, the (t, mn) columns of each
+    C, and the "defined,note" tail of each distinct note, quoted by
+    ``csv.writer``.
     """
     points: dict[int, list[str]] = {}
     buffer = io.StringIO()
@@ -469,12 +466,13 @@ def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
             return str(numerator)
         return render_decimal(Fraction(numerator, denominator))
 
-    def cell(value: CellValue) -> str:
+    def cell(value: CellValue, K: int = 1) -> str:
+        # value / K without a Fraction: value is in lowest terms, so only K
+        # can share a factor with its numerator.
         if isinstance(value, Undefined):
             return ""
-        if isinstance(value, int):
-            return str(value)
-        return fraction(value.numerator, value.denominator)
+        common = math.gcd(value.numerator, K)
+        return fraction(value.numerator // common, value.denominator * (K // common))
 
     @functools.cache
     def tail(defined: bool, note: str) -> str:
@@ -492,16 +490,15 @@ def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
             ]
         prefix = f"{block.scheme.value},{block.C},{block.r},"
         lines = []
-        for i, head in enumerate(heads):
-            entry = block.entry(i)
-            if isinstance(entry, Undefined):
-                lines.append(f"{prefix}{head},,,,{tail(False, entry.reason)}")
-            else:
-                lines.append(
-                    f"{prefix}{head}{cell(entry.num_users)},{cell(entry.rate)},"
-                    f"{cell(entry.per_user_rate)},{cell(entry.subpacketization)},"
-                    f"{tail(entry.defined, entry.note)}"
-                )
+        for head, cells in zip(heads, _block_cells(*block)):
+            if isinstance(cells, Undefined):
+                lines.append(f"{prefix}{head},,,,{tail(False, cells.reason)}")
+                continue
+            K, rate, F, note = cells
+            lines.append(
+                f"{prefix}{head}{cell(K)},{cell(rate)},{cell(rate, K)},{cell(F)},"
+                f"{tail(True, note)}"
+            )
         stream.write("".join(lines))
 
 

@@ -76,10 +76,14 @@ def rate_memory_curve(C: int, r: int, memory_points: Sequence[Fraction]) -> list
         raise ValueError(f"access degree must satisfy 1 <= r <= {C}, got {r}")
     out = []
     for mn in memory_points:
-        scaled = check_memory_fraction(mn) * C
-        lo = int(scaled)
+        mn = check_memory_fraction(mn)
+        lo, rest = divmod(mn.numerator * C, mn.denominator)
         rate = delivery_rate(C, r, lo)
-        if scaled != lo:
-            rate += (scaled - lo) * (delivery_rate(C, r, lo + 1) - rate)
+        if rest:
+            # rate + (rest / q) * (R(lo + 1) - rate) over one denominator.
+            q, following = mn.denominator, delivery_rate(C, r, lo + 1)
+            a, b = rate.numerator, rate.denominator
+            c, d = following.numerator, following.denominator
+            rate = Fraction(a * d * q + rest * (c * b - a * d), b * d * q)
         out.append(rate)
     return out

@@ -144,7 +144,11 @@ class DemandAssignment:
         normalized = {}
         for user, file_index in dict(self.entries).items():
             try:
-                key = tuple(sorted(map(operator.index, user)))
+                labels = iter(user)
+            except TypeError as exc:
+                raise DemandError(f"user {user} is not a subset of cache labels") from exc
+            try:
+                key = tuple(sorted(map(operator.index, labels)))
             except TypeError as exc:
                 raise DemandError(f"user {user} has a cache label that is not an integer") from exc
             if len(set(key)) != len(key):

@@ -41,12 +41,15 @@ def test_tracer_wraps_every_layer_and_restores_it():
         layers.install_all(tracer, macc)
         assert macc.harness.evaluate_scheme is not before[0]["evaluate_scheme"]
         rows = macc.harness.run_sweep(spec)
-        # The rows are evaluated when they are written.
+        # The rows are evaluated when they are written, a block at a time,
+        # so the sweep does not go through evaluate_scheme: call it here.
         macc.harness.write_sweep_csv(rows, io.StringIO())
+        for scheme in Scheme:
+            macc.harness.evaluate_scheme(scheme, 6, 2, Fraction(3))
         macc.harness.simulate_report(4, 2, 1)
     assert len(rows) == len(Scheme) * 3 * 3 * 4
     for scheme in Scheme:
-        assert tracer.calls[f"harness.evaluate.{scheme.value}"] > 0, scheme
+        assert tracer.calls[f"harness.evaluate.{scheme.value}"] == 1, scheme
     assert tracer.calls["harness.sweep"] == 1
     assert tracer.counts["harness.sweep.rows"] == len(rows)
     assert tracer.calls["metrics.rate_memory_curve"] > 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import macc.harness as harness
 from macc.baselines import (
     Scheme,
     Undefined,
@@ -93,6 +94,33 @@ def test_sweep_csv_golden_digest(kind, rows, sha256):
     write_sweep_csv(swept, stream)
     assert len(swept) == rows
     assert hashlib.sha256(stream.getvalue().encode("utf-8")).hexdigest() == sha256
+
+
+def test_sweep_csv_evaluates_by_block(monkeypatch):
+    # The CSV is rendered from each block's cells: no row object is built,
+    # and the scheme of this package finds its memory-sharing rates in one
+    # curve per (C, r) block.
+    rows_built = []
+    curves = []
+    original_row, original_curve = harness.ComparisonRow, harness.rate_memory_curve
+
+    def counting_row(*args, **kwargs):
+        rows_built.append(args)
+        return original_row(*args, **kwargs)
+
+    def counting_curve(C, r, memory_points):
+        curves.append((C, r))
+        return original_curve(C, r, memory_points)
+
+    monkeypatch.setattr(harness, "ComparisonRow", counting_row)
+    monkeypatch.setattr(harness, "rate_memory_curve", counting_curve)
+    swept = run_sweep(small_spec("mn"))
+    write_sweep_csv(swept, io.StringIO())
+    assert rows_built == []
+    assert curves and len(curves) == len(set(curves))
+    assert all(r <= C for C, r in curves)
+    swept[0]  # the row API still builds its row, so the counter is live
+    assert len(rows_built) == 1
 
 
 class Sha256Stream:
@@ -234,6 +262,7 @@ PROPOSED = (Scheme.PROPOSED,)
          "unknown demand mode 'zipf'"),
         (lambda: simulate_report(4, 2, 1, file_size=-1), "file size must be nonnegative, got -1"),
         (lambda: hkd_subpacketization(4, 2, -1), "t must be nonnegative, got -1"),
+        (lambda: hkd_subpacketization(4, 3, -1), "t must be nonnegative, got -1"),
         (lambda: clwzc_rate(4, 2, -1), "t must be nonnegative, got -1"),
         (lambda: clwzc_subpacketization(4, 2, -1), "t must be nonnegative, got -1"),
         (lambda: sr1_rate_value(4, 2, 3), r"needs t\*r <= C, got C=4, r=2, t=3"),
@@ -243,8 +272,8 @@ PROPOSED = (Scheme.PROPOSED,)
     ids=["evaluate-t-above-C", "evaluate-t-negative", "sweep-no-C", "sweep-no-scheme",
          "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
          "demand-active-above-K", "demand-mode", "simulate-negative-size", "hkd-F-negative-t",
-         "clwzc-rate-negative-t", "clwzc-F-negative-t", "sr1-tr-above-C",
-         "subsets-negative-size", "next-below-0"],
+         "hkd-F-negative-t-r-not-dividing-C", "clwzc-rate-negative-t", "clwzc-F-negative-t",
+         "sr1-tr-above-C", "subsets-negative-size", "next-below-0"],
 )
 def test_public_entry_points_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):

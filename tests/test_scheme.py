@@ -220,6 +220,11 @@ def test_demand_validation_errors():
             DemandAssignment({(3, 4): 1, user: 2})
         assert str(caught.value) == f"user {user} has a cache label that is not an integer"
     assert DemandAssignment({(np.int64(2), np.uint8(1)): 1}).entries == {(1, 2): 1}
+    # A key that is not a collection of labels at all is told apart.
+    for user in [5, 2.0, None]:
+        with pytest.raises(DemandError) as caught:
+            DemandAssignment({(3, 4): 1, user: 2})
+        assert str(caught.value) == f"user {user} is not a subset of cache labels"
 
 
 def test_decode_user_first_example_trace():
