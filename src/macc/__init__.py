@@ -14,18 +14,14 @@ from .baselines import (
     clwzc_subpacketization,
     crd_affine,
     hkd_rate,
-    hkd_subpacketization,
-    is_defined,
     is_prime_power,
     rk_lower_bound,
     rk_rate,
     spe_special_rate,
     spe_subpacketization,
-    sr1_odd_branch,
     sr1_rate,
     sr1_rate_value,
     sr2_rate,
-    sr2_subpacketization,
 )
 from .combinatorics import binom, enumerate_subsets, rank_subset, unrank_subset, validate_subset
 from .harness import (
@@ -88,8 +84,6 @@ __all__ = [
     "evaluate_scheme",
     "generate_transmissions",
     "hkd_rate",
-    "hkd_subpacketization",
-    "is_defined",
     "is_prime_power",
     "parse_fraction",
     "rank_subset",
@@ -103,11 +97,9 @@ __all__ = [
     "simulate_end_to_end",
     "spe_special_rate",
     "spe_subpacketization",
-    "sr1_odd_branch",
     "sr1_rate",
     "sr1_rate_value",
     "sr2_rate",
-    "sr2_subpacketization",
     "unrank_subset",
     "validate_subset",
     "__version__",

@@ -3,7 +3,8 @@
 Only the published closed forms are implemented, never the constructions.
 Each operation returns an exact value where the scheme exists and an
 :class:`Undefined` marker (carrying the reason) where its preconditions
-fail, so sweeps can render gaps instead of crashing.
+fail, so sweeps can render gaps instead of crashing. ``CELLS`` gives each
+scheme's sweep cells (K, rate, F, note) beside its formulas.
 
 Scheme tags: HKD, RK and RK_LB (the same work's converse bound), SPE,
 CLWZC, SR1, SR2 all live on the cyclic setup with K = C users; CRD_AFFINE
@@ -45,10 +46,6 @@ Rational = Union[Fraction, Undefined]
 Count = Union[int, Undefined]
 
 
-def is_defined(value: object) -> bool:
-    return not isinstance(value, Undefined)
-
-
 def check_memory_fraction(mn: Fraction) -> Fraction:
     if not isinstance(mn, Fraction):
         mn = Fraction(mn)
@@ -69,20 +66,14 @@ def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
     return max(value, Fraction(0))
 
 
-def hkd_subpacketization(C: int, r: int, t: int) -> Count:
-    """r * binom(C/r, t); zero when t exceeds C/r. A negative t is refused first."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if C % r != 0:
-        return Undefined(f"requires r | C, got C={C}, r={r}")
-    return r * math.comb(C // r, t) if t <= C // r else 0
-
-
-def rk_rate(C: int, r: int, i: int) -> Fraction:
-    """Rate C*(1 - r*i/C)^2 on the grid M/N = i/C, zero at i = ceil(C/r)."""
+def rk_rate(C: int, r: int, i: int) -> Rational:
+    """Rate C*(1 - r*i/C)^2 at M/N = i/C for i >= 0: zero at ceil(C/r), undefined past it."""
     ceil_cr = -(-C // r)
     if not 0 <= i <= ceil_cr:
-        raise ValueError(f"grid index i={i} outside 0..{ceil_cr} for C={C}, r={r}")
+        reason = f"grid index i={i} outside 0..{ceil_cr} for C={C}, r={r}"
+        if i < 0:
+            raise ValueError(reason)
+        return Undefined(reason)
     if i == ceil_cr and C % r != 0:
         return Fraction(0)
     return C * (1 - Fraction(r * i, C)) ** 2
@@ -140,12 +131,6 @@ def clwzc_subpacketization(C: int, r: int, t: int) -> int:
     return C * math.comb(inner, t)
 
 
-def sr1_odd_branch(C: int, r: int, t: int) -> bool:
-    """True when sr1 evaluates through the interpretation-dependent branch."""
-    m = C - t * r
-    return m > 1 and m % 2 == 1
-
-
 def sr1_rate_value(C: int, r: int, t: int) -> Fraction:
     """The raw piecewise sr1 expression, with no existence preconditions.
 
@@ -178,8 +163,7 @@ def sr1_rate(C: int, r: int, t: int) -> Rational:
     """Cyclic-setup rate for cache parameters t with gcd(t, C) = 1.
 
     Odd C - t*r > 1 goes through the interpretation-dependent leading term
-    (see :func:`sr1_rate_value`); check :func:`sr1_odd_branch` when the
-    distinction matters.
+    (see :func:`sr1_rate_value`); the sweep row's note flags it.
     """
     if t < 1 or math.gcd(t, C) != 1:
         return Undefined(f"requires gcd(t, C) = 1 with t >= 1, got C={C}, t={t}")
@@ -198,14 +182,6 @@ def sr2_rate(C: int, r: int, t: int) -> Rational:
     if d <= 0 or C % d != 0:
         return Undefined(f"requires (C - tr + t) | C, got C - tr + t = {d}, C = {C}")
     return Fraction((C - t * r) * d, 2 * C)
-
-
-def sr2_subpacketization(C: int, r: int, t: int) -> Count:
-    """Subpacketization is simply C wherever the scheme exists."""
-    rate = sr2_rate(C, r, t)
-    if isinstance(rate, Undefined):
-        return rate
-    return C
 
 
 def is_prime_power(n: int) -> bool:
@@ -234,3 +210,95 @@ def crd_affine(n: int) -> Union[tuple[int, Fraction, int], Undefined]:
         return Undefined(f"n = {n} is not a prime power")
     K = n ** 3 * (n + 1) // 2
     return K, Fraction((n - 1) ** 2 * K, 4 * n ** 2), n ** 2
+
+
+Cells = Union[tuple[int, Rational, Count, str], Undefined]
+"""(K, rate, F, note) of a scheme at one point, or the gap where it does not exist.
+
+The functions in ``CELLS`` take (C, r, t, mn) with 1 <= r <= C and
+0 <= t <= C, t an int at an integer cache parameter and a Fraction elsewhere.
+"""
+
+
+def _hkd(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
+    rate = hkd_rate(C, r, mn)
+    if isinstance(rate, Undefined):
+        return rate
+    # F = r * binom(C/r, t), zero once t exceeds C/r.
+    F = r * math.comb(C // r, t) if isinstance(t, int) else Undefined("non-integer t")
+    return C, rate, F, ""
+
+
+def _rk(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
+    if not isinstance(t, int):
+        return Undefined("defined only on the grid M/N = i/C")
+    rate = rk_rate(C, r, t)
+    if isinstance(rate, Undefined):
+        return rate
+    return C, rate, Undefined("subpacketization not modeled for this scheme"), ""
+
+
+def _rk_lb(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
+    rate = rk_lower_bound(C, r, mn)
+    if isinstance(rate, Undefined):
+        return rate
+    return (C, rate, Undefined("converse bound, not a construction"),
+            "lower bound on optimal rate under uncoded placement")
+
+
+def _spe(C: int, r: int, t: int, mn: Fraction) -> Cells:
+    special = spe_special_rate(C, r, t)
+    if not isinstance(special, Undefined):
+        return C, special, C, "optimal special case r*t = C-1"
+    if t != 2:
+        return Undefined("exists for C*M/N = 2 or r*t = C-1 only")
+    F = spe_subpacketization(C, r)
+    note = F.reason if isinstance(F, Undefined) else "subpacketization only"
+    return C, Undefined("general rate expression not reproduced here"), F, note
+
+
+def _clwzc(C: int, r: int, t: int, mn: Fraction) -> Cells:
+    return C, clwzc_rate(C, r, t), clwzc_subpacketization(C, r, t), ""
+
+
+def _sr1(C: int, r: int, t: int, mn: Fraction) -> Cells:
+    rate = sr1_rate(C, r, t)
+    if isinstance(rate, Undefined):
+        return rate
+    m = C - t * r
+    note = "interpretation-dependent odd-branch leading term" if m > 1 and m % 2 == 1 else ""
+    return C, rate, Undefined("only the bound F <= C^2 is published"), note
+
+
+def _sr2(C: int, r: int, t: int, mn: Fraction) -> Cells:
+    rate = sr2_rate(C, r, t)
+    if isinstance(rate, Undefined):
+        return rate
+    return C, rate, C, ""
+
+
+def _crd_affine(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
+    n = math.isqrt(C)
+    if n * (n + 1) != C or t != n + 1:
+        return Undefined(f"needs C = n(n+1) and t = n+1 for a prime power n, got C={C}, t={t}")
+    cells = crd_affine(n)
+    if isinstance(cells, Undefined):
+        return cells
+    return (*cells, f"affine-plane parameters with n = {n}; r plays no role")
+
+
+CELLS = {
+    Scheme.HKD: _hkd,
+    Scheme.RK: _rk,
+    Scheme.RK_LB: _rk_lb,
+    Scheme.SPE: _spe,
+    Scheme.CLWZC: _clwzc,
+    Scheme.SR1: _sr1,
+    Scheme.SR2: _sr2,
+    Scheme.CRD_AFFINE: _crd_affine,
+}
+
+# Schemes defined only at integer cache parameters. At a fractional t the
+# sweep gives them one gap without calling their functions in ``CELLS``, so
+# those functions only ever see an int t.
+INTEGER_ONLY = frozenset({Scheme.SPE, Scheme.CLWZC, Scheme.SR1, Scheme.SR2})

@@ -9,17 +9,16 @@ rank/unrank conversion against that order.
 
 Conventions: subsets are sorted tuples (or array rows) of 1-based labels,
 ranks are 0-based. All functions are pure and safe for concurrent use. The
-array forms import numpy on first use; the exact functions never need it.
+array forms return numpy arrays; the exact functions work on plain ints.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 
 def binom(n: int, k: int) -> int:
@@ -99,8 +98,6 @@ def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def subset_array(n: int, k: int) -> np.ndarray:
     """All k-subsets of [n] as the rows of a (C(n, k), k) int64 array, in lex order."""
-    import numpy as np
-
     flat = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), k)), np.int64)
     return flat.reshape(binom(n, k), k)
 
@@ -113,8 +110,6 @@ def rank_subsets(subsets: np.ndarray, n: int) -> np.ndarray:
     column C(n - c, k - i) of a binomial table. Rows are not validated, and
     C(n, k) must stay below 2**63.
     """
-    import numpy as np
-
     k = subsets.shape[-1]
     rank = np.full(subsets.shape[:-1], binom(n, k) - 1, np.int64)
     for i in range(k):

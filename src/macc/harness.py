@@ -19,24 +19,18 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import IO, NamedTuple, Union
 
+import numpy as np
+
 from .baselines import (
+    CELLS,
+    INTEGER_ONLY,
+    Cells,
     Scheme,
     Undefined,
     check_memory_fraction,
     clwzc_rate,
     clwzc_subpacketization,
-    crd_affine,
-    hkd_rate,
-    hkd_subpacketization,
-    is_defined,
-    rk_lower_bound,
-    rk_rate,
     spe_special_rate,
-    spe_subpacketization,
-    sr1_odd_branch,
-    sr1_rate,
-    sr2_rate,
-    sr2_subpacketization,
 )
 from .combinatorics import binom
 from .golden import (
@@ -134,8 +128,6 @@ class SplitMix64:
         memory of runs with large files (the freed block temporaries leave
         holes in the heap that later allocations do not fit).
         """
-        import numpy as np
-
         k = -(-n // 8)
         steps = np.uint64(self._GAMMA) * np.arange(1, max(count, k) + 1, dtype=np.uint64)
         seeds = _splitmix_outputs(np.uint64(self._state) + steps[:count])
@@ -150,8 +142,6 @@ class SplitMix64:
 
 def _splitmix_outputs(z):
     """The splitmix64 output of each state in a uint64 array, computed in place."""
-    import numpy as np
-
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> np.uint64(shift)
         z *= np.uint64(factor)
@@ -220,95 +210,6 @@ class SweepSpec:
                 check_memory_fraction(mn)
 
 
-Cells = Union[tuple[CellValue, CellValue, CellValue, str], Undefined]
-"""(K, rate, F, note) of a scheme at one point, or the gap where it does not exist.
-
-The functions that compute them take (C, r, t, mn), with t an int at an
-integer cache parameter and a Fraction elsewhere.
-"""
-
-
-def _hkd(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
-    rate = hkd_rate(C, r, mn)
-    if isinstance(rate, Undefined):
-        return rate
-    F = hkd_subpacketization(C, r, t) if isinstance(t, int) else Undefined("non-integer t")
-    return C, rate, F, ""
-
-
-def _rk(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
-    if not isinstance(t, int):
-        return Undefined("defined only on the grid M/N = i/C")
-    try:
-        rate = rk_rate(C, r, t)
-    except ValueError as exc:
-        return Undefined(str(exc))
-    return C, rate, Undefined("subpacketization not modeled for this scheme"), ""
-
-
-def _rk_lb(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
-    rate = rk_lower_bound(C, r, mn)
-    if isinstance(rate, Undefined):
-        return rate
-    return (C, rate, Undefined("converse bound, not a construction"),
-            "lower bound on optimal rate under uncoded placement")
-
-
-def _spe(C: int, r: int, t: int, mn: Fraction) -> Cells:
-    special = spe_special_rate(C, r, t)
-    if is_defined(special):
-        return C, special, C, "optimal special case r*t = C-1"
-    if t != 2:
-        return Undefined("exists for C*M/N = 2 or r*t = C-1 only")
-    F = spe_subpacketization(C, r)
-    note = "subpacketization only" if is_defined(F) else F.reason
-    return C, Undefined("general rate expression not reproduced here"), F, note
-
-
-def _clwzc(C: int, r: int, t: int, mn: Fraction) -> Cells:
-    return C, clwzc_rate(C, r, t), clwzc_subpacketization(C, r, t), ""
-
-
-def _sr1(C: int, r: int, t: int, mn: Fraction) -> Cells:
-    rate = sr1_rate(C, r, t)
-    if isinstance(rate, Undefined):
-        return rate
-    note = "interpretation-dependent odd-branch leading term" if sr1_odd_branch(C, r, t) else ""
-    return C, rate, Undefined("only the bound F <= C^2 is published"), note
-
-
-def _sr2(C: int, r: int, t: int, mn: Fraction) -> Cells:
-    rate = sr2_rate(C, r, t)
-    if isinstance(rate, Undefined):
-        return rate
-    return C, rate, sr2_subpacketization(C, r, t), ""
-
-
-def _crd_affine(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
-    n = math.isqrt(C)
-    if n * (n + 1) != C or t != n + 1:
-        return Undefined(f"needs C = n(n+1) and t = n+1 for a prime power n, got C={C}, t={t}")
-    cells = crd_affine(n)
-    if isinstance(cells, Undefined):
-        return cells
-    return (*cells, f"affine-plane parameters with n = {n}; r plays no role")
-
-
-_CELLS = {
-    Scheme.HKD: _hkd,
-    Scheme.RK: _rk,
-    Scheme.RK_LB: _rk_lb,
-    Scheme.SPE: _spe,
-    Scheme.CLWZC: _clwzc,
-    Scheme.SR1: _sr1,
-    Scheme.SR2: _sr2,
-    Scheme.CRD_AFFINE: _crd_affine,
-}
-
-# Schemes defined only at integer cache parameters: at a fractional t
-# ``_block_cells`` gives this one gap without computing cells, so their
-# functions in ``_CELLS`` only ever see an int t.
-_INTEGER_ONLY = frozenset({Scheme.SPE, Scheme.CLWZC, Scheme.SR1, Scheme.SR2})
 _INTEGER_ONLY_GAP = Undefined("defined only at integer cache parameters")
 _SHARING_GAP = Undefined("memory sharing point")
 
@@ -336,7 +237,8 @@ def _block_cells(scheme: Scheme, C: int, r: int, grid: Sequence[_Point]) -> list
 
     ``grid`` is sorted by t. The gaps are decided here and nowhere else, in
     this order: a t beyond C, then an r beyond C (the rest of the block),
-    then a scheme in ``_INTEGER_ONLY`` at a fractional t.
+    then a scheme in ``INTEGER_ONLY`` at a fractional t. The cells of the
+    comparison schemes come from ``CELLS``.
     """
     n = bisect.bisect_right(grid, C, key=operator.itemgetter(0))
     beyond = [Undefined(f"cache parameter {t} exceeds cache count {C}") for t, _ in grid[n:]]
@@ -344,8 +246,8 @@ def _block_cells(scheme: Scheme, C: int, r: int, grid: Sequence[_Point]) -> list
         return [Undefined(f"access degree {r} exceeds cache count {C}")] * n + beyond
     if scheme is Scheme.PROPOSED:
         return _proposed_cells(C, r, grid[:n]) + beyond
-    compute = _CELLS[scheme]
-    integer_only = scheme in _INTEGER_ONLY
+    compute = CELLS[scheme]
+    integer_only = scheme in INTEGER_ONLY
     return [
         compute(C, r, t.numerator, mn) if t.denominator == 1
         else _INTEGER_ONLY_GAP if integer_only
@@ -369,6 +271,10 @@ def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRo
 
     The memory fraction is t / C and the per-user rate rate / K.
     """
+    if C < 1:
+        raise ValueError(f"cache count must be positive, got {C}")
+    if r < 1:
+        raise ValueError(f"access degree must be positive, got {r}")
     t = Fraction(t)
     if not 0 <= t.numerator <= C * t.denominator:
         raise ValueError(f"cache parameter {t} outside 0..{C}")

@@ -36,10 +36,13 @@ def delivery_rate(C: int, r: int, t: int) -> Fraction:
 
     Defined for t = 0 as well (no caching, rate binom(C, r): one full file
     per user). Zero once t + r > C, where caches alone cover every demand.
-    Memoised: a sweep asks for the same few points once per row.
+    A t outside 0..C or an r outside 1..C is refused. Memoised: a sweep
+    asks for the same few points once per row.
     """
     if not 0 <= t <= C:
         raise ValueError(f"t must lie in 0..{C}, got {t}")
+    if not 1 <= r <= C:
+        raise ValueError(f"access degree must satisfy 1 <= r <= {C}, got {r}")
     return Fraction(binom(C, t + r), binom(C, t))
 
 

@@ -11,18 +11,14 @@ from macc.baselines import (
     clwzc_subpacketization,
     crd_affine,
     hkd_rate,
-    hkd_subpacketization,
-    is_defined,
     is_prime_power,
     rk_lower_bound,
     rk_rate,
     spe_special_rate,
     spe_subpacketization,
-    sr1_odd_branch,
     sr1_rate,
     sr1_rate_value,
     sr2_rate,
-    sr2_subpacketization,
 )
 from macc.combinatorics import binom
 from macc.golden import PROPOSED_ADVANTAGE_ROWS, SPE_ADVANTAGE_ROWS
@@ -33,9 +29,6 @@ from macc.metrics import delivery_rate
 def test_undefined_marker_is_falsy():
     gap = Undefined("because")
     assert not gap
-    assert not is_defined(gap)
-    assert is_defined(Fraction(0))
-    assert is_defined(0)
 
 
 def test_hkd_rate_values():
@@ -53,10 +46,10 @@ def test_hkd_rate_undefined_and_errors():
 
 
 def test_hkd_subpacketization():
-    assert hkd_subpacketization(4, 2, 1) == 4
-    assert hkd_subpacketization(6, 3, 2) == 3
-    assert hkd_subpacketization(6, 3, 3) == 0
-    assert isinstance(hkd_subpacketization(6, 4, 1), Undefined)
+    assert evaluate_scheme(Scheme.HKD, 4, 2, 1).subpacketization == 4
+    assert evaluate_scheme(Scheme.HKD, 6, 3, 2).subpacketization == 3
+    assert evaluate_scheme(Scheme.HKD, 6, 3, 3).subpacketization == 0
+    assert isinstance(evaluate_scheme(Scheme.HKD, 6, 4, 1).subpacketization, Undefined)
 
 
 def test_rk_rate_values():
@@ -65,8 +58,7 @@ def test_rk_rate_values():
     assert rk_rate(12, 6, 1) == 3
     assert rk_rate(12, 5, 3) == 0
     assert rk_rate(12, 6, 2) == 0
-    with pytest.raises(ValueError):
-        rk_rate(12, 5, 4)
+    assert rk_rate(12, 5, 4) == Undefined("grid index i=4 outside 0..3 for C=12, r=5")
     with pytest.raises(ValueError):
         rk_rate(12, 5, -1)
 
@@ -159,14 +151,15 @@ def test_sr1_defined_values():
     assert sr1_rate(18, 8, 1) == Fraction(13, 3)
     # m = 5 odd: head 1/(ceil(8/6)+1) = 1/3, tail i in {4, 5} gives 1 + 1.
     assert sr1_rate(9, 2, 2) == Fraction(7, 3)
-    assert not sr1_odd_branch(18, 8, 1)
-    assert not sr1_odd_branch(18, 17, 1)
+    assert evaluate_scheme(Scheme.SR1, 18, 8, 1).note == ""
+    assert evaluate_scheme(Scheme.SR1, 18, 17, 1).note == ""
 
 
 def test_sr1_odd_branch_flag_and_pluggable_leading_term():
-    assert sr1_odd_branch(18, 5, 1)
+    row = evaluate_scheme(Scheme.SR1, 18, 5, 1)
+    assert row.note == "interpretation-dependent odd-branch leading term"
     default = sr1_rate(18, 5, 1)
-    assert is_defined(default)
+    assert row.rate == default
     # ceil(2*5/14) = 1, so the default head term is 1/2.
     tail = sum(Fraction(2, 1 + -(-5 // i)) for i in range(8, 14))
     assert default == Fraction(1, 2) + tail
@@ -178,8 +171,8 @@ def test_sr2_rate():
     assert isinstance(sr2_rate(18, 2, 3), Undefined)
     assert isinstance(sr2_rate(18, 8, 2), Undefined)
     assert isinstance(sr2_rate(9, 2, 2), Undefined)  # t does not divide C
-    assert sr2_subpacketization(12, 4, 2) == 12
-    assert isinstance(sr2_subpacketization(18, 8, 2), Undefined)
+    assert evaluate_scheme(Scheme.SR2, 12, 4, 2).subpacketization == 12
+    assert isinstance(evaluate_scheme(Scheme.SR2, 18, 8, 2).subpacketization, Undefined)
 
 
 def test_is_prime_power():

@@ -169,6 +169,18 @@ def test_simulate_population_guardrail(capsys):
     assert "exceeds the simulation cap" in err
 
 
+def test_simulate_force_runs_past_the_cap(capsys, monkeypatch):
+    # (4, 2, 1) has binom(4, 2) = 6 users, one above the lowered cap.
+    monkeypatch.setattr(harness, "SIMULATE_USER_CAP", 5)
+    argv = ["simulate", "-C", "4", "-r", "2", "--t", "1"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert "exceeds the simulation cap" in err
+    code, out, _ = run_cli(capsys, argv + ["--force"])
+    assert code == 0
+    assert out.startswith("6 users decoded OK")
+
+
 def test_simulate_distinct_needs_enough_files(capsys):
     argv = ["simulate", "-C", "4", "-r", "2", "--t", "1", "--files", "3"]
     code, _, err = run_cli(capsys, argv)

@@ -12,7 +12,6 @@ from macc.baselines import (
     Undefined,
     clwzc_rate,
     clwzc_subpacketization,
-    hkd_subpacketization,
     sr1_rate_value,
 )
 from macc.combinatorics import enumerate_subsets
@@ -247,6 +246,14 @@ PROPOSED = (Scheme.PROPOSED,)
          r"cache parameter 5 outside 0\.\.4"),
         (lambda: evaluate_scheme(Scheme.HKD, 4, 2, Fraction(-1, 2)),
          r"cache parameter -1/2 outside 0\.\.4"),
+        (lambda: evaluate_scheme(Scheme.HKD, 4, 0, Fraction(1)),
+         "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.RK, 4, 0, Fraction(1)),
+         "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.SR2, 4, 0, Fraction(1)),
+         "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.PROPOSED, 0, 1, Fraction(0)),
+         "cache count must be positive, got 0"),
         (lambda: SweepSpec((), (1,), ONE, PROPOSED), "at least one C, one r and one cache"),
         (lambda: SweepSpec((1,), (1,), ONE, ()), "at least one scheme"),
         (lambda: SweepSpec((1,), (1,), ONE, PROPOSED, "M"), "param_kind must be 't' or 'mn'"),
@@ -261,19 +268,18 @@ PROPOSED = (Scheme.PROPOSED,)
         (lambda: make_demand(SchemeParams(4, 2, 1, 6), "zipf", SplitMix64(0)),
          "unknown demand mode 'zipf'"),
         (lambda: simulate_report(4, 2, 1, file_size=-1), "file size must be nonnegative, got -1"),
-        (lambda: hkd_subpacketization(4, 2, -1), "t must be nonnegative, got -1"),
-        (lambda: hkd_subpacketization(4, 3, -1), "t must be nonnegative, got -1"),
         (lambda: clwzc_rate(4, 2, -1), "t must be nonnegative, got -1"),
         (lambda: clwzc_subpacketization(4, 2, -1), "t must be nonnegative, got -1"),
         (lambda: sr1_rate_value(4, 2, 3), r"needs t\*r <= C, got C=4, r=2, t=3"),
         (lambda: list(enumerate_subsets(3, -1)), "subset size must be nonnegative, got -1"),
         (lambda: SplitMix64(0).next_below(0), "need a positive bound, got 0"),
     ],
-    ids=["evaluate-t-above-C", "evaluate-t-negative", "sweep-no-C", "sweep-no-scheme",
+    ids=["evaluate-t-above-C", "evaluate-t-negative", "evaluate-hkd-r-0", "evaluate-rk-r-0",
+         "evaluate-sr2-r-0", "evaluate-C-0", "sweep-no-C", "sweep-no-scheme",
          "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
-         "demand-active-above-K", "demand-mode", "simulate-negative-size", "hkd-F-negative-t",
-         "hkd-F-negative-t-r-not-dividing-C", "clwzc-rate-negative-t", "clwzc-F-negative-t",
-         "sr1-tr-above-C", "subsets-negative-size", "next-below-0"],
+         "demand-active-above-K", "demand-mode", "simulate-negative-size",
+         "clwzc-rate-negative-t", "clwzc-F-negative-t", "sr1-tr-above-C",
+         "subsets-negative-size", "next-below-0"],
 )
 def test_public_entry_points_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):

@@ -82,6 +82,10 @@ def test_delivery_rate_domain():
         delivery_rate(4, 2, 5)
     with pytest.raises(ValueError):
         delivery_rate(4, 2, -1)
+    with pytest.raises(ValueError, match=r"access degree must satisfy 1 <= r <= 4, got -1"):
+        delivery_rate(4, -1, 1)
+    with pytest.raises(ValueError, match=r"access degree must satisfy 1 <= r <= 4, got 0"):
+        delivery_rate(4, 0, 1)
 
 
 def test_curve_endpoints_and_grid():
