@@ -54,11 +54,17 @@ def check_memory_fraction(mn: Fraction) -> Fraction:
     return mn
 
 
+def check_access_degree(r: int) -> None:
+    if r < 1:
+        raise ValueError(f"access degree must be positive, got {r}")
+
+
 def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
     """Rate (C - C*r*mn) / (1 + C*mn), zero once mn reaches 1/r.
 
     Exists only when r divides C (K = C users on consecutive caches).
     """
+    check_access_degree(r)
     mn = check_memory_fraction(mn)
     if C % r != 0:
         return Undefined(f"requires r | C, got C={C}, r={r}")
@@ -68,6 +74,7 @@ def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
 
 def rk_rate(C: int, r: int, i: int) -> Rational:
     """Rate C*(1 - r*i/C)^2 at M/N = i/C for i >= 0: zero at ceil(C/r), undefined past it."""
+    check_access_degree(r)
     ceil_cr = -(-C // r)
     if not 0 <= i <= ceil_cr:
         reason = f"grid index i={i} outside 0..{ceil_cr} for C={C}, r={r}"
@@ -86,6 +93,7 @@ def rk_lower_bound(C: int, r: int, mn: Fraction) -> Rational:
     zero on [1/C, 2/C], then zero. The pieces agree exactly at both
     breakpoints.
     """
+    check_access_degree(r)
     mn = check_memory_fraction(mn)
     if 2 * r < C:
         return Undefined(f"bound stated only for r >= C/2, got C={C}, r={r}")
@@ -99,6 +107,7 @@ def rk_lower_bound(C: int, r: int, mn: Fraction) -> Rational:
 
 def spe_subpacketization(C: int, r: int) -> Count:
     """C*(C - 2r + 2)/4 where integral and positive (needs r < (C+2)/2)."""
+    check_access_degree(r)
     if 2 * r >= C + 2:
         return Undefined(f"requires r < (C+2)/2, got C={C}, r={r}")
     numerator = C * (C - 2 * r + 2)
@@ -109,6 +118,7 @@ def spe_subpacketization(C: int, r: int) -> Count:
 
 def spe_special_rate(C: int, r: int, t: int) -> Rational:
     """Rate of the optimal special case r = (C-1)/t: always 1/C, with F = C."""
+    check_access_degree(r)
     if r * t != C - 1:
         return Undefined(f"special case needs r*t = C-1, got r*t = {r * t}, C = {C}")
     return Fraction(C - r * t, 1 + r * t)
@@ -116,6 +126,7 @@ def spe_special_rate(C: int, r: int, t: int) -> Rational:
 
 def clwzc_rate(C: int, r: int, t: int) -> Fraction:
     """Rate (C - t*r)/(1 + t), clamped to zero once caches cover everything."""
+    check_access_degree(r)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return max(Fraction(C - t * r, 1 + t), Fraction(0))
@@ -123,6 +134,7 @@ def clwzc_rate(C: int, r: int, t: int) -> Fraction:
 
 def clwzc_subpacketization(C: int, r: int, t: int) -> int:
     """C * binom(C - t(r-1), t); zero when the inner binomial collapses."""
+    check_access_degree(r)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     inner = C - t * (r - 1)
@@ -132,31 +144,23 @@ def clwzc_subpacketization(C: int, r: int, t: int) -> int:
 
 
 def sr1_rate_value(C: int, r: int, t: int) -> Fraction:
-    """The raw piecewise sr1 expression, with no existence preconditions.
+    """Sum over i = floor(m/2)+1..m of w_i / (1 + ceil(tr/i)), m = C - tr.
 
-    Split out from :func:`sr1_rate` so the arithmetic can be exercised even
-    at points the scheme's stated parameter set excludes. For odd
-    m = C - t*r > 1 the published leading ceiling contains symbols with no
-    definition in scope; ceil(2tr/(m+1)) stands in for it, extrapolating the
-    even branch's pattern at i = (m+1)/2. That is an assumption, not ground
-    truth.
+    w_i = 2 except w_i = 1 at 2i = m + 1. No existence preconditions, so the
+    arithmetic can be exercised at points :func:`sr1_rate` excludes. For odd
+    m > 1 the published leading ceiling contains symbols with no definition
+    in scope; the weight-1 term, ceil(tr/i) = ceil(2tr/(m+1)), stands in for
+    it, extrapolating the even branch's pattern at i = (m+1)/2. That is an
+    assumption, not ground truth.
     """
-    m = C - t * r
+    check_access_degree(r)
+    tr, m = t * r, C - t * r
     if m < 0:
         raise ValueError(f"needs t*r <= C, got C={C}, r={r}, t={t}")
-    if m == 1:
-        return Fraction(1, C)
-    if m % 2 == 0:
-        return 2 * sum(
-            (Fraction(1, 1 + math.ceil(Fraction(t * r, i))) for i in range(m // 2 + 1, m + 1)),
-            Fraction(0),
-        )
-    head = Fraction(1, math.ceil(Fraction(2 * t * r, m + 1)) + 1)
-    tail = sum(
-        (Fraction(2, 1 + math.ceil(Fraction(t * r, i))) for i in range((m + 3) // 2, m + 1)),
+    return sum(
+        (Fraction(1 if 2 * i == m + 1 else 2, 1 + -(-tr // i)) for i in range(m // 2 + 1, m + 1)),
         Fraction(0),
     )
-    return head + tail
 
 
 def sr1_rate(C: int, r: int, t: int) -> Rational:
@@ -165,6 +169,7 @@ def sr1_rate(C: int, r: int, t: int) -> Rational:
     Odd C - t*r > 1 goes through the interpretation-dependent leading term
     (see :func:`sr1_rate_value`); the sweep row's note flags it.
     """
+    check_access_degree(r)
     if t < 1 or math.gcd(t, C) != 1:
         return Undefined(f"requires gcd(t, C) = 1 with t >= 1, got C={C}, t={t}")
     if t * r > C:
@@ -174,6 +179,7 @@ def sr1_rate(C: int, r: int, t: int) -> Rational:
 
 def sr2_rate(C: int, r: int, t: int) -> Rational:
     """Rate (C - tr)(C - tr + t) / (2C) where t | C and (C - tr + t) | C."""
+    check_access_degree(r)
     if t < 1 or C % t != 0:
         return Undefined(f"requires t | C with t >= 1, got C={C}, t={t}")
     if t * r > C:

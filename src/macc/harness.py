@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import IO, NamedTuple, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .baselines import (
     Cells,
     Scheme,
     Undefined,
+    check_access_degree,
     check_memory_fraction,
     clwzc_rate,
     clwzc_subpacketization,
@@ -44,9 +45,8 @@ from .metrics import analyze, delivery_rate, rate_memory_curve
 from .scheme import (
     DemandAssignment,
     SchemeParams,
-    SubfileId,
     accessible_fraction,
-    build_placement,
+    cache_subfiles,
     generate_transmissions,
     simulate_end_to_end,
 )
@@ -219,16 +219,15 @@ _Point = tuple[Fraction, Fraction]
 def _proposed_cells(C: int, r: int, grid: Sequence[_Point]) -> list[Cells]:
     """The scheme of this package at each point of ``grid``, all within 0..C.
 
-    Integer t takes the closed form; the fractional points share one
-    ``rate_memory_curve`` call.
+    One ``rate_memory_curve`` call gives every rate: the closed form at an
+    integer t, memory sharing between the adjacent integer points elsewhere.
     """
     K = binom(C, r)
-    shared = iter(rate_memory_curve(C, r, [mn for t, mn in grid if t.denominator != 1]))
+    rates = rate_memory_curve(C, r, [mn for _, mn in grid])
     return [
-        (K, delivery_rate(C, r, t.numerator), binom(C, t.numerator), "") if t.denominator == 1
-        else (K, next(shared), _SHARING_GAP,
-              "memory sharing between adjacent integer cache parameters")
-        for t, _ in grid
+        (K, rate, binom(C, t.numerator), "") if t.denominator == 1
+        else (K, rate, _SHARING_GAP, "memory sharing between adjacent integer cache parameters")
+        for (t, _), rate in zip(grid, rates)
     ]
 
 
@@ -273,8 +272,7 @@ def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRo
     """
     if C < 1:
         raise ValueError(f"cache count must be positive, got {C}")
-    if r < 1:
-        raise ValueError(f"access degree must be positive, got {r}")
+    check_access_degree(r)
     t = Fraction(t)
     if not 0 <= t.numerator <= C * t.denominator:
         raise ValueError(f"cache parameter {t} outside 0..{C}")
@@ -283,38 +281,15 @@ def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRo
     return _row(scheme, C, r, point, cells)
 
 
-def _sweep_grid(param_kind: str, values: list[Fraction], C: int) -> list[_Point]:
-    """The (t, mn) points of one cache count in increasing order.
-
-    A negative t is refused with the error ``evaluate_scheme`` gives.
-    """
-    grid = []
-    for value in values:
-        t, mn = (value, value / C) if param_kind == "t" else (value * C, value)
-        if t < 0:
-            raise ValueError(f"cache parameter {t} outside 0..{C}")
-        grid.append((t, mn))
-    return grid
-
-
-class _Block(NamedTuple):
-    """One (scheme, C, r) of a sweep, one row per point of C's grid."""
-
-    scheme: Scheme
-    C: int
-    r: int
-    grid: list[_Point]
-
-
 class SweepRows(Sequence[ComparisonRow]):
     """The rows of a sweep, read-only, in order (scheme, C, r, t).
 
-    They are held as one block per (scheme, C, r) and computed when read,
-    so none is kept. Every grid has the same number of points, so row i is
-    row i % width of block i // width.
+    They are held as one (scheme, C, r, grid) tuple per block and computed
+    when read, so none is kept. Every grid has the same number of points, so
+    row i is row i % width of block i // width.
     """
 
-    def __init__(self, blocks: list[_Block], width: int) -> None:
+    def __init__(self, blocks: list[tuple[Scheme, int, int, list[_Point]]], width: int) -> None:
         self._blocks = blocks
         self._width = width
 
@@ -334,16 +309,20 @@ class SweepRows(Sequence[ComparisonRow]):
 def run_sweep(spec: SweepSpec) -> SweepRows:
     """All grid rows in deterministic order (scheme, C, r, t).
 
-    The grids are built and checked here, so a negative t fails before any
-    row is read; the rows themselves are computed when written or read, by
-    ``_block_cells``, which also gives ``evaluate_scheme`` its cells.
+    The (t, mn) grid of each C is built here; a negative t (only a t grid can
+    hold one) is refused once, at the smallest C, with ``evaluate_scheme``'s
+    error. ``_block_cells`` computes the rows when they are written or read.
     """
     scheme_order = {s: i for i, s in enumerate(Scheme)}
     values = sorted({Fraction(p) for p in spec.cache_params})
     access_degrees = sorted(set(spec.access_degrees))
-    grids = {C: _sweep_grid(spec.param_kind, values, C) for C in sorted(set(spec.cache_counts))}
+    cache_counts = sorted(set(spec.cache_counts))
+    if values[0] < 0:
+        raise ValueError(f"cache parameter {values[0]} outside 0..{cache_counts[0]}")
+    t_grid = spec.param_kind == "t"
+    grids = {C: [(v, v / C) if t_grid else (v * C, v) for v in values] for C in cache_counts}
     blocks = [
-        _Block(scheme, C, r, grid)
+        (scheme, C, r, grid)
         for scheme in sorted(set(spec.schemes), key=scheme_order.__getitem__)
         for C, grid in grids.items()
         for r in access_degrees
@@ -388,15 +367,13 @@ def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
         return buffer.getvalue()
 
     stream.write(",".join(CSV_HEADER) + "\n")
-    for block in sweep._blocks:
-        heads = points.get(block.C)
+    for scheme, C, r, grid in sweep._blocks:
+        heads = points.get(C)
         if heads is None:
-            heads = points[block.C] = [
-                f"{cell(t)},{render_decimal(mn)}," for t, mn in block.grid
-            ]
-        prefix = f"{block.scheme.value},{block.C},{block.r},"
+            heads = points[C] = [f"{cell(t)},{render_decimal(mn)}," for t, mn in grid]
+        prefix = f"{scheme.value},{C},{r},"
         lines = []
-        for head, cells in zip(heads, _block_cells(*block)):
+        for head, cells in zip(heads, _block_cells(scheme, C, r, grid)):
             if isinstance(cells, Undefined):
                 lines.append(f"{prefix}{head},,,,{tail(False, cells.reason)}")
                 continue
@@ -618,9 +595,9 @@ def _params_record(params: SchemeParams) -> dict:
             "N": params.num_files}
 
 
-def _subfile_token(subfile: SubfileId) -> str:
-    labels = ",".join(str(x) for x in subfile.index_set)
-    return f"{subfile.file_index}:{{{labels}}}"
+def _subfile_token(file_index: int, index_set: Sequence[int]) -> str:
+    labels = ",".join(str(x) for x in index_set)
+    return f"{file_index}:{{{labels}}}"
 
 
 def scheme_dump(
@@ -628,10 +605,9 @@ def scheme_dump(
 ) -> dict:
     """One concrete instance as a JSON-ready dict.
 
-    Cache contents are "file:{labels}" strings sorted by (file, index set);
-    transmissions keep delivery order and per-message term order.
+    Cache k lists its ``cache_subfiles`` as "file:{labels}" strings, in
+    (file, index set) order; transmissions keep delivery and term order.
     """
-    caches = build_placement(params)
     transmissions = generate_transmissions(params, demand, strict)
     return {
         "params": _params_record(params),
@@ -640,16 +616,13 @@ def scheme_dump(
             for user, file_index in sorted(demand.entries.items())
         },
         "caches": {
-            str(cache.cache_label): [
-                _subfile_token(s)
-                for s in sorted(cache.subfiles, key=lambda s: (s.file_index, s.index_set))
-            ]
-            for cache in caches
+            str(k): [_subfile_token(*s) for s in subfiles]
+            for k, subfiles in cache_subfiles(params).items()
         },
         "transmissions": [
             {
                 "set": list(tx.coded_set),
-                "terms": [_subfile_token(term) for term in tx.terms],
+                "terms": [_subfile_token(*term) for term in tx.terms],
             }
             for tx in transmissions
         ],

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, product, starmap
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -197,20 +197,20 @@ def _check_demand(params: SchemeParams, demand: DemandAssignment, strict: bool) 
         raise DemandError("demands must be pairwise distinct in strict mode")
 
 
-def build_placement(params: SchemeParams) -> list[CacheContent]:
-    """Fill the C caches: cache k holds W_{i,T} for every T containing k.
+def cache_subfiles(params: SchemeParams) -> dict[int, list[SubfileId]]:
+    """The placement rule: cache k holds W_{i,T} for every file i and every T
+    containing k, N * binom(C-1, t-1) subfiles listed in (file, T) order."""
+    per_cache: dict[int, list[SubfileId]] = {k: [] for k in range(1, params.num_caches + 1)}
+    files = range(1, params.num_files + 1)
+    for subfile in starmap(SubfileId, product(files, params.subfile_index_sets())):
+        for k in subfile.index_set:
+            per_cache[k].append(subfile)
+    return per_cache
 
-    Each cache ends up with N * binom(C-1, t-1) subfiles, a fraction t/C of
-    the library.
-    """
-    C, t, N = params.num_caches, params.cache_param, params.num_files
-    per_cache: dict[int, list[SubfileId]] = {k: [] for k in range(1, C + 1)}
-    for index_set in enumerate_subsets(C, t):
-        for i in range(1, N + 1):
-            subfile = SubfileId(i, index_set)
-            for k in index_set:
-                per_cache[k].append(subfile)
-    return [CacheContent(k, frozenset(per_cache[k])) for k in range(1, C + 1)]
+
+def build_placement(params: SchemeParams) -> list[CacheContent]:
+    """The C caches of :func:`cache_subfiles`, each a fraction t/C of the library."""
+    return [CacheContent(k, frozenset(subfiles)) for k, subfiles in cache_subfiles(params).items()]
 
 
 def accessible_subfile_indices(params: SchemeParams, user: Sequence[int]) -> set[tuple[int, ...]]:
@@ -392,9 +392,9 @@ def _peeling(
     bad_file = np.zeros(M, dtype=bool)
     bad_file[plan.term_message[(plan.term_file < 1) | (plan.term_file > N)]] = True
     served = plan.term_file[target]
-    failed = np.select([bad_file[messages], unread != 1, served != wanted[pair_user]], [1, 2, 3], 0)
+    failed = bad_file[messages] | (unread != 1) | (served != wanted[pair_user])
     short = np.bincount(pair_user, minlength=A) != binom(C - r, t)
-    failing = np.concatenate([pair_user[failed != 0], np.flatnonzero(short)])
+    failing = np.concatenate([pair_user[failed], np.flatnonzero(short)])
     if len(failing):
         a = int(failing.min())
         user, mine = tuple(users[a]), pair_user == a

@@ -1,5 +1,6 @@
 """Analytic formulas of the comparison schemes."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,35 @@ def test_sr1_raw_arithmetic_even_branch():
     # Raw formula values at gcd-excluded points, frozen by direct evaluation.
     assert sr1_rate_value(18, 8, 2) == Fraction(2, 9)
     assert sr1_rate_value(18, 4, 2) == Fraction(13, 3)
+
+
+def sr1_published(C, r, t):
+    """The sr1 expression in its published three branches, m = C - t*r.
+
+    For odd m > 1 the leading term ceil(2tr/(m+1)) is the stand-in that
+    ``sr1_rate_value`` uses as well.
+    """
+    m = C - t * r
+    if m == 1:
+        return Fraction(1, C)
+    if m % 2 == 0:
+        return 2 * sum(
+            (Fraction(1, 1 + math.ceil(Fraction(t * r, i))) for i in range(m // 2 + 1, m + 1)),
+            Fraction(0),
+        )
+    head = Fraction(1, math.ceil(Fraction(2 * t * r, m + 1)) + 1)
+    tail = sum(
+        (Fraction(2, 1 + math.ceil(Fraction(t * r, i))) for i in range((m + 3) // 2, m + 1)),
+        Fraction(0),
+    )
+    return head + tail
+
+
+def test_sr1_value_is_the_published_expression():
+    for C in range(1, 41):
+        for r in range(1, C + 1):
+            for t in range(C // r + 1):
+                assert sr1_rate_value(C, r, t) == sr1_published(C, r, t), (C, r, t)
 
 
 def test_sr1_defined_values():

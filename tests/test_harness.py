@@ -12,7 +12,14 @@ from macc.baselines import (
     Undefined,
     clwzc_rate,
     clwzc_subpacketization,
+    hkd_rate,
+    rk_lower_bound,
+    rk_rate,
+    spe_special_rate,
+    spe_subpacketization,
+    sr1_rate,
     sr1_rate_value,
+    sr2_rate,
 )
 from macc.combinatorics import enumerate_subsets
 from macc.cli import main
@@ -271,6 +278,19 @@ PROPOSED = (Scheme.PROPOSED,)
         (lambda: clwzc_rate(4, 2, -1), "t must be nonnegative, got -1"),
         (lambda: clwzc_subpacketization(4, 2, -1), "t must be nonnegative, got -1"),
         (lambda: sr1_rate_value(4, 2, 3), r"needs t\*r <= C, got C=4, r=2, t=3"),
+        (lambda: hkd_rate(4, 0, Fraction(1, 4)), "access degree must be positive, got 0"),
+        (lambda: hkd_rate(4, -2, Fraction(1, 4)), "access degree must be positive, got -2"),
+        (lambda: rk_rate(4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: rk_lower_bound(4, 0, Fraction(0)), "access degree must be positive, got 0"),
+        (lambda: spe_subpacketization(4, 0), "access degree must be positive, got 0"),
+        (lambda: spe_special_rate(4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: clwzc_rate(4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: clwzc_subpacketization(4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: clwzc_rate(4, 0, -1), "access degree must be positive, got 0"),
+        (lambda: sr1_rate(4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: sr1_rate(4, 0, 2), "access degree must be positive, got 0"),
+        (lambda: sr1_rate_value(4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: sr2_rate(4, 0, 1), "access degree must be positive, got 0"),
         (lambda: list(enumerate_subsets(3, -1)), "subset size must be nonnegative, got -1"),
         (lambda: SplitMix64(0).next_below(0), "need a positive bound, got 0"),
     ],
@@ -279,6 +299,9 @@ PROPOSED = (Scheme.PROPOSED,)
          "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
          "demand-active-above-K", "demand-mode", "simulate-negative-size",
          "clwzc-rate-negative-t", "clwzc-F-negative-t", "sr1-tr-above-C",
+         "hkd-r-0", "hkd-r-negative", "rk-r-0", "rk-lb-r-0", "spe-F-r-0", "spe-special-r-0",
+         "clwzc-rate-r-0", "clwzc-F-r-0", "clwzc-rate-r-0-before-t", "sr1-r-0",
+         "sr1-r-0-before-gcd", "sr1-value-r-0", "sr2-r-0",
          "subsets-negative-size", "next-below-0"],
 )
 def test_public_entry_points_reject_bad_input(call, message):

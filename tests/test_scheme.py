@@ -100,6 +100,24 @@ def test_placement_size_invariant():
                     assert cache.cache_label in subfile.index_set
 
 
+def test_dump_caches_are_the_placement():
+    # The dump's tokens and order against the caches decode_user reads.
+    for C in range(1, 7):
+        for r in range(1, C + 1):
+            for t in range(C + 1):
+                for N in (1, 3):
+                    params = SchemeParams(C, r, t, N)
+                    demand = make_demand(params, "random", SplitMix64(C * r + t))
+                    dump = scheme_dump(params, demand, strict=False)
+                    assert list(dump["caches"].items()) == [
+                        (str(cache.cache_label), [
+                            f"{s.file_index}:{{{','.join(map(str, s.index_set))}}}"
+                            for s in sorted(cache.subfiles)
+                        ])
+                        for cache in build_placement(params)
+                    ], (C, r, t, N)
+
+
 def test_accessible_indices_examples():
     got = accessible_subfile_indices(SchemeParams(5, 3, 2, 1), (1, 2, 3))
     assert len(got) == ACCESSIBLE_C5_T2_R3_COUNT
