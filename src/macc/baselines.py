@@ -3,8 +3,11 @@
 Only the published closed forms are implemented, never the constructions.
 Each operation returns an exact value where the scheme exists and an
 :class:`Undefined` marker (carrying the reason) where its preconditions
-fail, so sweeps can render gaps instead of crashing. ``CELLS`` gives each
-scheme's sweep cells (K, rate, F, note) beside its formulas.
+fail, so sweeps can render gaps instead of crashing. Every formula is
+stated once, in integers, with a rate as a lowest-terms pair (p, q); the
+public functions wrap those kernels in Fractions. ``CELLS`` gives each
+scheme's sweep cells (K, rate, F, note) over a whole block of points beside
+its formulas.
 
 Scheme tags: HKD, RK and RK_LB (the same work's converse bound), SPE,
 CLWZC, SR1, SR2 all live on the cyclic setup with K = C users; CRD_AFFINE
@@ -13,7 +16,9 @@ is the design-based scheme parameterized by a prime power n.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,6 +49,19 @@ class Undefined:
 
 Rational = Union[Fraction, Undefined]
 Count = Union[int, Undefined]
+Pair = tuple[int, int]
+"""A rational p/q as the integers (p, q) in lowest terms, q > 0."""
+
+_ZERO = (0, 1)
+
+
+def _lowest(p: int, q: int) -> Pair:
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _fraction(rate: Union[Pair, Undefined]) -> Rational:
+    return rate if isinstance(rate, Undefined) else Fraction(*rate)
 
 
 def check_memory_fraction(mn: Fraction) -> Fraction:
@@ -59,6 +77,52 @@ def check_access_degree(r: int) -> None:
         raise ValueError(f"access degree must be positive, got {r}")
 
 
+Cells = Union[tuple[int, Union[Pair, Undefined], Count, str], Undefined]
+"""(K, rate, F, note) of a scheme at one point, or the gap where it does not exist."""
+
+Block = Union[list[Cells], Undefined]
+"""The cells of one (scheme, C, r) block point by point, or one gap for all of it.
+
+The functions in ``CELLS`` take (C, r, grid) with 1 <= r <= C, where grid
+holds the pair (p, q) of each point's cache parameter t = p/q, 0 <= t <= C.
+M/N is t / C.
+"""
+
+_INTEGER_ONLY_GAP = Undefined("defined only at integer cache parameters")
+
+
+def _at_integer_t(cells_at: Callable[[int, int, int], Cells], C: int, r: int,
+                  grid: Sequence[Pair]) -> list[Cells]:
+    """``cells_at(C, r, t)`` at each integer t of ``grid``, one shared gap elsewhere."""
+    return [cells_at(C, r, p) if q == 1 else _INTEGER_ONLY_GAP for p, q in grid]
+
+
+def _rate_at(block: Callable[[int, int, Sequence[Pair]], Block], C: int, r: int,
+             point: Pair) -> Rational:
+    """The rate at one point of a block that is a gap throughout or nowhere."""
+    cells = block(C, r, [point])
+    return cells if isinstance(cells, Undefined) else Fraction(*cells[0][1])
+
+
+def _cyclic_rate(C: int, r: int, p: int, q: int) -> Pair:
+    """(C - r*t) / (1 + t) at t = p/q, zero once r*t reaches C: HKD's and CLWZC's rate."""
+    return _lowest(C * q - r * p, q + p) if C * q > r * p else _ZERO
+
+
+_NON_INTEGER_T = Undefined("non-integer t")
+
+
+def _hkd(C: int, r: int, grid: Sequence[Pair]) -> Block:
+    if C % r != 0:
+        return Undefined(f"requires r | C, got C={C}, r={r}")
+    # F = r * binom(C/r, t), zero once t exceeds C/r.
+    return [
+        (C, _cyclic_rate(C, r, p, q),
+         r * math.comb(C // r, p) if q == 1 else _NON_INTEGER_T, "")
+        for p, q in grid
+    ]
+
+
 def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
     """Rate (C - C*r*mn) / (1 + C*mn), zero once mn reaches 1/r.
 
@@ -66,43 +130,72 @@ def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
     """
     check_access_degree(r)
     mn = check_memory_fraction(mn)
-    if C % r != 0:
-        return Undefined(f"requires r | C, got C={C}, r={r}")
-    value = Fraction(C - C * r * mn, 1 + C * mn)
-    return max(value, Fraction(0))
+    return _rate_at(_hkd, C, r, _lowest(C * mn.numerator, mn.denominator))
+
+
+def _rk_at(C: int, r: int, i: int) -> Union[Pair, Undefined]:
+    ceil_cr = -(-C // r)
+    if not 0 <= i <= ceil_cr:
+        return Undefined(f"grid index i={i} outside 0..{ceil_cr} for C={C}, r={r}")
+    if i == ceil_cr and C % r != 0:
+        return _ZERO
+    return _lowest((C - r * i) ** 2, C)
 
 
 def rk_rate(C: int, r: int, i: int) -> Rational:
     """Rate C*(1 - r*i/C)^2 at M/N = i/C for i >= 0: zero at ceil(C/r), undefined past it."""
     check_access_degree(r)
-    ceil_cr = -(-C // r)
-    if not 0 <= i <= ceil_cr:
-        reason = f"grid index i={i} outside 0..{ceil_cr} for C={C}, r={r}"
-        if i < 0:
-            raise ValueError(reason)
-        return Undefined(reason)
-    if i == ceil_cr and C % r != 0:
-        return Fraction(0)
-    return C * (1 - Fraction(r * i, C)) ** 2
+    rate = _rk_at(C, r, i)
+    if i < 0:
+        raise ValueError(rate.reason)
+    return _fraction(rate)
+
+
+_RK_OFF_GRID = Undefined("defined only on the grid M/N = i/C")
+_RK_F = Undefined("subpacketization not modeled for this scheme")
+
+
+def _rk_cells(C: int, r: int, i: int) -> Cells:
+    rate = _rk_at(C, r, i)
+    return rate if isinstance(rate, Undefined) else (C, rate, _RK_F, "")
+
+
+def _rk(C: int, r: int, grid: Sequence[Pair]) -> Block:
+    return [_rk_cells(C, r, p) if q == 1 else _RK_OFF_GRID for p, q in grid]
+
+
+_RK_LB_F = Undefined("converse bound, not a construction")
+
+
+def _rk_lb(C: int, r: int, grid: Sequence[Pair]) -> Block:
+    """Three pieces in t = C*mn: C - (C - Q)*t up to t = 1, then Q*(2 - t) to
+    t = 2, then zero, with Q = (C - r)(C - r + 1) / (2C). The pieces agree
+    exactly at both breakpoints. Over 2Cq at t = p/q: the first piece is
+    2C^2*q - (2C^2 - n)*p and the second n*(2q - p), n = 2C*Q.
+    """
+    if 2 * r < C:
+        return Undefined(f"bound stated only for r >= C/2, got C={C}, r={r}")
+    n, square = (C - r) * (C - r + 1), 2 * C * C
+    note = "lower bound on optimal rate under uncoded placement"
+    return [
+        (C,
+         _lowest(square * q - (square - n) * p, 2 * C * q) if p <= q
+         else _lowest(n * (2 * q - p), 2 * C * q) if p <= 2 * q
+         else _ZERO,
+         _RK_LB_F, note)
+        for p, q in grid
+    ]
 
 
 def rk_lower_bound(C: int, r: int, mn: Fraction) -> Rational:
     """Optimal-rate lower bound under uncoded placement, valid for r >= C/2.
 
     Three pieces: linear down from C on [0, 1/C], then a shallower line to
-    zero on [1/C, 2/C], then zero. The pieces agree exactly at both
-    breakpoints.
+    zero on [1/C, 2/C], then zero (see ``_rk_lb``).
     """
     check_access_degree(r)
     mn = check_memory_fraction(mn)
-    if 2 * r < C:
-        return Undefined(f"bound stated only for r >= C/2, got C={C}, r={r}")
-    q = Fraction((C - r) * (C - r + 1), 2 * C)
-    if mn <= Fraction(1, C):
-        return C - (C - q) * mn * C
-    if mn <= Fraction(2, C):
-        return q * (2 - mn * C)
-    return Fraction(0)
+    return _rate_at(_rk_lb, C, r, _lowest(C * mn.numerator, mn.denominator))
 
 
 def spe_subpacketization(C: int, r: int) -> Count:
@@ -116,12 +209,31 @@ def spe_subpacketization(C: int, r: int) -> Count:
     return numerator // 4
 
 
+def _spe_special(C: int, r: int, t: int) -> Union[Pair, Undefined]:
+    if r * t != C - 1:
+        return Undefined(f"special case needs r*t = C-1, got r*t = {r * t}, C = {C}")
+    return _lowest(C - r * t, 1 + r * t)
+
+
 def spe_special_rate(C: int, r: int, t: int) -> Rational:
     """Rate of the optimal special case r = (C-1)/t: always 1/C, with F = C."""
     check_access_degree(r)
-    if r * t != C - 1:
-        return Undefined(f"special case needs r*t = C-1, got r*t = {r * t}, C = {C}")
-    return Fraction(C - r * t, 1 + r * t)
+    return _fraction(_spe_special(C, r, t))
+
+
+_SPE_ELSEWHERE = Undefined("exists for C*M/N = 2 or r*t = C-1 only")
+_SPE_RATE = Undefined("general rate expression not reproduced here")
+
+
+def _spe_cells(C: int, r: int, t: int) -> Cells:
+    special = _spe_special(C, r, t)
+    if not isinstance(special, Undefined):
+        return C, special, C, "optimal special case r*t = C-1"
+    if t != 2:
+        return _SPE_ELSEWHERE
+    F = spe_subpacketization(C, r)
+    note = F.reason if isinstance(F, Undefined) else "subpacketization only"
+    return C, _SPE_RATE, F, note
 
 
 def clwzc_rate(C: int, r: int, t: int) -> Fraction:
@@ -129,7 +241,12 @@ def clwzc_rate(C: int, r: int, t: int) -> Fraction:
     check_access_degree(r)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return max(Fraction(C - t * r, 1 + t), Fraction(0))
+    return Fraction(*_cyclic_rate(C, r, t, 1))
+
+
+def _clwzc_F(C: int, r: int, t: int) -> int:
+    inner = C - t * (r - 1)
+    return 0 if inner < t else C * math.comb(inner, t)
 
 
 def clwzc_subpacketization(C: int, r: int, t: int) -> int:
@@ -137,10 +254,20 @@ def clwzc_subpacketization(C: int, r: int, t: int) -> int:
     check_access_degree(r)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    inner = C - t * (r - 1)
-    if inner < t:
-        return 0
-    return C * math.comb(inner, t)
+    return _clwzc_F(C, r, t)
+
+
+def _clwzc_cells(C: int, r: int, t: int) -> Cells:
+    return C, _cyclic_rate(C, r, t, 1), _clwzc_F(C, r, t), ""
+
+
+def _sr1_sum(C: int, r: int, t: int) -> Pair:
+    tr, m = t * r, C - t * r
+    p, q = 0, 1
+    for i in range(m // 2 + 1, m + 1):
+        d = 1 + -(-tr // i)
+        p, q = p * d + (1 if 2 * i == m + 1 else 2) * q, q * d
+    return _lowest(p, q)
 
 
 def sr1_rate_value(C: int, r: int, t: int) -> Fraction:
@@ -154,13 +281,17 @@ def sr1_rate_value(C: int, r: int, t: int) -> Fraction:
     assumption, not ground truth.
     """
     check_access_degree(r)
-    tr, m = t * r, C - t * r
-    if m < 0:
+    if t * r > C:
         raise ValueError(f"needs t*r <= C, got C={C}, r={r}, t={t}")
-    return sum(
-        (Fraction(1 if 2 * i == m + 1 else 2, 1 + -(-tr // i)) for i in range(m // 2 + 1, m + 1)),
-        Fraction(0),
-    )
+    return Fraction(*_sr1_sum(C, r, t))
+
+
+def _sr1_at(C: int, r: int, t: int) -> Union[Pair, Undefined]:
+    if t < 1 or math.gcd(t, C) != 1:
+        return Undefined(f"requires gcd(t, C) = 1 with t >= 1, got C={C}, t={t}")
+    if t * r > C:
+        return Undefined(f"requires t*r <= C, got t*r = {t * r}, C = {C}")
+    return _sr1_sum(C, r, t)
 
 
 def sr1_rate(C: int, r: int, t: int) -> Rational:
@@ -170,16 +301,22 @@ def sr1_rate(C: int, r: int, t: int) -> Rational:
     (see :func:`sr1_rate_value`); the sweep row's note flags it.
     """
     check_access_degree(r)
-    if t < 1 or math.gcd(t, C) != 1:
-        return Undefined(f"requires gcd(t, C) = 1 with t >= 1, got C={C}, t={t}")
-    if t * r > C:
-        return Undefined(f"requires t*r <= C, got t*r = {t * r}, C = {C}")
-    return sr1_rate_value(C, r, t)
+    return _fraction(_sr1_at(C, r, t))
 
 
-def sr2_rate(C: int, r: int, t: int) -> Rational:
-    """Rate (C - tr)(C - tr + t) / (2C) where t | C and (C - tr + t) | C."""
-    check_access_degree(r)
+_SR1_F = Undefined("only the bound F <= C^2 is published")
+
+
+def _sr1_cells(C: int, r: int, t: int) -> Cells:
+    rate = _sr1_at(C, r, t)
+    if isinstance(rate, Undefined):
+        return rate
+    m = C - t * r
+    note = "interpretation-dependent odd-branch leading term" if m > 1 and m % 2 == 1 else ""
+    return C, rate, _SR1_F, note
+
+
+def _sr2_at(C: int, r: int, t: int) -> Union[Pair, Undefined]:
     if t < 1 or C % t != 0:
         return Undefined(f"requires t | C with t >= 1, got C={C}, t={t}")
     if t * r > C:
@@ -187,7 +324,18 @@ def sr2_rate(C: int, r: int, t: int) -> Rational:
     d = C - t * r + t
     if d <= 0 or C % d != 0:
         return Undefined(f"requires (C - tr + t) | C, got C - tr + t = {d}, C = {C}")
-    return Fraction((C - t * r) * d, 2 * C)
+    return _lowest((C - t * r) * d, 2 * C)
+
+
+def sr2_rate(C: int, r: int, t: int) -> Rational:
+    """Rate (C - tr)(C - tr + t) / (2C) where t | C and (C - tr + t) | C."""
+    check_access_degree(r)
+    return _fraction(_sr2_at(C, r, t))
+
+
+def _sr2_cells(C: int, r: int, t: int) -> Cells:
+    rate = _sr2_at(C, r, t)
+    return rate if isinstance(rate, Undefined) else (C, rate, C, "")
 
 
 def is_prime_power(n: int) -> bool:
@@ -206,105 +354,49 @@ def is_prime_power(n: int) -> bool:
     return n == 1
 
 
+def _crd_at(n: int) -> Union[tuple[int, Pair, int], Undefined]:
+    if not is_prime_power(n):
+        return Undefined(f"n = {n} is not a prime power")
+    K = n ** 3 * (n + 1) // 2
+    return K, _lowest((n - 1) ** 2 * K, 4 * n ** 2), n ** 2
+
+
 def crd_affine(n: int) -> Union[tuple[int, Fraction, int], Undefined]:
     """(K, rate, F) of the design-based scheme built from an affine plane of order n.
 
     C = n(n+1) caches, K = n^3(n+1)/2 users, each file in n^2 pieces, each
     cache holding the fraction 1/n, per-user rate (n-1)^2 / (4n^2).
     """
-    if not is_prime_power(n):
-        return Undefined(f"n = {n} is not a prime power")
-    K = n ** 3 * (n + 1) // 2
-    return K, Fraction((n - 1) ** 2 * K, 4 * n ** 2), n ** 2
+    cells = _crd_at(n)
+    if isinstance(cells, Undefined):
+        return cells
+    K, rate, F = cells
+    return K, Fraction(*rate), F
 
 
-Cells = Union[tuple[int, Rational, Count, str], Undefined]
-"""(K, rate, F, note) of a scheme at one point, or the gap where it does not exist.
-
-The functions in ``CELLS`` take (C, r, t, mn) with 1 <= r <= C and
-0 <= t <= C, t an int at an integer cache parameter and a Fraction elsewhere.
-"""
-
-
-def _hkd(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
-    rate = hkd_rate(C, r, mn)
-    if isinstance(rate, Undefined):
-        return rate
-    # F = r * binom(C/r, t), zero once t exceeds C/r.
-    F = r * math.comb(C // r, t) if isinstance(t, int) else Undefined("non-integer t")
-    return C, rate, F, ""
-
-
-def _rk(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
-    if not isinstance(t, int):
-        return Undefined("defined only on the grid M/N = i/C")
-    rate = rk_rate(C, r, t)
-    if isinstance(rate, Undefined):
-        return rate
-    return C, rate, Undefined("subpacketization not modeled for this scheme"), ""
-
-
-def _rk_lb(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
-    rate = rk_lower_bound(C, r, mn)
-    if isinstance(rate, Undefined):
-        return rate
-    return (C, rate, Undefined("converse bound, not a construction"),
-            "lower bound on optimal rate under uncoded placement")
-
-
-def _spe(C: int, r: int, t: int, mn: Fraction) -> Cells:
-    special = spe_special_rate(C, r, t)
-    if not isinstance(special, Undefined):
-        return C, special, C, "optimal special case r*t = C-1"
-    if t != 2:
-        return Undefined("exists for C*M/N = 2 or r*t = C-1 only")
-    F = spe_subpacketization(C, r)
-    note = F.reason if isinstance(F, Undefined) else "subpacketization only"
-    return C, Undefined("general rate expression not reproduced here"), F, note
-
-
-def _clwzc(C: int, r: int, t: int, mn: Fraction) -> Cells:
-    return C, clwzc_rate(C, r, t), clwzc_subpacketization(C, r, t), ""
-
-
-def _sr1(C: int, r: int, t: int, mn: Fraction) -> Cells:
-    rate = sr1_rate(C, r, t)
-    if isinstance(rate, Undefined):
-        return rate
-    m = C - t * r
-    note = "interpretation-dependent odd-branch leading term" if m > 1 and m % 2 == 1 else ""
-    return C, rate, Undefined("only the bound F <= C^2 is published"), note
-
-
-def _sr2(C: int, r: int, t: int, mn: Fraction) -> Cells:
-    rate = sr2_rate(C, r, t)
-    if isinstance(rate, Undefined):
-        return rate
-    return C, rate, C, ""
-
-
-def _crd_affine(C: int, r: int, t: Union[int, Fraction], mn: Fraction) -> Cells:
-    n = math.isqrt(C)
-    if n * (n + 1) != C or t != n + 1:
+def _crd_cells(C: int, n: int, p: int, q: int) -> Cells:
+    if n * (n + 1) != C or (p, q) != (n + 1, 1):
+        t = p if q == 1 else f"{p}/{q}"
         return Undefined(f"needs C = n(n+1) and t = n+1 for a prime power n, got C={C}, t={t}")
-    cells = crd_affine(n)
+    cells = _crd_at(n)
     if isinstance(cells, Undefined):
         return cells
     return (*cells, f"affine-plane parameters with n = {n}; r plays no role")
 
 
-CELLS = {
+def _crd_affine(C: int, r: int, grid: Sequence[Pair]) -> Block:
+    # Each gap names its t, so no block shares one gap.
+    n = math.isqrt(C)
+    return [_crd_cells(C, n, p, q) for p, q in grid]
+
+
+CELLS: dict[Scheme, Callable[[int, int, Sequence[Pair]], Block]] = {
     Scheme.HKD: _hkd,
     Scheme.RK: _rk,
     Scheme.RK_LB: _rk_lb,
-    Scheme.SPE: _spe,
-    Scheme.CLWZC: _clwzc,
-    Scheme.SR1: _sr1,
-    Scheme.SR2: _sr2,
+    Scheme.SPE: functools.partial(_at_integer_t, _spe_cells),
+    Scheme.CLWZC: functools.partial(_at_integer_t, _clwzc_cells),
+    Scheme.SR1: functools.partial(_at_integer_t, _sr1_cells),
+    Scheme.SR2: functools.partial(_at_integer_t, _sr2_cells),
     Scheme.CRD_AFFINE: _crd_affine,
 }
-
-# Schemes defined only at integer cache parameters. At a fractional t the
-# sweep gives them one gap without calling their functions in ``CELLS``, so
-# those functions only ever see an int t.
-INTEGER_ONLY = frozenset({Scheme.SPE, Scheme.CLWZC, Scheme.SR1, Scheme.SR2})

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence, Union
@@ -27,8 +28,13 @@ from .harness import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but usage errors exit 1 instead of the default 2, and a
-    failed write of help to standard output is not ignored."""
+    """argparse, but usage errors exit 1 instead of the default 2, a failed
+    write of help to standard output is not ignored, and a negative list
+    such as "-1,0,1" or "-1/2,0" is read as a value, not as an option."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[-\d.,/]*$")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)

@@ -7,12 +7,10 @@ randomness flows from one seeded splittable generator.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import io
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -23,8 +21,9 @@ import numpy as np
 
 from .baselines import (
     CELLS,
-    INTEGER_ONLY,
+    Block,
     Cells,
+    Pair,
     Scheme,
     Undefined,
     check_access_degree,
@@ -65,9 +64,15 @@ def render_fraction(value: Fraction) -> str:
 def render_decimal(value: Fraction) -> str:
     """Decimal rendering with 12 significant digits, locale-free."""
     value = Fraction(value)
+    return _decimal(value.numerator, value.denominator)
+
+
+def _decimal(p: int, q: int) -> str:
+    """p/q to 12 significant digits: the quotient is rounded once, so p/q
+    need not be in lowest terms."""
     with localcontext() as ctx:
         ctx.prec = SIGNIFICANT_DIGITS
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        return str(Decimal(p) / Decimal(q))
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -210,59 +215,62 @@ class SweepSpec:
                 check_memory_fraction(mn)
 
 
-_INTEGER_ONLY_GAP = Undefined("defined only at integer cache parameters")
 _SHARING_GAP = Undefined("memory sharing point")
 
-_Point = tuple[Fraction, Fraction]
 
-
-def _proposed_cells(C: int, r: int, grid: Sequence[_Point]) -> list[Cells]:
-    """The scheme of this package at each point of ``grid``, all within 0..C.
+def _proposed_cells(C: int, r: int, grid: Sequence[Pair]) -> list[Cells]:
+    """The scheme of this package at each t = p/q of ``grid``, all within 0..C.
 
     One ``rate_memory_curve`` call gives every rate: the closed form at an
     integer t, memory sharing between the adjacent integer points elsewhere.
     """
     K = binom(C, r)
-    rates = rate_memory_curve(C, r, [mn for _, mn in grid])
+    rates = rate_memory_curve(C, r, [Fraction(p, q * C) for p, q in grid])
     return [
-        (K, rate, binom(C, t.numerator), "") if t.denominator == 1
-        else (K, rate, _SHARING_GAP, "memory sharing between adjacent integer cache parameters")
-        for (t, _), rate in zip(grid, rates)
+        (K, (rate.numerator, rate.denominator), binom(C, p), "") if q == 1
+        else (K, (rate.numerator, rate.denominator), _SHARING_GAP,
+              "memory sharing between adjacent integer cache parameters")
+        for (p, q), rate in zip(grid, rates)
     ]
 
 
-def _block_cells(scheme: Scheme, C: int, r: int, grid: Sequence[_Point]) -> list[Cells]:
-    """The cells of one scheme at each (t, mn) point of ``grid``, in order.
+def _block_cells(scheme: Scheme, C: int, r: int, grid: Sequence[Pair]) -> Block:
+    """The cells of one scheme at each t = p/q of ``grid``, in order.
 
-    ``grid`` is sorted by t. The gaps are decided here and nowhere else, in
-    this order: a t beyond C, then an r beyond C (the rest of the block),
-    then a scheme in ``INTEGER_ONLY`` at a fractional t. The cells of the
-    comparison schemes come from ``CELLS``.
+    ``grid`` is sorted by t. The gaps are decided here, in this order: a t
+    beyond C, then an r beyond C (the rest of the block); any further gap
+    is the scheme's own, from ``CELLS``. A block with no t beyond C that
+    is a gap throughout comes back as that one gap.
     """
-    n = bisect.bisect_right(grid, C, key=operator.itemgetter(0))
-    beyond = [Undefined(f"cache parameter {t} exceeds cache count {C}") for t, _ in grid[n:]]
+    n = len(grid)
+    while n and grid[n - 1][0] > C * grid[n - 1][1]:
+        n -= 1
     if r > C:
-        return [Undefined(f"access degree {r} exceeds cache count {C}")] * n + beyond
-    if scheme is Scheme.PROPOSED:
-        return _proposed_cells(C, r, grid[:n]) + beyond
-    compute = CELLS[scheme]
-    integer_only = scheme in INTEGER_ONLY
-    return [
-        compute(C, r, t.numerator, mn) if t.denominator == 1
-        else _INTEGER_ONLY_GAP if integer_only
-        else compute(C, r, t, mn)
-        for t, mn in grid[:n]
-    ] + beyond
+        cells = Undefined(f"access degree {r} exceeds cache count {C}")
+    elif scheme is Scheme.PROPOSED:
+        cells = _proposed_cells(C, r, grid[:n])
+    else:
+        cells = CELLS[scheme](C, r, grid[:n])
+    if n == len(grid):
+        return cells
+    return ([cells] * n if isinstance(cells, Undefined) else cells) + [
+        Undefined(f"cache parameter {Fraction(p, q)} exceeds cache count {C}") for p, q in grid[n:]
+    ]
 
 
-def _row(scheme: Scheme, C: int, r: int, point: _Point, cells: Cells) -> ComparisonRow:
-    """The row of ``cells`` at ``point``; the per-user rate is rate / K."""
-    t, mn = point
+def _point_row(scheme: Scheme, C: int, r: int, point: Pair) -> ComparisonRow:
+    """The row of one scheme at the point t = p/q; the per-user rate is rate / K."""
+    cells = _block_cells(scheme, C, r, [point])
+    if not isinstance(cells, Undefined):
+        (cells,) = cells
+    t, mn = Fraction(*point), Fraction(point[0], point[1] * C)
     if isinstance(cells, Undefined):
         return ComparisonRow(scheme, C, r, t, mn, cells, cells, cells, cells, note=cells.reason)
     K, rate, F, note = cells
-    per_user = rate if isinstance(rate, Undefined) else rate / K
-    return ComparisonRow(scheme, C, r, t, mn, K, rate, per_user, F, note)
+    if isinstance(rate, Undefined):
+        return ComparisonRow(scheme, C, r, t, mn, K, rate, rate, F, note)
+    rate = Fraction(*rate)
+    return ComparisonRow(scheme, C, r, t, mn, K, rate, rate / K, F, note)
 
 
 def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRow:
@@ -276,9 +284,7 @@ def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRo
     t = Fraction(t)
     if not 0 <= t.numerator <= C * t.denominator:
         raise ValueError(f"cache parameter {t} outside 0..{C}")
-    point = (t, t / C)
-    (cells,) = _block_cells(scheme, C, r, [point])
-    return _row(scheme, C, r, point, cells)
+    return _point_row(scheme, C, r, (t.numerator, t.denominator))
 
 
 class SweepRows(Sequence[ComparisonRow]):
@@ -289,7 +295,7 @@ class SweepRows(Sequence[ComparisonRow]):
     row i is row i % width of block i // width.
     """
 
-    def __init__(self, blocks: list[tuple[Scheme, int, int, list[_Point]]], width: int) -> None:
+    def __init__(self, blocks: list[tuple[Scheme, int, int, list[Pair]]], width: int) -> None:
         self._blocks = blocks
         self._width = width
 
@@ -302,16 +308,16 @@ class SweepRows(Sequence[ComparisonRow]):
             return [self[i] for i in position]
         number, i = divmod(position, self._width)
         scheme, C, r, grid = self._blocks[number]
-        (cells,) = _block_cells(scheme, C, r, grid[i:i + 1])
-        return _row(scheme, C, r, grid[i], cells)
+        return _point_row(scheme, C, r, grid[i])
 
 
 def run_sweep(spec: SweepSpec) -> SweepRows:
     """All grid rows in deterministic order (scheme, C, r, t).
 
-    The (t, mn) grid of each C is built here; a negative t (only a t grid can
-    hold one) is refused once, at the smallest C, with ``evaluate_scheme``'s
-    error. ``_block_cells`` computes the rows when they are written or read.
+    The grid of each C, the pair (p, q) of each t = p/q in lowest terms, is
+    built here; a negative t (only a t grid can hold one) is refused once,
+    at the smallest C, with ``evaluate_scheme``'s error. ``_block_cells``
+    computes the rows when they are written or read.
     """
     scheme_order = {s: i for i, s in enumerate(Scheme)}
     values = sorted({Fraction(p) for p in spec.cache_params})
@@ -320,7 +326,10 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
     if values[0] < 0:
         raise ValueError(f"cache parameter {values[0]} outside 0..{cache_counts[0]}")
     t_grid = spec.param_kind == "t"
-    grids = {C: [(v, v / C) if t_grid else (v * C, v) for v in values] for C in cache_counts}
+    grids = {
+        C: [(t.numerator, t.denominator) for t in (values if t_grid else [v * C for v in values])]
+        for C in cache_counts
+    }
     blocks = [
         (scheme, C, r, grid)
         for scheme in sorted(set(spec.schemes), key=scheme_order.__getitem__)
@@ -334,30 +343,21 @@ def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
     """What ``run_sweep`` returned as CSV, one ``stream.write`` per block.
 
     Each block's cells are computed, rendered and dropped before the next;
-    no ``ComparisonRow`` is built. Cells: empty for an undefined value, the
-    integer for an int or a whole Fraction, otherwise 12 significant digits.
-    The mn column always takes the 12-digit form. Each piece is rendered
-    once per call: each distinct exact value, the (t, mn) columns of each
-    C, and the "defined,note" tail of each distinct note, quoted by
-    ``csv.writer``.
+    no ``ComparisonRow`` is built, and every value is rendered from its
+    integers. Cells: empty for an undefined value, the integer for an int
+    or a whole rate, otherwise 12 significant digits. The mn column always
+    takes the 12-digit form. Each piece is rendered once per call: each
+    distinct rate, the (t, mn) columns of each C, and the "defined,note"
+    tail of each distinct note, quoted by ``csv.writer``. A block that is
+    one gap is written as one join over its C's (t, mn) columns.
     """
-    points: dict[int, list[str]] = {}
+    heads: dict[int, list[str]] = {}
     buffer = io.StringIO()
     quoter = csv.writer(buffer, lineterminator="\n")
 
     @functools.cache
-    def fraction(numerator: int, denominator: int) -> str:
-        if denominator == 1:
-            return str(numerator)
-        return render_decimal(Fraction(numerator, denominator))
-
-    def cell(value: CellValue, K: int = 1) -> str:
-        # value / K without a Fraction: value is in lowest terms, so only K
-        # can share a factor with its numerator.
-        if isinstance(value, Undefined):
-            return ""
-        common = math.gcd(value.numerator, K)
-        return fraction(value.numerator // common, value.denominator * (K // common))
+    def ratio(p: int, q: int) -> str:
+        return str(p) if q == 1 else _decimal(p, q)
 
     @functools.cache
     def tail(defined: bool, note: str) -> str:
@@ -368,19 +368,32 @@ def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
 
     stream.write(",".join(CSV_HEADER) + "\n")
     for scheme, C, r, grid in sweep._blocks:
-        heads = points.get(C)
-        if heads is None:
-            heads = points[C] = [f"{cell(t)},{render_decimal(mn)}," for t, mn in grid]
+        head = heads.get(C)
+        if head is None:
+            head = heads[C] = [f"{ratio(p, q)},{_decimal(p, q * C)}," for p, q in grid]
         prefix = f"{scheme.value},{C},{r},"
+        cells = _block_cells(scheme, C, r, grid)
+        if isinstance(cells, Undefined):
+            end = ",,,," + tail(False, cells.reason)
+            stream.write(prefix + (end + prefix).join(head) + end)
+            continue
         lines = []
-        for head, cells in zip(heads, _block_cells(scheme, C, r, grid)):
-            if isinstance(cells, Undefined):
-                lines.append(f"{prefix}{head},,,,{tail(False, cells.reason)}")
+        for point, cell in zip(head, cells):
+            if isinstance(cell, Undefined):
+                lines.append(f"{prefix}{point},,,,{tail(False, cell.reason)}")
                 continue
-            K, rate, F, note = cells
+            K, rate, F, note = cell
+            if isinstance(rate, Undefined):
+                rate_text = per_user = ""
+            else:
+                # rate / K without a Fraction: rate is in lowest terms, so
+                # only K can share a factor with its numerator.
+                p, q = rate
+                common = math.gcd(p, K)
+                rate_text, per_user = ratio(p, q), ratio(p // common, q * (K // common))
             lines.append(
-                f"{prefix}{head}{cell(K)},{cell(rate)},{cell(rate, K)},{cell(F)},"
-                f"{tail(True, note)}"
+                f"{prefix}{point}{K},{rate_text},{per_user},"
+                f"{'' if isinstance(F, Undefined) else F},{tail(True, note)}"
             )
         stream.write("".join(lines))
 

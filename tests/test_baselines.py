@@ -264,3 +264,86 @@ def test_dominance_flip_between_published_tables():
     for C, r, t, _ in PROPOSED_ADVANTAGE_ROWS:
         prop = delivery_rate(C, r, t) / binom(C, r)
         assert (spe_special_rate(C, r, t) / C) / prop > 1
+
+
+# Reference forms: the Fraction expressions these formulas had before the
+# sweep took its cells from integer pairs. None stands for a gap.
+def hkd_reference(C, r, mn):
+    if C % r != 0:
+        return None
+    return max(Fraction(C - C * r * mn, 1 + C * mn), Fraction(0))
+
+
+def rk_reference(C, r, i):
+    ceil_cr = -(-C // r)
+    if i > ceil_cr:
+        return None
+    if i == ceil_cr and C % r != 0:
+        return Fraction(0)
+    return C * (1 - Fraction(r * i, C)) ** 2
+
+
+def rk_lower_bound_reference(C, r, mn):
+    if 2 * r < C:
+        return None
+    q = Fraction((C - r) * (C - r + 1), 2 * C)
+    if mn <= Fraction(1, C):
+        return C - (C - q) * mn * C
+    if mn <= Fraction(2, C):
+        return q * (2 - mn * C)
+    return Fraction(0)
+
+
+def clwzc_reference(C, r, t):
+    return max(Fraction(C - t * r, 1 + t), Fraction(0))
+
+
+def spe_special_reference(C, r, t):
+    return Fraction(C - r * t, 1 + r * t) if r * t == C - 1 else None
+
+
+def sr2_reference(C, r, t):
+    if t < 1 or C % t != 0 or t * r > C:
+        return None
+    d = C - t * r + t
+    if d <= 0 or C % d != 0:
+        return None
+    return Fraction((C - t * r) * d, 2 * C)
+
+
+def assert_matches(value, expected, where):
+    if expected is None:
+        assert isinstance(value, Undefined), where
+    else:
+        assert type(value) is Fraction and value == expected, where
+
+
+def test_formulas_and_rows_match_the_fraction_references():
+    memory = {Fraction(p, q) for q in range(1, 13) for p in range(q + 1)}
+    for C in range(1, 25):
+        points = sorted({mn * C for mn in memory} | {Fraction(k, 2) for k in range(2 * C + 1)})
+        for r in range(1, C + 1):
+            for t in points:
+                mn, i = t / C, t.numerator
+                integer = t.denominator == 1
+                expected = {
+                    Scheme.HKD: hkd_reference(C, r, mn),
+                    Scheme.RK_LB: rk_lower_bound_reference(C, r, mn),
+                    Scheme.RK: rk_reference(C, r, i) if integer else None,
+                    Scheme.CLWZC: clwzc_reference(C, r, i) if integer else None,
+                    Scheme.SPE: spe_special_reference(C, r, i) if integer else None,
+                    Scheme.SR2: sr2_reference(C, r, i) if integer else None,
+                }
+                where = (C, r, t)
+                assert_matches(hkd_rate(C, r, mn), expected[Scheme.HKD], where)
+                assert_matches(rk_lower_bound(C, r, mn), expected[Scheme.RK_LB], where)
+                if integer:
+                    assert_matches(rk_rate(C, r, i), expected[Scheme.RK], where)
+                    assert_matches(clwzc_rate(C, r, i), expected[Scheme.CLWZC], where)
+                    assert_matches(spe_special_rate(C, r, i), expected[Scheme.SPE], where)
+                    assert_matches(sr2_rate(C, r, i), expected[Scheme.SR2], where)
+                for scheme, rate in expected.items():
+                    row = evaluate_scheme(scheme, C, r, t)
+                    assert_matches(row.rate, rate, (scheme, *where))
+                    if rate is not None:
+                        assert row.per_user_rate == rate / C, (scheme, *where)

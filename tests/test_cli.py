@@ -112,6 +112,21 @@ def test_invalid_parameters_exit_1(capsys):
         assert (code, err) == (1, "error: num_caches must be positive, got -1\n")
 
 
+@pytest.mark.parametrize(
+    "flag, err",
+    [
+        (["--t", "-1,0,1"], "error: cache parameter -1 outside 0..3\n"),
+        (["--t", "-1"], "error: cache parameter -1 outside 0..3\n"),
+        (["--t=-1,0,1"], "error: cache parameter -1 outside 0..3\n"),
+        (["--mn", "-1/2,0"], "error: memory fraction -1/2 outside [0, 1]\n"),
+        (["--mn", "-.5,0"], "error: memory fraction -1/2 outside [0, 1]\n"),
+    ],
+)
+def test_negative_lists_reach_the_sweep_refusal(capsys, flag, err):
+    # A list that starts with a minus sign is the flag's value, not an option.
+    assert run_cli(capsys, ["sweep", "-C", "3", "-r", "1", *flag]) == (1, "", err)
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, ["--help"])[0] == 0
     assert run_cli(capsys, ["simulate", "--help"])[0] == 0

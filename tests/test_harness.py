@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import macc.baselines as baselines
 import macc.harness as harness
 from macc.baselines import (
     Scheme,
@@ -118,10 +119,43 @@ def test_sweep_csv_evaluates_by_block(monkeypatch):
         curves.append((C, r))
         return original_curve(C, r, memory_points)
 
+    # The comparison schemes check r at most once per block and build their
+    # cells from integers: no Fraction is made inside their block functions.
+    checks = []
+    made = []
+    built_in_cells = []
+    original_check, original_new = baselines.check_access_degree, Fraction.__new__
+
+    def counting_check(r):
+        checks.append(r)
+        return original_check(r)
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original_new(cls, *args, **kwargs)
+
+    def counted(block):
+        def cells(*args):
+            before = len(made)
+            result = block(*args)
+            built_in_cells.append(len(made) - before)
+            return result
+        return cells
+
     monkeypatch.setattr(harness, "ComparisonRow", counting_row)
     monkeypatch.setattr(harness, "rate_memory_curve", counting_curve)
-    swept = run_sweep(small_spec("mn"))
+    monkeypatch.setattr(baselines, "check_access_degree", counting_check)
+    for scheme, block in baselines.CELLS.items():
+        monkeypatch.setitem(baselines.CELLS, scheme, counted(block))
+    spec = small_spec("mn")
+    swept = run_sweep(spec)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
     write_sweep_csv(swept, io.StringIO())
+    monkeypatch.setattr(Fraction, "__new__", original_new)
+    comparison_blocks = (len(Scheme) - 1) * len(spec.cache_counts) * len(spec.access_degrees)
+    assert len(checks) <= comparison_blocks
+    assert built_in_cells and sum(built_in_cells) == 0
+    assert made  # the counter is live: the curve of this package still builds Fractions
     assert rows_built == []
     assert curves and len(curves) == len(set(curves))
     assert all(r <= C for C, r in curves)
