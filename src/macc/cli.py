@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .baselines import Scheme
+from .baselines import Scheme, check_memory_fraction
 from .harness import (
     SweepSpec,
     analyze_report,
@@ -55,11 +55,15 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from exc
 
 
-def _fraction_list(text: str) -> list[Fraction]:
+def _fraction(text: str) -> Fraction:
     try:
-        return [parse_fraction(part) for part in text.split(",") if part.strip()]
+        return parse_fraction(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _fraction_list(text: str) -> list[Fraction]:
+    return [_fraction(part) for part in text.split(",") if part.strip()]
 
 
 def _scheme_list(text: str) -> list[Scheme]:
@@ -81,7 +85,7 @@ def _scheme_list(text: str) -> list[Scheme]:
 def _integer_t(C: int, t: Union[int, None], mn: Union[Fraction, None], parser_error) -> int:
     if t is not None:
         return t
-    scaled = mn * C
+    scaled = check_memory_fraction(mn) * C
     if scaled.denominator != 1:
         parser_error(
             f"--mn {mn} gives non-integer cache parameter {scaled}; "
@@ -186,7 +190,7 @@ def _add_point_flags(sub: argparse.ArgumentParser, lists: bool = False) -> None:
         sub.add_argument("--access", "-r", type=int, required=True,
                          help="caches each user reads")
         point.add_argument("--t", type=int, help="integer cache parameter t")
-        point.add_argument("--mn", type=parse_fraction,
+        point.add_argument("--mn", type=_fraction,
                            help="memory fraction M/N; must give integer t = C*M/N")
 
 

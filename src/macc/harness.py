@@ -174,11 +174,7 @@ class ComparisonRow:
 
     @property
     def defined(self) -> bool:
-        return not (
-            isinstance(self.num_users, Undefined)
-            and isinstance(self.rate, Undefined)
-            and isinstance(self.subpacketization, Undefined)
-        )
+        return not isinstance(self.num_users, Undefined)
 
 
 CSV_HEADER = ["scheme", "C", "r", "t", "mn", "K", "rate", "per_user_rate", "F", "defined", "note"]

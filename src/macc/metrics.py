@@ -36,8 +36,9 @@ def delivery_rate(C: int, r: int, t: int) -> Fraction:
 
     Defined for t = 0 as well (no caching, rate binom(C, r): one full file
     per user). Zero once t + r > C, where caches alone cover every demand.
-    A t outside 0..C or an r outside 1..C is refused. Memoised: a sweep
-    asks for the same few points once per row.
+    A t outside 0..C or an r outside 1..C is refused. Memoised: each sweep
+    block's ``rate_memory_curve`` asks for the same integer t at many
+    points, and a repeated sweep asks for the same values again.
     """
     if not 0 <= t <= C:
         raise ValueError(f"t must lie in 0..{C}, got {t}")

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, product, starmap
+from itertools import product, starmap
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -260,7 +260,8 @@ def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
     place i + x - 1 - p of S; the j-th label of U sits at place j plus the
     number of labels of T below it. One stable sort by the rank of S puts
     the messages in lex order and keeps the terms of each in the lex order
-    of their users.
+    of their users; each message's labels are the sorted union of its first
+    term's U and T.
     """
     C, r, t = params.num_caches, params.access_degree, params.cache_param
     k, active = t + r, demand.active_users()
@@ -288,12 +289,8 @@ def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
     set_rank = set_rank.reshape(-1)
     order = np.argsort(set_rank.astype(np.min_scalar_type(binom(C, k))), kind="stable")
     new = np.diff(set_rank[order], prepend=-1) != 0
-    # Each message's labels, placed from its first term.
     a, b = np.divmod(order[new], K)
-    T, rows = rest[a[:, None], picks[b]], np.arange(len(a))[:, None]
-    coded_sets = np.empty((len(a), k), dtype=np.int64)
-    coded_sets[rows, np.arange(t) + T - 1 - picks[b]] = T
-    coded_sets[rows, np.arange(r) + below[users[a] - 1 - np.arange(r), b[:, None]]] = users[a]
+    coded_sets = np.sort(np.concatenate([users[a], rest[a[:, None], picks[b]]], axis=1), axis=1)
     files = np.array([demand.entries[u] for u in active], dtype=np.int64)
     return _Plan(coded_sets, np.cumsum(new) - 1, files[order // K],
                  term_rank.reshape(-1)[order], subset_array(C, t))
@@ -331,9 +328,8 @@ def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
         q = place.reshape(-1)[index]
         inside &= q < k
         slot += np.array([binom(k - 1 - p, t - i) for p in range(k)] + [0])[q]
-    step = np.diff(plan.coded_sets, axis=0)
     malformed = np.zeros(M, dtype=bool)
-    malformed[1:] = step[np.arange(M - 1), (step != 0).argmax(axis=1)] <= 0
+    malformed[1:] = np.diff(rank_subsets(plan.coded_sets, C)) <= 0
     malformed[plan.term_message[~inside]] = True
     if malformed.any():
         S = tuple(plan.coded_sets[malformed.argmax()].tolist())
@@ -457,24 +453,22 @@ def decode_user(
     user = validate_subset(user, C, r)
     if user not in demand.entries:
         raise DemandError(f"user {user} has no demand assigned")
-    wanted, valid = demand.entries[user], set(params.subfile_index_sets())
+    wanted = demand.entries[user]
     held = [cache.subfiles for cache in caches if cache.cache_label in user]  # never merged
+    bad_term = f"needs a {t}-subset of it no other term uses and a file in 1..{N}"
     messages = []
     for tx in [tx for tx in transmissions if set(user).issubset(tx.coded_set)]:
-        S, terms, sets = validate_subset(tx.coded_set, C, t + r), tx.terms, {T for _, T in tx.terms}
-        if not (len(sets) == len(terms) and valid.issuperset(sets)
-                and set(S).issuperset(chain.from_iterable(sets))
-                and all(1 <= f <= N for f, _ in terms)):
-            # A malformed term, or index sets out of order: check term by term.
-            terms, sets = [], set()
-            for term in tx.terms:
-                f, T = term.file_index, tuple(sorted(term.index_set))
-                if T not in valid or not set(T) <= set(S) or T in sets or not 1 <= f <= N:
-                    reason = f"needs a {t}-subset of it no other term uses and a file in 1..{N}"
-                    raise DecodingError(f"term {term} of transmission {S} {reason}",
-                                        user, S, reason)
-                sets.add(T)
-                terms.append((f, T))
+        S = validate_subset(tx.coded_set, C, t + r)
+        labels, terms, sets = set(S), [], set()
+        for term in tx.terms:
+            # S is a subset of [C], so t distinct labels in S are a t-subset of [C].
+            f, T = term.file_index, tuple(sorted(term.index_set))
+            if (not len(T) == len(set(T)) == t or not labels.issuperset(T) or T in sets
+                    or not 1 <= f <= N):
+                raise DecodingError(f"term {term} of transmission {S} {bad_term}",
+                                    user, S, bad_term)
+            sets.add(T)
+            terms.append((f, T))
         # The terms none of the caches holds; a set difference hashes each term once.
         messages.append((S, terms, reduce(set.difference, held, set(terms))))
     wrong = ([m for m in messages if len(m[2]) != 1]
@@ -483,9 +477,10 @@ def decode_user(
         S, terms, unread = wrong[0]
         reason = _PAIR_CHECKS[1] if len(unread) != 1 else _PAIR_CHECKS[2]
         raise DecodingError(f"transmission {S} {reason}: user {user}, demand {wanted}, "
-                            f"terms {[tuple(term) for term in terms]}", user, S, reason)
+                            f"terms {terms}", user, S, reason)
     peeled = set().union(*(unread for _, _, unread in messages))
-    missing = reduce(set.difference, held, {(wanted, T) for T in valid} - peeled)
+    missing = reduce(set.difference, held,
+                     {(wanted, T) for T in params.subfile_index_sets()} - peeled)
     if missing:
         raise DecodingError(f"user {user} never obtained subfile indices "
                             f"{sorted(T for _, T in missing)}",

@@ -36,6 +36,7 @@ def test_hkd_rate_values():
     assert hkd_rate(4, 2, Fraction(1, 2)) == 0
     assert hkd_rate(24, 2, Fraction(1, 24)) == 11
     assert hkd_rate(6, 2, Fraction(0)) == 6
+    assert hkd_rate(4, 2, 0) == 4
     # Past the zero crossing the clamp holds.
     assert hkd_rate(4, 2, Fraction(3, 4)) == 0
 

@@ -127,6 +127,27 @@ def test_negative_lists_reach_the_sweep_refusal(capsys, flag, err):
     assert run_cli(capsys, ["sweep", "-C", "3", "-r", "1", *flag]) == (1, "", err)
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+@pytest.mark.parametrize("mn", ["abc", "1/0"])
+def test_unparsable_memory_fraction_is_named(capsys, command, mn):
+    code, out, err = run_cli(capsys, [command, "-C", "4", "-r", "2", "--mn", mn])
+    assert (code, out) == (1, "")
+    message = f"argument --mn: not a rational number: {mn!r}"
+    assert err.endswith(f"macc {command}: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [(["analyze", "-C", "4", "-r", "2", "--mn", "3/2"], "error: memory fraction 3/2 outside [0, 1]\n"),
+     (["simulate", "-C", "4", "-r", "2", "--mn", "-1/2"],
+      "error: memory fraction -1/2 outside [0, 1]\n")],
+    ids=["analyze-3/2", "simulate--1/2"],
+)
+def test_point_memory_fraction_outside_unit_interval_exits_1(capsys, argv, err):
+    # The M/N rule of sweep and of every formula, not the range of t.
+    assert run_cli(capsys, argv) == (1, "", err)
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, ["--help"])[0] == 0
     assert run_cli(capsys, ["simulate", "--help"])[0] == 0

@@ -91,6 +91,8 @@ def test_delivery_rate_domain():
 def test_curve_endpoints_and_grid():
     rates = rate_memory_curve(4, 2, [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
     assert rates == [6, 1, Fraction(1, 6), 0]
+    # Plain ints are memory fractions too.
+    assert rate_memory_curve(4, 2, [0, 1]) == [6, 0]
 
 
 def test_curve_midpoint_interpolation():
@@ -102,6 +104,8 @@ def test_curve_rejects_out_of_range():
         rate_memory_curve(4, 2, [Fraction(9, 8)])
     with pytest.raises(ValueError):
         rate_memory_curve(4, 2, [Fraction(-1, 8)])
+    with pytest.raises(ValueError, match=r"^memory fraction 2 outside \[0, 1\]$"):
+        rate_memory_curve(4, 2, [2])
     with pytest.raises(ValueError):
         rate_memory_curve(4, 5, [Fraction(1, 2)])
 

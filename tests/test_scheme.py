@@ -606,6 +606,16 @@ def _repeat_term(txs, user, params):
     return txs[:i] + [replace(txs[i], terms=txs[i].terms + txs[i].terms[:1])] + txs[i + 1:]
 
 
+def _index_set_in_coded_set(pick):
+    """The first term of the user's first message gets the labels ``pick(S)`` of its S."""
+    def corrupt(txs, user, params):
+        i = _tx_with(txs, user)
+        first = txs[i].terms[0]
+        terms = (SubfileId(first.file_index, pick(txs[i].coded_set)),) + txs[i].terms[1:]
+        return txs[:i] + [replace(txs[i], terms=terms)] + txs[i + 1:]
+    return corrupt
+
+
 _MALFORMED_TERM = "needs a 2-subset of it no other term uses and a file in 1..15"
 
 
@@ -619,9 +629,14 @@ _MALFORMED_TERM = "needs a 2-subset of it no other term uses and a file in 1..15
      (_file_out_of_range(16), _MALFORMED_TERM),
      (_term_outside_coded_set, _MALFORMED_TERM),
      (_repeat_term, _MALFORMED_TERM),
+     # Index sets inside S that are not 2-subsets.
+     (_index_set_in_coded_set(lambda S: (S[0], S[0])), _MALFORMED_TERM),
+     (_index_set_in_coded_set(lambda S: S[:3]), _MALFORMED_TERM),
+     (_index_set_in_coded_set(lambda S: S[:1]), _MALFORMED_TERM),
      (_drop_own_term, "does not hold exactly one term the user cannot read")],
     ids=["swapped-file", "second-unreadable-term", "dropped-message", "file-0", "file-N+1",
-         "term-outside-coded-set", "repeated-term", "dropped-own-term"],
+         "term-outside-coded-set", "repeated-term", "repeated-label", "t+1-labels",
+         "t-1-labels", "dropped-own-term"],
 )
 def test_decode_user_rejects_corrupted_transmissions(corrupt, reason):
     params = SchemeParams(6, 2, 2, 15)
