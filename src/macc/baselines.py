@@ -1,17 +1,19 @@
-"""Analytic rate and subpacketization formulas of seven comparison schemes.
+"""Analytic rate and subpacketization formulas of every scheme in the sweep.
 
-Only the published closed forms are implemented, never the constructions.
-Each operation returns an exact value where the scheme exists and an
-:class:`Undefined` marker (carrying the reason) where its preconditions
-fail, so sweeps can render gaps instead of crashing. Every formula is
-stated once, in integers, with a rate as a lowest-terms pair (p, q); the
-public functions wrap those kernels in Fractions. ``CELLS`` gives each
-scheme's sweep cells (K, rate, F, note) over a whole block of points beside
-its formulas.
+For the seven comparison schemes only the published closed forms are
+implemented, never the constructions. Each operation returns an exact value
+where the scheme exists and an :class:`Undefined` marker (carrying the
+reason) where its preconditions fail, so sweeps can render gaps instead of
+crashing. Every formula is stated once, in integers, with a rate as a
+lowest-terms pair (p, q); the public functions wrap those kernels in
+Fractions. ``CELLS`` gives each scheme's sweep cells (K, rate, F, note) over
+a whole block of points beside its formulas, this package's own scheme
+included: its rate and memory-sharing curve are wrapped by ``macc.metrics``.
 
-Scheme tags: HKD, RK and RK_LB (the same work's converse bound), SPE,
-CLWZC, SR1, SR2 all live on the cyclic setup with K = C users; CRD_AFFINE
-is the design-based scheme parameterized by a prime power n.
+Scheme tags: PROPOSED is this package's scheme, with K = binom(C, r) users.
+HKD, RK and RK_LB (the same work's converse bound), SPE, CLWZC, SR1, SR2 all
+live on the cyclic setup with K = C users; CRD_AFFINE is the design-based
+scheme parameterized by a prime power n.
 """
 
 from __future__ import annotations
@@ -102,6 +104,33 @@ def _rate_at(block: Callable[[int, int, Sequence[Pair]], Block], C: int, r: int,
     """The rate at one point of a block that is a gap throughout or nowhere."""
     cells = block(C, r, [point])
     return cells if isinstance(cells, Undefined) else Fraction(*cells[0][1])
+
+
+_SHARING_GAP = Undefined("memory sharing point")
+_SHARING_NOTE = "memory sharing between adjacent integer cache parameters"
+
+
+def _proposed(C: int, r: int, grid: Sequence[Pair]) -> list[Cells]:
+    """This package's scheme: binom(C, t+r) / binom(C, t) with F = binom(C, t)
+    at an integer t, and at a fractional t the chord between its two integer
+    neighbours (memory sharing), which has no single F. Each integer-t rate
+    the grid needs is computed once.
+    """
+    K = math.comb(C, r)
+    needed = {t for p, q in grid for t in (p // q, -(-p // q))}
+    rates = {t: _lowest(math.comb(C, t + r), math.comb(C, t)) for t in needed}
+    cells = []
+    for p, q in grid:
+        low, rest = divmod(p, q)
+        a, b = rates[low]
+        if not rest:
+            cells.append((K, (a, b), math.comb(C, low), ""))
+            continue
+        # a/b + (rest/q) * (c/d - a/b) over one denominator.
+        c, d = rates[low + 1]
+        cells.append((K, _lowest(a * d * q + rest * (c * b - a * d), b * d * q),
+                      _SHARING_GAP, _SHARING_NOTE))
+    return cells
 
 
 def _cyclic_rate(C: int, r: int, p: int, q: int) -> Pair:
@@ -391,6 +420,7 @@ def _crd_affine(C: int, r: int, grid: Sequence[Pair]) -> Block:
 
 
 CELLS: dict[Scheme, Callable[[int, int, Sequence[Pair]], Block]] = {
+    Scheme.PROPOSED: _proposed,
     Scheme.HKD: _hkd,
     Scheme.RK: _rk,
     Scheme.RK_LB: _rk_lb,

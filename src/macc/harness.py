@@ -22,7 +22,6 @@ import numpy as np
 from .baselines import (
     CELLS,
     Block,
-    Cells,
     Pair,
     Scheme,
     Undefined,
@@ -40,7 +39,8 @@ from .golden import (
     TABLE_RATIO_TOLERANCE,
     plain,
 )
-from .metrics import analyze, delivery_rate, rate_memory_curve
+from .metrics import analyze, delivery_rate
+from .metrics import rate_memory_curve  # noqa: F401  perfbench/layers.py wraps macc.harness.rate_memory_curve
 from .scheme import (
     DemandAssignment,
     SchemeParams,
@@ -211,25 +211,6 @@ class SweepSpec:
                 check_memory_fraction(mn)
 
 
-_SHARING_GAP = Undefined("memory sharing point")
-
-
-def _proposed_cells(C: int, r: int, grid: Sequence[Pair]) -> list[Cells]:
-    """The scheme of this package at each t = p/q of ``grid``, all within 0..C.
-
-    One ``rate_memory_curve`` call gives every rate: the closed form at an
-    integer t, memory sharing between the adjacent integer points elsewhere.
-    """
-    K = binom(C, r)
-    rates = rate_memory_curve(C, r, [Fraction(p, q * C) for p, q in grid])
-    return [
-        (K, (rate.numerator, rate.denominator), binom(C, p), "") if q == 1
-        else (K, (rate.numerator, rate.denominator), _SHARING_GAP,
-              "memory sharing between adjacent integer cache parameters")
-        for (p, q), rate in zip(grid, rates)
-    ]
-
-
 def _block_cells(scheme: Scheme, C: int, r: int, grid: Sequence[Pair]) -> Block:
     """The cells of one scheme at each t = p/q of ``grid``, in order.
 
@@ -241,12 +222,8 @@ def _block_cells(scheme: Scheme, C: int, r: int, grid: Sequence[Pair]) -> Block:
     n = len(grid)
     while n and grid[n - 1][0] > C * grid[n - 1][1]:
         n -= 1
-    if r > C:
-        cells = Undefined(f"access degree {r} exceeds cache count {C}")
-    elif scheme is Scheme.PROPOSED:
-        cells = _proposed_cells(C, r, grid[:n])
-    else:
-        cells = CELLS[scheme](C, r, grid[:n])
+    cells = (Undefined(f"access degree {r} exceeds cache count {C}") if r > C
+             else CELLS[scheme](C, r, grid[:n]))
     if n == len(grid):
         return cells
     return ([cells] * n if isinstance(cells, Undefined) else cells) + [

@@ -8,11 +8,10 @@ harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
-from .baselines import check_memory_fraction
+from .baselines import CELLS, Scheme, check_memory_fraction
 from .combinatorics import binom
 from .scheme import SchemeParams, accessible_fraction
 
@@ -30,21 +29,21 @@ class SchemeReport:
     cache_fraction: Fraction
 
 
-@lru_cache(maxsize=4096)
 def delivery_rate(C: int, r: int, t: int) -> Fraction:
     """Total delivered volume in file units: binom(C, t+r) / binom(C, t).
 
     Defined for t = 0 as well (no caching, rate binom(C, r): one full file
     per user). Zero once t + r > C, where caches alone cover every demand.
-    A t outside 0..C or an r outside 1..C is refused. Memoised: each sweep
-    block's ``rate_memory_curve`` asks for the same integer t at many
-    points, and a repeated sweep asks for the same values again.
+    A t outside 0..C or an r outside 1..C is refused. The value is the
+    integer-t cell of ``baselines.CELLS[Scheme.PROPOSED]``, the kernel the
+    sweep reads a whole block from, made a Fraction.
     """
     if not 0 <= t <= C:
         raise ValueError(f"t must lie in 0..{C}, got {t}")
     if not 1 <= r <= C:
         raise ValueError(f"access degree must satisfy 1 <= r <= {C}, got {r}")
-    return Fraction(binom(C, t + r), binom(C, t))
+    ((_, rate, _, _),) = CELLS[Scheme.PROPOSED](C, r, [(t, 1)])
+    return Fraction(*rate)
 
 
 def analyze(params: SchemeParams) -> SchemeReport:
@@ -68,7 +67,8 @@ def rate_memory_curve(C: int, r: int, memory_points: Sequence[Fraction]) -> list
 
     At M/N = t/C with integer t the value is the closed-form rate R(t);
     between grid points it is the straight line through the two neighbours.
-    Rates are returned in input order.
+    Rates are returned in input order, read from the block function
+    ``baselines.CELLS[Scheme.PROPOSED]`` over all the points at once.
 
     That line is the lower convex envelope because R is convex on 0..C.
     Up to t = C - r + 1, R(t) = prod_{j=1..r} ((C - r + 2j)/(t + j) - 1),
@@ -78,16 +78,6 @@ def rate_memory_curve(C: int, r: int, memory_points: Sequence[Fraction]) -> list
     """
     if not 1 <= r <= C:
         raise ValueError(f"access degree must satisfy 1 <= r <= {C}, got {r}")
-    out = []
-    for mn in memory_points:
-        mn = check_memory_fraction(mn)
-        lo, rest = divmod(mn.numerator * C, mn.denominator)
-        rate = delivery_rate(C, r, lo)
-        if rest:
-            # rate + (rest / q) * (R(lo + 1) - rate) over one denominator.
-            q, following = mn.denominator, delivery_rate(C, r, lo + 1)
-            a, b = rate.numerator, rate.denominator
-            c, d = following.numerator, following.denominator
-            rate = Fraction(a * d * q + rest * (c * b - a * d), b * d * q)
-        out.append(rate)
-    return out
+    ts = [check_memory_fraction(mn) * C for mn in memory_points]
+    cells = CELLS[Scheme.PROPOSED](C, r, [(t.numerator, t.denominator) for t in ts])
+    return [Fraction(*rate) for _, rate, _, _ in cells]

@@ -24,7 +24,7 @@ from macc.baselines import (
 from macc.combinatorics import binom
 from macc.golden import PROPOSED_ADVANTAGE_ROWS, SPE_ADVANTAGE_ROWS
 from macc.harness import evaluate_scheme
-from macc.metrics import delivery_rate
+from macc.metrics import delivery_rate, rate_memory_curve
 
 
 def test_undefined_marker_is_falsy():
@@ -312,6 +312,19 @@ def sr2_reference(C, r, t):
     return Fraction((C - t * r) * d, 2 * C)
 
 
+def proposed_reference(C, r, mn):
+    """The memory-sharing curve as ``rate_memory_curve`` computed it point by
+    point in Fractions, with each integer-t rate binom(C, t+r) / binom(C, t)."""
+    lo, rest = divmod(mn.numerator * C, mn.denominator)
+    rate = Fraction(binom(C, lo + r), binom(C, lo))
+    if rest:
+        q, following = mn.denominator, Fraction(binom(C, lo + 1 + r), binom(C, lo + 1))
+        a, b = rate.numerator, rate.denominator
+        c, d = following.numerator, following.denominator
+        rate = Fraction(a * d * q + rest * (c * b - a * d), b * d * q)
+    return rate
+
+
 def assert_matches(value, expected, where):
     if expected is None:
         assert isinstance(value, Undefined), where
@@ -348,3 +361,15 @@ def test_formulas_and_rows_match_the_fraction_references():
                     assert_matches(row.rate, rate, (scheme, *where))
                     if rate is not None:
                         assert row.per_user_rate == rate / C, (scheme, *where)
+                proposed = proposed_reference(C, r, mn)
+                assert_matches(rate_memory_curve(C, r, [mn])[0], proposed, where)
+                if integer:
+                    assert_matches(delivery_rate(C, r, i), proposed, where)
+                row = evaluate_scheme(Scheme.PROPOSED, C, r, t)
+                assert_matches(row.rate, proposed, where)
+                assert_matches(row.per_user_rate, proposed / binom(C, r), where)
+                if integer:
+                    assert (row.subpacketization, row.note) == (binom(C, i), ""), where
+                else:
+                    assert row.subpacketization == Undefined("memory sharing point"), where
+                    assert row.note == "memory sharing between adjacent integer cache parameters"

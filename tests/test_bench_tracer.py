@@ -46,6 +46,8 @@ def test_tracer_wraps_every_layer_and_restores_it():
         macc.harness.write_sweep_csv(rows, io.StringIO())
         for scheme in Scheme:
             macc.harness.evaluate_scheme(scheme, 6, 2, Fraction(3))
+        # No sweep path calls the curve any more; it stays a public wrapper.
+        macc.metrics.rate_memory_curve(6, 2, [Fraction(0), Fraction(1, 4)])
         macc.harness.simulate_report(4, 2, 1)
     assert len(rows) == len(Scheme) * 3 * 3 * 4
     for scheme in Scheme:

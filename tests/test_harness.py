@@ -105,25 +105,22 @@ def test_sweep_csv_golden_digest(kind, rows, sha256):
 
 def test_sweep_csv_evaluates_by_block(monkeypatch):
     # The CSV is rendered from each block's cells: no row object is built,
-    # and the scheme of this package finds its memory-sharing rates in one
-    # curve per (C, r) block.
+    # and every scheme, this package's own included, computes its cells
+    # with one call of its ``CELLS`` function per (scheme, C, r) block.
     rows_built = []
-    curves = []
-    original_row, original_curve = harness.ComparisonRow, harness.rate_memory_curve
+    original_row = harness.ComparisonRow
 
     def counting_row(*args, **kwargs):
         rows_built.append(args)
         return original_row(*args, **kwargs)
 
-    def counting_curve(C, r, memory_points):
-        curves.append((C, r))
-        return original_curve(C, r, memory_points)
-
-    # The comparison schemes check r at most once per block and build their
-    # cells from integers: no Fraction is made inside their block functions.
+    # The comparison schemes check r at most once per block, and every
+    # scheme builds its cells from integers: no Fraction is made inside a
+    # block function.
     checks = []
     made = []
     built_in_cells = []
+    block_calls = []
     original_check, original_new = baselines.check_access_degree, Fraction.__new__
 
     def counting_check(r):
@@ -134,33 +131,35 @@ def test_sweep_csv_evaluates_by_block(monkeypatch):
         made.append(args)
         return original_new(cls, *args, **kwargs)
 
-    def counted(block):
-        def cells(*args):
+    def counted(scheme, block):
+        def cells(C, r, grid):
+            block_calls.append((scheme, C, r))
             before = len(made)
-            result = block(*args)
+            result = block(C, r, grid)
             built_in_cells.append(len(made) - before)
             return result
         return cells
 
     monkeypatch.setattr(harness, "ComparisonRow", counting_row)
-    monkeypatch.setattr(harness, "rate_memory_curve", counting_curve)
     monkeypatch.setattr(baselines, "check_access_degree", counting_check)
     for scheme, block in baselines.CELLS.items():
-        monkeypatch.setitem(baselines.CELLS, scheme, counted(block))
+        monkeypatch.setitem(baselines.CELLS, scheme, counted(scheme, block))
     spec = small_spec("mn")
     swept = run_sweep(spec)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     write_sweep_csv(swept, io.StringIO())
-    monkeypatch.setattr(Fraction, "__new__", original_new)
     comparison_blocks = (len(Scheme) - 1) * len(spec.cache_counts) * len(spec.access_degrees)
     assert len(checks) <= comparison_blocks
     assert built_in_cells and sum(built_in_cells) == 0
-    assert made  # the counter is live: the curve of this package still builds Fractions
-    assert rows_built == []
-    assert curves and len(curves) == len(set(curves))
-    assert all(r <= C for C, r in curves)
-    swept[0]  # the row API still builds its row, so the counter is live
+    assert sorted(block_calls) == sorted(
+        (scheme, C, r) for scheme in Scheme for C in spec.cache_counts
+        for r in spec.access_degrees if r <= C
+    )
+    assert rows_built == [] and made == []
+    swept[0]  # the row API still builds its row and its Fractions, so both counters are live
+    monkeypatch.setattr(Fraction, "__new__", original_new)
     assert len(rows_built) == 1
+    assert made
 
 
 class Sha256Stream:

@@ -2,7 +2,10 @@
 
 The toolchain has no linter, so this stdlib ``ast`` pass stands in for the
 unused-import rule. An import on a line marked ``# noqa`` is kept on purpose
-and skipped. A name listed in a module's ``__all__`` counts as used.
+and skipped. A name listed in a module's ``__all__`` counts as used. The
+only purpose such an import may have is to be wrapped by the benchmark's
+tracer, so each must name an attribute that ``perfbench/layers.py`` wraps
+on that same module.
 """
 
 import ast
@@ -13,6 +16,7 @@ import pytest
 import macc
 
 MODULES = sorted(Path(macc.__file__).parent.glob("*.py"))
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +38,48 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{line} {name}" for name, line in imported.items() if name not in used)
 
 
+def kept_imports(source: str) -> list[str]:
+    """Names imported by ``source`` on a line marked ``# noqa``."""
+    lines = source.splitlines()
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names if "# noqa" in lines[alias.lineno - 1]
+    ]
+
+
+def traced_attributes(layers_source: str) -> set[tuple[str, str]]:
+    """(module, attribute) of each ``tracer.span``/``tracer.count`` call on a module.
+
+    A module is a local name bound to ``macc.<module>``; a call on anything
+    else (a class, say) is left out.
+    """
+    tree = ast.parse(layers_source)
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets[0].elts if isinstance(node.targets[0], ast.Tuple) else node.targets
+            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+            for target, value in zip(targets, values):
+                if (isinstance(target, ast.Name) and isinstance(value, ast.Attribute)
+                        and isinstance(value.value, ast.Name) and value.value.id == "macc"):
+                    modules[target.id] = value.attr
+    return {
+        (modules[node.args[0].id], node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("span", "count") and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "tracer" and isinstance(node.args[0], ast.Name)
+        and node.args[0].id in modules
+    }
+
+
+def stale_tracer_imports(module: str, source: str, layers_source: str) -> list[str]:
+    """The ``# noqa`` imports of ``module`` that the tracer does not wrap there."""
+    traced = traced_attributes(layers_source)
+    return [name for name in kept_imports(source) if (module, name) not in traced]
+
+
 def test_the_check_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import numpy as np\n"
@@ -47,3 +93,25 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_stale_tracer_import():
+    layers = ("def install_all(tracer, macc):\n"
+              "    scheme, harness = macc.scheme, macc.harness\n"
+              "    metrics = macc.metrics\n"
+              "    tracer.span(scheme, 'rank_subset', 'combinatorics.rank_subset')\n"
+              "    tracer.count(metrics, 'delivery_rate', 'metrics.delivery_rate')\n"
+              "    tracer.span(harness.SplitMix64, 'bytes', 'harness.rng')\n")
+    assert traced_attributes(layers) == {
+        ("scheme", "rank_subset"), ("metrics", "delivery_rate")}
+    source = ("from math import comb  # noqa: F401\n"
+              "from .combinatorics import rank_subset  # noqa: F401\n"
+              "from .metrics import delivery_rate  # noqa: F401\n"
+              "from .combinatorics import binom\n")
+    assert stale_tracer_imports("scheme", source, layers) == ["comb", "delivery_rate"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_kept_imports_are_wrapped_by_the_tracer(path):
+    source, layers = path.read_text(encoding="utf-8"), LAYERS.read_text(encoding="utf-8")
+    assert stale_tracer_imports(path.stem, source, layers) == []
