@@ -4,11 +4,13 @@ For the seven comparison schemes only the published closed forms are
 implemented, never the constructions. Each operation returns an exact value
 where the scheme exists and an :class:`Undefined` marker (carrying the
 reason) where its preconditions fail, so sweeps can render gaps instead of
-crashing. Every formula is stated once, in integers, with a rate as a
-lowest-terms pair (p, q); the public functions wrap those kernels in
-Fractions. ``CELLS`` gives each scheme's sweep cells (K, rate, F, note) over
-a whole block of points beside its formulas, this package's own scheme
-included: its rate and memory-sharing curve are wrapped by ``macc.metrics``.
+crashing. ``CELLS`` gives each scheme's sweep cells (K, rate, F, note) over
+a whole block of points, this package's own scheme included: its rate and
+memory-sharing curve are wrapped by ``macc.metrics``. Each scheme's
+existence rule and rate are stated once, in integers, in that block
+function, with a rate as a lowest-terms pair (p, q). A public rate is one
+point of its block, read as a Fraction or a gap by ``_rate_at``. Every
+public formula refuses C < 1, then r < 1, through ``check_counts``.
 
 Scheme tags: PROPOSED is this package's scheme, with K = binom(C, r) users.
 HKD, RK and RK_LB (the same work's converse bound), SPE, CLWZC, SR1, SR2 all
@@ -74,7 +76,10 @@ def check_memory_fraction(mn: Fraction) -> Fraction:
     return mn
 
 
-def check_access_degree(r: int) -> None:
+def check_counts(C: int, r: int) -> None:
+    """Refuse a cache count C < 1, then an access degree r < 1."""
+    if C < 1:
+        raise ValueError(f"cache count must be positive, got {C}")
     if r < 1:
         raise ValueError(f"access degree must be positive, got {r}")
 
@@ -101,9 +106,13 @@ def _at_integer_t(cells_at: Callable[[int, int, int], Cells], C: int, r: int,
 
 def _rate_at(block: Callable[[int, int, Sequence[Pair]], Block], C: int, r: int,
              point: Pair) -> Rational:
-    """The rate at one point of a block that is a gap throughout or nowhere."""
+    """The rate of ``block`` at one point as a public value: a gap of the
+    whole block, of the point's cells or of its rate comes back as that gap,
+    a rate as a Fraction."""
     cells = block(C, r, [point])
-    return cells if isinstance(cells, Undefined) else Fraction(*cells[0][1])
+    if not isinstance(cells, Undefined):
+        cells = cells[0]
+    return cells if isinstance(cells, Undefined) else _fraction(cells[1])
 
 
 _SHARING_GAP = Undefined("memory sharing point")
@@ -157,27 +166,9 @@ def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
 
     Exists only when r divides C (K = C users on consecutive caches).
     """
-    check_access_degree(r)
+    check_counts(C, r)
     mn = check_memory_fraction(mn)
-    return _rate_at(_hkd, C, r, _lowest(C * mn.numerator, mn.denominator))
-
-
-def _rk_at(C: int, r: int, i: int) -> Union[Pair, Undefined]:
-    ceil_cr = -(-C // r)
-    if not 0 <= i <= ceil_cr:
-        return Undefined(f"grid index i={i} outside 0..{ceil_cr} for C={C}, r={r}")
-    if i == ceil_cr and C % r != 0:
-        return _ZERO
-    return _lowest((C - r * i) ** 2, C)
-
-
-def rk_rate(C: int, r: int, i: int) -> Rational:
-    """Rate C*(1 - r*i/C)^2 at M/N = i/C for i >= 0: zero at ceil(C/r), undefined past it."""
-    check_access_degree(r)
-    rate = _rk_at(C, r, i)
-    if i < 0:
-        raise ValueError(rate.reason)
-    return _fraction(rate)
+    return _rate_at(CELLS[Scheme.HKD], C, r, _lowest(C * mn.numerator, mn.denominator))
 
 
 _RK_OFF_GRID = Undefined("defined only on the grid M/N = i/C")
@@ -185,12 +176,24 @@ _RK_F = Undefined("subpacketization not modeled for this scheme")
 
 
 def _rk_cells(C: int, r: int, i: int) -> Cells:
-    rate = _rk_at(C, r, i)
-    return rate if isinstance(rate, Undefined) else (C, rate, _RK_F, "")
+    ceil_cr = -(-C // r)
+    if not 0 <= i <= ceil_cr:
+        return Undefined(f"grid index i={i} outside 0..{ceil_cr} for C={C}, r={r}")
+    rate = _ZERO if i == ceil_cr and C % r != 0 else _lowest((C - r * i) ** 2, C)
+    return C, rate, _RK_F, ""
 
 
 def _rk(C: int, r: int, grid: Sequence[Pair]) -> Block:
     return [_rk_cells(C, r, p) if q == 1 else _RK_OFF_GRID for p, q in grid]
+
+
+def rk_rate(C: int, r: int, i: int) -> Rational:
+    """Rate C*(1 - r*i/C)^2 at M/N = i/C for i >= 0: zero at ceil(C/r), undefined past it."""
+    check_counts(C, r)
+    rate = _rate_at(CELLS[Scheme.RK], C, r, (i, 1))
+    if i < 0:
+        raise ValueError(rate.reason)
+    return rate
 
 
 _RK_LB_F = Undefined("converse bound, not a construction")
@@ -222,14 +225,14 @@ def rk_lower_bound(C: int, r: int, mn: Fraction) -> Rational:
     Three pieces: linear down from C on [0, 1/C], then a shallower line to
     zero on [1/C, 2/C], then zero (see ``_rk_lb``).
     """
-    check_access_degree(r)
+    check_counts(C, r)
     mn = check_memory_fraction(mn)
-    return _rate_at(_rk_lb, C, r, _lowest(C * mn.numerator, mn.denominator))
+    return _rate_at(CELLS[Scheme.RK_LB], C, r, _lowest(C * mn.numerator, mn.denominator))
 
 
 def spe_subpacketization(C: int, r: int) -> Count:
     """C*(C - 2r + 2)/4 where integral and positive (needs r < (C+2)/2)."""
-    check_access_degree(r)
+    check_counts(C, r)
     if 2 * r >= C + 2:
         return Undefined(f"requires r < (C+2)/2, got C={C}, r={r}")
     numerator = C * (C - 2 * r + 2)
@@ -246,7 +249,7 @@ def _spe_special(C: int, r: int, t: int) -> Union[Pair, Undefined]:
 
 def spe_special_rate(C: int, r: int, t: int) -> Rational:
     """Rate of the optimal special case r = (C-1)/t: always 1/C, with F = C."""
-    check_access_degree(r)
+    check_counts(C, r)
     return _fraction(_spe_special(C, r, t))
 
 
@@ -267,10 +270,10 @@ def _spe_cells(C: int, r: int, t: int) -> Cells:
 
 def clwzc_rate(C: int, r: int, t: int) -> Fraction:
     """Rate (C - t*r)/(1 + t), clamped to zero once caches cover everything."""
-    check_access_degree(r)
+    check_counts(C, r)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return Fraction(*_cyclic_rate(C, r, t, 1))
+    return _rate_at(CELLS[Scheme.CLWZC], C, r, (t, 1))
 
 
 def _clwzc_F(C: int, r: int, t: int) -> int:
@@ -280,7 +283,7 @@ def _clwzc_F(C: int, r: int, t: int) -> int:
 
 def clwzc_subpacketization(C: int, r: int, t: int) -> int:
     """C * binom(C - t(r-1), t); zero when the inner binomial collapses."""
-    check_access_degree(r)
+    check_counts(C, r)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return _clwzc_F(C, r, t)
@@ -309,18 +312,23 @@ def sr1_rate_value(C: int, r: int, t: int) -> Fraction:
     it, extrapolating the even branch's pattern at i = (m+1)/2. That is an
     assumption, not ground truth.
     """
-    check_access_degree(r)
+    check_counts(C, r)
     if t * r > C:
         raise ValueError(f"needs t*r <= C, got C={C}, r={r}, t={t}")
     return Fraction(*_sr1_sum(C, r, t))
 
 
-def _sr1_at(C: int, r: int, t: int) -> Union[Pair, Undefined]:
+_SR1_F = Undefined("only the bound F <= C^2 is published")
+
+
+def _sr1_cells(C: int, r: int, t: int) -> Cells:
     if t < 1 or math.gcd(t, C) != 1:
         return Undefined(f"requires gcd(t, C) = 1 with t >= 1, got C={C}, t={t}")
     if t * r > C:
         return Undefined(f"requires t*r <= C, got t*r = {t * r}, C = {C}")
-    return _sr1_sum(C, r, t)
+    m = C - t * r
+    note = "interpretation-dependent odd-branch leading term" if m > 1 and m % 2 == 1 else ""
+    return C, _sr1_sum(C, r, t), _SR1_F, note
 
 
 def sr1_rate(C: int, r: int, t: int) -> Rational:
@@ -329,23 +337,11 @@ def sr1_rate(C: int, r: int, t: int) -> Rational:
     Odd C - t*r > 1 goes through the interpretation-dependent leading term
     (see :func:`sr1_rate_value`); the sweep row's note flags it.
     """
-    check_access_degree(r)
-    return _fraction(_sr1_at(C, r, t))
+    check_counts(C, r)
+    return _rate_at(CELLS[Scheme.SR1], C, r, (t, 1))
 
 
-_SR1_F = Undefined("only the bound F <= C^2 is published")
-
-
-def _sr1_cells(C: int, r: int, t: int) -> Cells:
-    rate = _sr1_at(C, r, t)
-    if isinstance(rate, Undefined):
-        return rate
-    m = C - t * r
-    note = "interpretation-dependent odd-branch leading term" if m > 1 and m % 2 == 1 else ""
-    return C, rate, _SR1_F, note
-
-
-def _sr2_at(C: int, r: int, t: int) -> Union[Pair, Undefined]:
+def _sr2_cells(C: int, r: int, t: int) -> Cells:
     if t < 1 or C % t != 0:
         return Undefined(f"requires t | C with t >= 1, got C={C}, t={t}")
     if t * r > C:
@@ -353,18 +349,13 @@ def _sr2_at(C: int, r: int, t: int) -> Union[Pair, Undefined]:
     d = C - t * r + t
     if d <= 0 or C % d != 0:
         return Undefined(f"requires (C - tr + t) | C, got C - tr + t = {d}, C = {C}")
-    return _lowest((C - t * r) * d, 2 * C)
+    return C, _lowest((C - t * r) * d, 2 * C), C, ""
 
 
 def sr2_rate(C: int, r: int, t: int) -> Rational:
     """Rate (C - tr)(C - tr + t) / (2C) where t | C and (C - tr + t) | C."""
-    check_access_degree(r)
-    return _fraction(_sr2_at(C, r, t))
-
-
-def _sr2_cells(C: int, r: int, t: int) -> Cells:
-    rate = _sr2_at(C, r, t)
-    return rate if isinstance(rate, Undefined) else (C, rate, C, "")
+    check_counts(C, r)
+    return _rate_at(CELLS[Scheme.SR2], C, r, (t, 1))
 
 
 def is_prime_power(n: int) -> bool:

@@ -25,7 +25,7 @@ from .baselines import (
     Pair,
     Scheme,
     Undefined,
-    check_access_degree,
+    check_counts,
     check_memory_fraction,
     clwzc_rate,
     clwzc_subpacketization,
@@ -251,9 +251,7 @@ def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRo
 
     The memory fraction is t / C and the per-user rate rate / K.
     """
-    if C < 1:
-        raise ValueError(f"cache count must be positive, got {C}")
-    check_access_degree(r)
+    check_counts(C, r)
     t = Fraction(t)
     if not 0 <= t.numerator <= C * t.denominator:
         raise ValueError(f"cache parameter {t} outside 0..{C}")

@@ -1,10 +1,12 @@
 """Analytic formulas of the comparison schemes."""
 
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 
+import macc
 from macc.baselines import (
     Scheme,
     Undefined,
@@ -30,6 +32,30 @@ from macc.metrics import delivery_rate, rate_memory_curve
 def test_undefined_marker_is_falsy():
     gap = Undefined("because")
     assert not gap
+
+
+def counted_formulas():
+    """Every exported function of ``macc.baselines`` whose parameters start (C, r)."""
+    return [
+        function for function in (getattr(macc, name) for name in macc.__all__)
+        if inspect.isfunction(function) and function.__module__ == "macc.baselines"
+        and list(inspect.signature(function).parameters)[:2] == ["C", "r"]
+    ]
+
+
+def test_every_public_formula_refuses_nonpositive_counts():
+    formulas = counted_formulas()
+    assert sorted(formula.__name__ for formula in formulas) == sorted([
+        "spe_subpacketization", "hkd_rate", "rk_rate", "rk_lower_bound", "spe_special_rate",
+        "clwzc_rate", "clwzc_subpacketization", "sr1_rate", "sr1_rate_value", "sr2_rate",
+    ])
+    for formula in formulas:
+        rest = [0] * (len(inspect.signature(formula).parameters) - 2)
+        for C, r, message in ((0, 1, "cache count must be positive, got 0"),
+                              (-4, 1, "cache count must be positive, got -4"),
+                              (4, 0, "access degree must be positive, got 0")):
+            with pytest.raises(ValueError, match=message):
+                formula(C, r, *rest)
 
 
 def test_hkd_rate_values():
@@ -303,6 +329,17 @@ def spe_special_reference(C, r, t):
     return Fraction(C - r * t, 1 + r * t) if r * t == C - 1 else None
 
 
+def sr1_reference(C, r, t):
+    if t < 1 or math.gcd(t, C) != 1 or t * r > C:
+        return None
+    m = C - t * r
+    return sum(
+        (Fraction(1 if 2 * i == m + 1 else 2, 1 + math.ceil(Fraction(t * r, i)))
+         for i in range(m // 2 + 1, m + 1)),
+        Fraction(0),
+    )
+
+
 def sr2_reference(C, r, t):
     if t < 1 or C % t != 0 or t * r > C:
         return None
@@ -346,6 +383,7 @@ def test_formulas_and_rows_match_the_fraction_references():
                     Scheme.RK: rk_reference(C, r, i) if integer else None,
                     Scheme.CLWZC: clwzc_reference(C, r, i) if integer else None,
                     Scheme.SPE: spe_special_reference(C, r, i) if integer else None,
+                    Scheme.SR1: sr1_reference(C, r, i) if integer else None,
                     Scheme.SR2: sr2_reference(C, r, i) if integer else None,
                 }
                 where = (C, r, t)
@@ -355,6 +393,7 @@ def test_formulas_and_rows_match_the_fraction_references():
                     assert_matches(rk_rate(C, r, i), expected[Scheme.RK], where)
                     assert_matches(clwzc_rate(C, r, i), expected[Scheme.CLWZC], where)
                     assert_matches(spe_special_rate(C, r, i), expected[Scheme.SPE], where)
+                    assert_matches(sr1_rate(C, r, i), expected[Scheme.SR1], where)
                     assert_matches(sr2_rate(C, r, i), expected[Scheme.SR2], where)
                 for scheme, rate in expected.items():
                     row = evaluate_scheme(scheme, C, r, t)
@@ -373,3 +412,18 @@ def test_formulas_and_rows_match_the_fraction_references():
                 else:
                     assert row.subpacketization == Undefined("memory sharing point"), where
                     assert row.note == "memory sharing between adjacent integer cache parameters"
+
+
+def test_crd_affine_matches_its_sweep_row():
+    for n in range(1, 14):
+        C, cells = n * (n + 1), crd_affine(n)
+        for r in (1, C):
+            row = evaluate_scheme(Scheme.CRD_AFFINE, C, r, n + 1)
+            assert row.mn == Fraction(1, n), (n, r)
+            if isinstance(cells, Undefined):
+                assert (row.num_users, row.rate, row.subpacketization, row.per_user_rate) == (
+                    cells, cells, cells, cells), (n, r)
+                continue
+            K, rate, F = cells
+            assert (row.num_users, row.rate, row.subpacketization) == (K, rate, F), (n, r)
+            assert row.per_user_rate == rate / K, (n, r)

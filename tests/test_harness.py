@@ -114,18 +114,18 @@ def test_sweep_csv_evaluates_by_block(monkeypatch):
         rows_built.append(args)
         return original_row(*args, **kwargs)
 
-    # The comparison schemes check r at most once per block, and every
+    # The comparison schemes check C and r at most once per block, and every
     # scheme builds its cells from integers: no Fraction is made inside a
     # block function.
     checks = []
     made = []
     built_in_cells = []
     block_calls = []
-    original_check, original_new = baselines.check_access_degree, Fraction.__new__
+    original_check, original_new = baselines.check_counts, Fraction.__new__
 
-    def counting_check(r):
-        checks.append(r)
-        return original_check(r)
+    def counting_check(C, r):
+        checks.append((C, r))
+        return original_check(C, r)
 
     def counting_new(cls, *args, **kwargs):
         made.append(args)
@@ -141,7 +141,7 @@ def test_sweep_csv_evaluates_by_block(monkeypatch):
         return cells
 
     monkeypatch.setattr(harness, "ComparisonRow", counting_row)
-    monkeypatch.setattr(baselines, "check_access_degree", counting_check)
+    monkeypatch.setattr(baselines, "check_counts", counting_check)
     for scheme, block in baselines.CELLS.items():
         monkeypatch.setitem(baselines.CELLS, scheme, counted(scheme, block))
     spec = small_spec("mn")

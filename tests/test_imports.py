@@ -6,6 +6,10 @@ and skipped. A name listed in a module's ``__all__`` counts as used. The
 only purpose such an import may have is to be wrapped by the benchmark's
 tracer, so each must name an attribute that ``perfbench/layers.py`` wraps
 on that same module.
+
+A second pass requires every module-level private name (a ``_name``
+function, class or assignment) to be read somewhere in the package, so no
+helper outlives its last caller. Reads from the tests do not count.
 """
 
 import ast
@@ -115,3 +119,50 @@ def test_the_check_finds_a_stale_tracer_import():
 def test_kept_imports_are_wrapped_by_the_tracer(path):
     source, layers = path.read_text(encoding="utf-8"), LAYERS.read_text(encoding="utf-8")
     assert stale_tracer_imports(path.stem, source, layers) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions that no source in ``sources`` reads,
+    as "module name". A read is a loaded name, an attribute of a name (as in
+    ``module._name``) or an imported name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{module} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(unread)
+
+
+def test_the_check_finds_an_unread_private_helper():
+    sources = {
+        "a": ("_LIMIT: int = 3\n_SHARED, _SPARE = 1, 2\n"
+              "def _helper():\n    return _SHARED\n"
+              "def _used():\n    return _LIMIT\n"
+              "class _Unused:\n    pass\n"
+              "__all__ = []\n"),
+        "b": "from .a import _used\n\ndef run(a):\n    return _used() + a._SPARE\n",
+    }
+    assert unread_private_names(sources) == ["a _Unused", "a _helper"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unread_private_names(sources) == []
