@@ -10,7 +10,8 @@ memory-sharing curve are wrapped by ``macc.metrics``. Each scheme's
 existence rule and rate are stated once, in integers, in that block
 function, with a rate as a lowest-terms pair (p, q). A public rate is one
 point of its block, read as a Fraction or a gap by ``_rate_at``. Every
-public formula refuses C < 1, then r < 1, through ``check_counts``.
+public formula refuses C < 1, then r < 1, through ``check_counts``; an
+r beyond C is one gap of the whole block, from ``read_block``.
 
 Scheme tags: PROPOSED is this package's scheme, with K = binom(C, r) users.
 HKD, RK and RK_LB (the same work's converse bound), SPE, CLWZC, SR1, SR2 all
@@ -104,12 +105,21 @@ def _at_integer_t(cells_at: Callable[[int, int, int], Cells], C: int, r: int,
     return [cells_at(C, r, p) if q == 1 else _INTEGER_ONLY_GAP for p, q in grid]
 
 
+def read_block(block: Callable[[int, int, Sequence[Pair]], Block], C: int, r: int,
+               grid: Sequence[Pair]) -> Block:
+    """``block`` at the points of ``grid``, or one gap for all of them when
+    the access degree exceeds the cache count."""
+    if r > C:
+        return Undefined(f"access degree {r} exceeds cache count {C}")
+    return block(C, r, grid)
+
+
 def _rate_at(block: Callable[[int, int, Sequence[Pair]], Block], C: int, r: int,
              point: Pair) -> Rational:
     """The rate of ``block`` at one point as a public value: a gap of the
-    whole block, of the point's cells or of its rate comes back as that gap,
-    a rate as a Fraction."""
-    cells = block(C, r, [point])
+    whole block (an r beyond C included), of the point's cells or of its
+    rate comes back as that gap, a rate as a Fraction."""
+    cells = read_block(block, C, r, [point])
     if not isinstance(cells, Undefined):
         cells = cells[0]
     return cells if isinstance(cells, Undefined) else _fraction(cells[1])
@@ -190,10 +200,9 @@ def _rk(C: int, r: int, grid: Sequence[Pair]) -> Block:
 def rk_rate(C: int, r: int, i: int) -> Rational:
     """Rate C*(1 - r*i/C)^2 at M/N = i/C for i >= 0: zero at ceil(C/r), undefined past it."""
     check_counts(C, r)
-    rate = _rate_at(CELLS[Scheme.RK], C, r, (i, 1))
     if i < 0:
-        raise ValueError(rate.reason)
-    return rate
+        raise ValueError(_rk_cells(C, r, i).reason)
+    return _rate_at(CELLS[Scheme.RK], C, r, (i, 1))
 
 
 _RK_LB_F = Undefined("converse bound, not a construction")
@@ -268,11 +277,15 @@ def _spe_cells(C: int, r: int, t: int) -> Cells:
     return C, _SPE_RATE, F, note
 
 
-def clwzc_rate(C: int, r: int, t: int) -> Fraction:
-    """Rate (C - t*r)/(1 + t), clamped to zero once caches cover everything."""
-    check_counts(C, r)
+def _check_t(t: int) -> None:
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
+
+
+def clwzc_rate(C: int, r: int, t: int) -> Rational:
+    """Rate (C - t*r)/(1 + t), clamped to zero once caches cover everything."""
+    check_counts(C, r)
+    _check_t(t)
     return _rate_at(CELLS[Scheme.CLWZC], C, r, (t, 1))
 
 
@@ -284,8 +297,7 @@ def _clwzc_F(C: int, r: int, t: int) -> int:
 def clwzc_subpacketization(C: int, r: int, t: int) -> int:
     """C * binom(C - t(r-1), t); zero when the inner binomial collapses."""
     check_counts(C, r)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _check_t(t)
     return _clwzc_F(C, r, t)
 
 
@@ -313,6 +325,7 @@ def sr1_rate_value(C: int, r: int, t: int) -> Fraction:
     assumption, not ground truth.
     """
     check_counts(C, r)
+    _check_t(t)
     if t * r > C:
         raise ValueError(f"needs t*r <= C, got C={C}, r={r}, t={t}")
     return Fraction(*_sr1_sum(C, r, t))

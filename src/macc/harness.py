@@ -13,7 +13,7 @@ import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context
 from fractions import Fraction
 from typing import IO, Union
 
@@ -29,6 +29,7 @@ from .baselines import (
     check_memory_fraction,
     clwzc_rate,
     clwzc_subpacketization,
+    read_block,
     spe_special_rate,
 )
 from .combinatorics import binom
@@ -67,12 +68,15 @@ def render_decimal(value: Fraction) -> str:
     return _decimal(value.numerator, value.denominator)
 
 
+# Only its precision and rounding are read; the flags it gathers are not.
+_CONTEXT = Context(prec=SIGNIFICANT_DIGITS)
+
+
 def _decimal(p: int, q: int) -> str:
     """p/q to 12 significant digits: the quotient is rounded once, so p/q
-    need not be in lowest terms."""
-    with localcontext() as ctx:
-        ctx.prec = SIGNIFICANT_DIGITS
-        return str(Decimal(p) / Decimal(q))
+    need not be in lowest terms. The module's own context does the rounding,
+    whatever decimal context the caller has set."""
+    return str(_CONTEXT.divide(p, q))
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -222,8 +226,7 @@ def _block_cells(scheme: Scheme, C: int, r: int, grid: Sequence[Pair]) -> Block:
     n = len(grid)
     while n and grid[n - 1][0] > C * grid[n - 1][1]:
         n -= 1
-    cells = (Undefined(f"access degree {r} exceeds cache count {C}") if r > C
-             else CELLS[scheme](C, r, grid[:n]))
+    cells = read_block(CELLS[scheme], C, r, grid[:n])
     if n == len(grid):
         return cells
     return ([cells] * n if isinstance(cells, Undefined) else cells) + [

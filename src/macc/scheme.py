@@ -506,76 +506,62 @@ def _chunk_matrix(params: SchemeParams, file_payloads: Sequence[bytes]) -> tuple
     return chunks, length
 
 
-def _places(
-    plan: _Plan, F: int
-) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
-    """How the byte passes walk the terms, a place at a time: the messages in
-    decreasing order of their term counts, the index of each message's first
-    term, c_j for each place j, and the chunk row (f - 1)·F + rank(T) of
-    each term. The messages with more than j terms, which hold a term at
-    place j, are the first c_j of that order."""
+def _gather(
+    plan: _Plan, chunks: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Every term's chunk, gathered once into a place-major (terms, chunk_len)
+    buffer; the buffer's run of rows at each place j; and the buffer row of
+    each term.
+
+    The messages are ordered by decreasing term count, so the c_j messages
+    with more than j terms, which hold a term at place j, come first. The
+    buffer holds place 0 of every message in that order, then place 1 of
+    the first c_1, and so on, so each step of a byte pass XORs one run of
+    rows into another. The chunk of a term is row (f - 1)·F + rank(T) of
+    the flattened chunk matrix.
+    """
+    N, F, L = chunks.shape
     M, n = len(plan.coded_sets), len(plan.term_message)
     starts = np.searchsorted(plan.term_message, np.arange(M))
     sizes = np.diff(starts, append=n)
     most = sizes.max(initial=0)
-    by_size = np.argsort((most - sizes).astype(np.min_scalar_type(most)), kind="stable")
-    rows = plan.term_file - 1
-    rows *= F
-    rows += plan.term_rank
+    first = starts[np.argsort((most - sizes).astype(np.min_scalar_type(most)), kind="stable")]
     counts = (M - np.cumsum(np.bincount(sizes, minlength=2))[:-1]).tolist()
-    return by_size, starts, counts, rows
+    order = np.concatenate([first[:c] + j for j, c in enumerate(counts)])
+    rows = plan.term_file[order] - 1
+    rows *= F
+    rows += plan.term_rank[order]
+    terms = np.take(chunks.reshape(N * F, L), rows, axis=0)
+    row = np.empty(n, dtype=np.int64)
+    row[order] = np.arange(n)
+    return terms, np.split(terms, np.cumsum(counts)[:-1]), row
 
 
-def _encode(plan: _Plan, chunks: np.ndarray) -> np.ndarray:
-    """XOR each message's terms into one (M, chunk_len) buffer, a place at a
-    time (see ``_places``)."""
-    N, F, L = chunks.shape
-    by_size, starts, counts, rows = _places(plan, F)
-    first, flat = starts[by_size], chunks.reshape(N * F, L)
-    coded = np.zeros((len(by_size), L), dtype=np.uint8)
-    for j, c in enumerate(counts):
-        coded[:c] ^= flat[rows[first[:c] + j]]
-    out = np.empty_like(coded)
-    out[by_size] = coded
-    return out
+def _encode(places: list[np.ndarray]) -> np.ndarray:
+    """XOR each message's terms, a place at a time, from the runs of
+    ``_gather``: row i is the message whose first term is buffer row i."""
+    coded = places[0].copy()
+    for here in places[1:]:
+        coded[:len(here)] ^= here
+    return coded
 
 
-def _leave_one_out(
-    plan: _Plan, chunks: np.ndarray, coded: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The piece of each term, its coded message XOR every other term of the
-    message, as a (terms, chunk_len) buffer and the row of each term's piece.
+def _leave_one_out(places: list[np.ndarray], coded: np.ndarray) -> None:
+    """Turn the buffer of ``_gather``, in place, into the piece of each term:
+    its coded message XOR every other term of the message.
 
-    One forward and one backward scan run over the terms of each message, a
-    place at a time (see ``_places``). The buffer holds the pieces place by
-    place, so each step of a scan XORs whole runs of rows.
+    A backward pass leaves the suffix S_j = t_j ⊕ t_{j+1} ⊕ ... at place j.
+    A forward pass keeps the prefix P_j = coded ⊕ t_0 ⊕ ... ⊕ t_{j-1} in
+    ``coded``, advancing it by t_j = S_j ⊕ S_{j+1}, and writes the piece
+    P_j ⊕ S_{j+1} of place j as S_j ⊕ P_{j+1}. Its own t_j enters it twice
+    and cancels, so no piece depends on its own term's chunk.
     """
-    N, F, L = chunks.shape
-    M, n = len(coded), len(plan.term_message)
-    by_size, starts, counts, rows = _places(plan, F)
-    first, flat = starts[by_size], chunks.reshape(N * F, L)
-    offsets = np.cumsum([0] + counts).tolist()
-
-    def terms(j: int, c: int) -> np.ndarray:
-        """The chunks of the terms at place j of the first c messages."""
-        return flat[rows[first[:c] + j]]
-
-    pieces = np.empty((n, L), dtype=np.uint8)
-    pieces[:counts[0]] = coded[by_size[:counts[0]]]
-    for j in range(1, len(counts)):
-        previous, c = offsets[j - 1], counts[j]
-        np.bitwise_xor(pieces[previous:previous + c], terms(j - 1, c),
-                       out=pieces[offsets[j]:offsets[j] + c])
-    after = np.zeros_like(coded)
-    for j in range(len(counts) - 1, 0, -1):
-        previous, c = offsets[j - 1], counts[j]
-        after[:c] ^= terms(j, c)
-        pieces[previous:previous + c] ^= after[:c]
-    # The piece of term j of message m is at row offsets[j] + the place of m in by_size.
-    position = np.empty(M, dtype=np.int64)
-    position[by_size] = np.arange(M)
-    m = plan.term_message
-    return pieces, np.array(offsets)[np.arange(n) - starts[m]] + position[m]
+    for here, after in zip(places[-2::-1], places[:0:-1]):
+        here[:len(after)] ^= after
+    for here, after in zip(places, places[1:] + [places[0][:0]]):  # none after the last
+        coded[:len(here)] ^= here
+        coded[:len(after)] ^= after
+        here ^= coded[:len(here)]
 
 
 class Decoded(dict):
@@ -600,8 +586,9 @@ def simulate_end_to_end(
     users = demand.active_users()
     wanted = np.array([demand.entries[u] for u in users], dtype=np.int64)
     pair_user, target = _peeling(params, plan, users, wanted)
-    pieces, row = _leave_one_out(plan, chunks, _encode(plan, chunks))
+    pieces, places, row = _gather(plan, chunks)
     del chunks
+    _leave_one_out(places, _encode(places))
     delivered, row = plan.term_rank[target], row[target]
     bounds = np.searchsorted(pair_user, np.arange(len(users) + 1)).tolist()
     decoded = np.empty((params.subpacketization, pieces.shape[1]), dtype=np.uint8)
@@ -611,7 +598,7 @@ def simulate_end_to_end(
         # Start from the cached file: _peeling proved that the pieces the user
         # cannot read are exactly the delivered ones, and those are overwritten.
         flat[:length] = np.frombuffer(file_payloads[f - 1], dtype=np.uint8)
-        decoded[delivered[lo:hi]] = pieces[row[lo:hi]]
+        decoded[delivered[lo:hi]] = np.take(pieces, row[lo:hi], axis=0)
         outputs[user] = flat[:length].tobytes()
     outputs.messages = len(plan.coded_sets)
     return outputs

@@ -58,6 +58,26 @@ def test_every_public_formula_refuses_nonpositive_counts():
                 formula(C, r, *rest)
 
 
+def test_rate_readers_give_the_sweep_gap_when_r_exceeds_C():
+    """At r > C every public rate read from a ``CELLS`` block is the gap of
+    its ``evaluate_scheme`` row, at every point, not a number."""
+    readers = [
+        (Scheme.HKD, lambda C, r, t: hkd_rate(C, r, Fraction(t, C))),
+        (Scheme.RK, rk_rate),
+        (Scheme.RK_LB, lambda C, r, t: rk_lower_bound(C, r, Fraction(t, C))),
+        (Scheme.CLWZC, clwzc_rate),
+        (Scheme.SR1, sr1_rate),
+        (Scheme.SR2, sr2_rate),
+    ]
+    for scheme, reader in readers:
+        for C, r in ((1, 2), (4, 5), (4, 6), (6, 12)):
+            for t in range(C + 1):
+                row = evaluate_scheme(scheme, C, r, t)
+                gap = Undefined(f"access degree {r} exceeds cache count {C}")
+                assert row.rate == gap, (scheme, C, r, t)
+                assert reader(C, r, t) == gap, (scheme, C, r, t)
+
+
 def test_hkd_rate_values():
     assert hkd_rate(4, 2, Fraction(1, 2)) == 0
     assert hkd_rate(24, 2, Fraction(1, 24)) == 11

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+from decimal import ROUND_DOWN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from macc.harness import (
     SweepSpec,
     evaluate_scheme,
     make_demand,
+    render_decimal,
     run_sweep,
     simulate_report,
     write_sweep_csv,
@@ -311,6 +313,8 @@ PROPOSED = (Scheme.PROPOSED,)
         (lambda: clwzc_rate(4, 2, -1), "t must be nonnegative, got -1"),
         (lambda: clwzc_subpacketization(4, 2, -1), "t must be nonnegative, got -1"),
         (lambda: sr1_rate_value(4, 2, 3), r"needs t\*r <= C, got C=4, r=2, t=3"),
+        (lambda: sr1_rate_value(4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: sr1_rate_value(4, 2, -3), "t must be nonnegative, got -3"),
         (lambda: hkd_rate(4, 0, Fraction(1, 4)), "access degree must be positive, got 0"),
         (lambda: hkd_rate(4, -2, Fraction(1, 4)), "access degree must be positive, got -2"),
         (lambda: rk_rate(4, 0, 1), "access degree must be positive, got 0"),
@@ -332,6 +336,7 @@ PROPOSED = (Scheme.PROPOSED,)
          "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
          "demand-active-above-K", "demand-mode", "simulate-negative-size",
          "clwzc-rate-negative-t", "clwzc-F-negative-t", "sr1-tr-above-C",
+         "sr1-value-negative-t", "sr1-value-negative-t-r-2",
          "hkd-r-0", "hkd-r-negative", "rk-r-0", "rk-lb-r-0", "spe-F-r-0", "spe-special-r-0",
          "clwzc-rate-r-0", "clwzc-F-r-0", "clwzc-rate-r-0-before-t", "sr1-r-0",
          "sr1-r-0-before-gcd", "sr1-value-r-0", "sr2-r-0",
@@ -340,3 +345,17 @@ PROPOSED = (Scheme.PROPOSED,)
 def test_public_entry_points_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_render_decimal_rounds_in_its_own_context():
+    """12 significant digits, rounded half to even once, whatever decimal
+    context the caller has set."""
+    values = [Fraction(p, q) for q in range(1, 60) for p in range(-q, 3 * q + 1)]
+    values += [Fraction(10 ** 30 + 7, 3), Fraction(1, 10 ** 20 + 1), Fraction(5, 8 * 10 ** 12)]
+    with localcontext(Context(prec=12)):
+        reference = [str(Decimal(v.numerator) / Decimal(v.denominator)) for v in values]
+    assert [render_decimal(v) for v in values] == reference
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 3, ROUND_DOWN
+        assert [render_decimal(v) for v in values] == reference
+    assert render_decimal(Fraction(2, 3)) == "0.666666666667"

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -460,7 +462,10 @@ def reference_decode(params, payloads, demand, strict=True):
     scheme._check_demand(params, demand, strict)
     chunks, length = scheme._chunk_matrix(params, payloads)
     plan = scheme._delivery_plan(params, demand)
-    coded = scheme._encode(plan, chunks)
+    # The encoder's rows follow its place-major buffer: a message's row is the
+    # buffer row of its first term.
+    _, places, row = scheme._gather(plan, chunks)
+    coded = scheme._encode(places)
     outputs = {}
     for user, wanted in sorted(demand.entries.items()):
         in_user = np.zeros(params.num_caches + 1, dtype=bool)
@@ -480,7 +485,7 @@ def reference_decode(params, payloads, demand, strict=True):
             assert files[unreadable][0] == wanted
             others = ~unreadable
             cancel = np.bitwise_xor.reduce(chunks[files[others] - 1, ranks[others]], axis=0)
-            pieces[ranks[unreadable][0]] = coded[m] ^ cancel
+            pieces[ranks[unreadable][0]] = coded[row[terms[0]]] ^ cancel
             covered[ranks[unreadable][0]] = True
         assert covered.all()
         outputs[user] = pieces.tobytes()[:length]
@@ -830,8 +835,8 @@ def test_simulate_rejects_corrupted_plans(corrupt, malformed, monkeypatch):
 def test_flipped_coded_byte_is_a_byte_mismatch(monkeypatch):
     encode = scheme._encode
 
-    def flip_one_byte(plan, chunks):
-        coded = encode(plan, chunks)
+    def flip_one_byte(places):
+        coded = encode(places)
         coded[len(coded) // 2, 0] ^= 1
         return coded
 
@@ -839,6 +844,80 @@ def test_flipped_coded_byte_is_a_byte_mismatch(monkeypatch):
     monkeypatch.setattr(scheme, "_encode", flip_one_byte)
     with pytest.raises(RuntimeError, match="byte mismatch"):
         simulate_report(6, 2, 2, file_size=90)
+
+
+def test_a_term_corrupted_after_encoding_spoils_only_the_other_pieces(monkeypatch):
+    # After the message XOR, flip a byte of the term at place 1 of the first
+    # message, (1, 2, 3, 4): the term that serves user (1, 3). Every other
+    # user of the message cancels that term from its caches and so decodes
+    # wrong bytes; the piece of user (1, 3) never reads its own term.
+    encode = scheme._encode
+
+    def corrupt_a_term(places):
+        coded = encode(places)
+        places[1][0, 0] ^= 1
+        return coded
+
+    monkeypatch.setattr(scheme, "_encode", corrupt_a_term)
+    mismatch = "byte mismatch for users [(1, 2), (1, 4), (2, 3), (2, 4), (3, 4)]"
+    with pytest.raises(RuntimeError, match=re.escape(mismatch)):
+        simulate_report(6, 2, 2, file_size=90)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_message_bytes_and_pieces_match_an_independent_xor(data):
+    C = data.draw(st.integers(min_value=1, max_value=7))
+    r = data.draw(st.integers(min_value=1, max_value=C))
+    t = data.draw(st.integers(min_value=0, max_value=C))
+    N = data.draw(st.integers(min_value=1, max_value=3))
+    params = SchemeParams(C, r, t, N)
+    users = list(params.users())
+    full = data.draw(st.booleans())
+    active = users if full else sorted(data.draw(st.sets(st.sampled_from(users), min_size=1)))
+    demand = DemandAssignment({u: data.draw(st.integers(1, N)) for u in active})
+    size = data.draw(st.sampled_from([0, 1]) | st.integers(min_value=0, max_value=50))
+    payloads = [bytes(data.draw(st.binary(min_size=size, max_size=size))) for _ in range(N)]
+    F = params.subpacketization
+    L = -(-size // F)
+    chunks = np.zeros((N, F * L), dtype=np.uint8)
+    for i, payload in enumerate(payloads):
+        chunks[i, :size] = list(payload)
+    chunks = chunks.reshape(N, F, L)
+    plan = scheme._delivery_plan(params, demand)
+    pieces, places, row = scheme._gather(plan, scheme._chunk_matrix(params, payloads)[0])
+    coded = scheme._encode(places)
+    M = len(plan.coded_sets)
+    assert len(coded) == M
+    if t + r > C:
+        assert M == 0
+    for m in range(M):
+        terms = np.flatnonzero(plan.term_message == m)
+        rows = chunks[plan.term_file[terms] - 1, plan.term_rank[terms]]
+        assert (coded[row[terms[0]]] == np.bitwise_xor.reduce(rows, axis=0)).all()
+    scheme._leave_one_out(places, coded)
+    assert (pieces[row] == chunks[plan.term_file - 1, plan.term_rank]).all()
+
+
+def test_simulate_holds_one_term_buffer_at_a_time():
+    # Traced peak of one run, in bytes, against the chunk matrix, one
+    # (terms, chunk_len) buffer, three (messages, chunk_len) buffers, the
+    # decoded outputs and 1 MiB of slack. One file keeps the chunk matrix
+    # small, so a second term buffer (3.9 MB here) would exceed the slack.
+    params, size = SchemeParams(8, 2, 2, 1), 256 * 1024
+    users = list(params.users())
+    demand = DemandAssignment(dict.fromkeys(users, 1))
+    payloads = [bytes(range(256)) * (size // 256)]
+    F, M, terms = params.subpacketization, binom(8, 4), len(users) * binom(6, 2)
+    L = -(-size // F)
+    tracemalloc.start()
+    try:
+        outputs = simulate_end_to_end(params, payloads, demand, strict=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outputs == dict.fromkeys(users, payloads[0])
+    assert peak <= F * L + terms * L + 3 * M * L + len(users) * size + 2 ** 20
 
 
 def _plan_swap_demand(coded_set, user):
