@@ -46,7 +46,6 @@ from .scheme import (
     SubfileId,
     Transmission,
     accessible_fraction,
-    accessible_subfile_indices,
     build_placement,
     decode_user,
     generate_transmissions,
@@ -71,7 +70,6 @@ __all__ = [
     "Transmission",
     "Undefined",
     "accessible_fraction",
-    "accessible_subfile_indices",
     "analyze",
     "binom",
     "build_placement",

@@ -10,8 +10,10 @@ memory-sharing curve are wrapped by ``macc.metrics``. Each scheme's
 existence rule and rate are stated once, in integers, in that block
 function, with a rate as a lowest-terms pair (p, q). A public rate is one
 point of its block, read as a Fraction or a gap by ``_rate_at``. Every
-public formula refuses C < 1, then r < 1, through ``check_counts``; an
-r beyond C is one gap of the whole block, from ``read_block``.
+public formula refuses C < 1, then r < 1, through ``check_counts``.
+``read_block`` is the one reader of a block, for the sweep and the public
+formulas alike: it decides the gaps every scheme shares, a t beyond C and
+then an r beyond C.
 
 Scheme tags: PROPOSED is this package's scheme, with K = binom(C, r) users.
 HKD, RK and RK_LB (the same work's converse bound), SPE, CLWZC, SR1, SR2 all
@@ -77,10 +79,14 @@ def check_memory_fraction(mn: Fraction) -> Fraction:
     return mn
 
 
-def check_counts(C: int, r: int) -> None:
-    """Refuse a cache count C < 1, then an access degree r < 1."""
+def check_cache_count(C: int) -> None:
     if C < 1:
         raise ValueError(f"cache count must be positive, got {C}")
+
+
+def check_counts(C: int, r: int) -> None:
+    """Refuse a cache count C < 1, then an access degree r < 1."""
+    check_cache_count(C)
     if r < 1:
         raise ValueError(f"access degree must be positive, got {r}")
 
@@ -105,23 +111,36 @@ def _at_integer_t(cells_at: Callable[[int, int, int], Cells], C: int, r: int,
     return [cells_at(C, r, p) if q == 1 else _INTEGER_ONLY_GAP for p, q in grid]
 
 
-def read_block(block: Callable[[int, int, Sequence[Pair]], Block], C: int, r: int,
-               grid: Sequence[Pair]) -> Block:
-    """``block`` at the points of ``grid``, or one gap for all of them when
-    the access degree exceeds the cache count."""
-    if r > C:
-        return Undefined(f"access degree {r} exceeds cache count {C}")
-    return block(C, r, grid)
+def read_block(scheme: Scheme, C: int, r: int, grid: Sequence[Pair]) -> Block:
+    """The cells of ``scheme`` at each t = p/q of ``grid``, which is sorted by t.
+
+    The gaps every scheme shares are decided here, in this order: a t beyond
+    C, then an r beyond C (the rest of the block). Any further gap is the
+    scheme's own, from its ``CELLS`` function, called once. A block with no
+    t beyond C that is a gap throughout comes back as that one gap.
+    """
+    n = len(grid)
+    while n and grid[n - 1][0] > C * grid[n - 1][1]:
+        n -= 1
+    cells = (Undefined(f"access degree {r} exceeds cache count {C}") if r > C
+             else CELLS[scheme](C, r, grid[:n]))
+    if n == len(grid):
+        return cells
+    return ([cells] * n if isinstance(cells, Undefined) else cells) + [
+        Undefined(f"cache parameter {Fraction(p, q)} exceeds cache count {C}") for p, q in grid[n:]
+    ]
 
 
-def _rate_at(block: Callable[[int, int, Sequence[Pair]], Block], C: int, r: int,
-             point: Pair) -> Rational:
-    """The rate of ``block`` at one point as a public value: a gap of the
-    whole block (an r beyond C included), of the point's cells or of its
-    rate comes back as that gap, a rate as a Fraction."""
-    cells = read_block(block, C, r, [point])
-    if not isinstance(cells, Undefined):
-        cells = cells[0]
+def read_point(scheme: Scheme, C: int, r: int, point: Pair) -> Cells:
+    """``read_block`` at the one point t = p/q: its cells, or its gap."""
+    cells = read_block(scheme, C, r, [point])
+    return cells if isinstance(cells, Undefined) else cells[0]
+
+
+def _rate_at(scheme: Scheme, C: int, r: int, point: Pair) -> Rational:
+    """The rate of ``scheme`` at one point as a public value: a gap of the
+    point's cells or of its rate comes back as that gap, a rate as a Fraction."""
+    cells = read_point(scheme, C, r, point)
     return cells if isinstance(cells, Undefined) else _fraction(cells[1])
 
 
@@ -178,7 +197,7 @@ def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
     """
     check_counts(C, r)
     mn = check_memory_fraction(mn)
-    return _rate_at(CELLS[Scheme.HKD], C, r, _lowest(C * mn.numerator, mn.denominator))
+    return _rate_at(Scheme.HKD, C, r, _lowest(C * mn.numerator, mn.denominator))
 
 
 _RK_OFF_GRID = Undefined("defined only on the grid M/N = i/C")
@@ -202,7 +221,7 @@ def rk_rate(C: int, r: int, i: int) -> Rational:
     check_counts(C, r)
     if i < 0:
         raise ValueError(_rk_cells(C, r, i).reason)
-    return _rate_at(CELLS[Scheme.RK], C, r, (i, 1))
+    return _rate_at(Scheme.RK, C, r, (i, 1))
 
 
 _RK_LB_F = Undefined("converse bound, not a construction")
@@ -236,7 +255,7 @@ def rk_lower_bound(C: int, r: int, mn: Fraction) -> Rational:
     """
     check_counts(C, r)
     mn = check_memory_fraction(mn)
-    return _rate_at(CELLS[Scheme.RK_LB], C, r, _lowest(C * mn.numerator, mn.denominator))
+    return _rate_at(Scheme.RK_LB, C, r, _lowest(C * mn.numerator, mn.denominator))
 
 
 def spe_subpacketization(C: int, r: int) -> Count:
@@ -286,7 +305,7 @@ def clwzc_rate(C: int, r: int, t: int) -> Rational:
     """Rate (C - t*r)/(1 + t), clamped to zero once caches cover everything."""
     check_counts(C, r)
     _check_t(t)
-    return _rate_at(CELLS[Scheme.CLWZC], C, r, (t, 1))
+    return _rate_at(Scheme.CLWZC, C, r, (t, 1))
 
 
 def _clwzc_F(C: int, r: int, t: int) -> int:
@@ -351,7 +370,7 @@ def sr1_rate(C: int, r: int, t: int) -> Rational:
     (see :func:`sr1_rate_value`); the sweep row's note flags it.
     """
     check_counts(C, r)
-    return _rate_at(CELLS[Scheme.SR1], C, r, (t, 1))
+    return _rate_at(Scheme.SR1, C, r, (t, 1))
 
 
 def _sr2_cells(C: int, r: int, t: int) -> Cells:
@@ -368,7 +387,7 @@ def _sr2_cells(C: int, r: int, t: int) -> Cells:
 def sr2_rate(C: int, r: int, t: int) -> Rational:
     """Rate (C - tr)(C - tr + t) / (2C) where t | C and (C - tr + t) | C."""
     check_counts(C, r)
-    return _rate_at(CELLS[Scheme.SR2], C, r, (t, 1))
+    return _rate_at(Scheme.SR2, C, r, (t, 1))
 
 
 def is_prime_power(n: int) -> bool:

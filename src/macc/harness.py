@@ -20,8 +20,6 @@ from typing import IO, Union
 import numpy as np
 
 from .baselines import (
-    CELLS,
-    Block,
     Pair,
     Scheme,
     Undefined,
@@ -30,6 +28,7 @@ from .baselines import (
     clwzc_rate,
     clwzc_subpacketization,
     read_block,
+    read_point,
     spe_special_rate,
 )
 from .combinatorics import binom
@@ -215,30 +214,9 @@ class SweepSpec:
                 check_memory_fraction(mn)
 
 
-def _block_cells(scheme: Scheme, C: int, r: int, grid: Sequence[Pair]) -> Block:
-    """The cells of one scheme at each t = p/q of ``grid``, in order.
-
-    ``grid`` is sorted by t. The gaps are decided here, in this order: a t
-    beyond C, then an r beyond C (the rest of the block); any further gap
-    is the scheme's own, from ``CELLS``. A block with no t beyond C that
-    is a gap throughout comes back as that one gap.
-    """
-    n = len(grid)
-    while n and grid[n - 1][0] > C * grid[n - 1][1]:
-        n -= 1
-    cells = read_block(CELLS[scheme], C, r, grid[:n])
-    if n == len(grid):
-        return cells
-    return ([cells] * n if isinstance(cells, Undefined) else cells) + [
-        Undefined(f"cache parameter {Fraction(p, q)} exceeds cache count {C}") for p, q in grid[n:]
-    ]
-
-
 def _point_row(scheme: Scheme, C: int, r: int, point: Pair) -> ComparisonRow:
     """The row of one scheme at the point t = p/q; the per-user rate is rate / K."""
-    cells = _block_cells(scheme, C, r, [point])
-    if not isinstance(cells, Undefined):
-        (cells,) = cells
+    cells = read_point(scheme, C, r, point)
     t, mn = Fraction(*point), Fraction(point[0], point[1] * C)
     if isinstance(cells, Undefined):
         return ComparisonRow(scheme, C, r, t, mn, cells, cells, cells, cells, note=cells.reason)
@@ -290,7 +268,7 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
 
     The grid of each C, the pair (p, q) of each t = p/q in lowest terms, is
     built here; a negative t (only a t grid can hold one) is refused once,
-    at the smallest C, with ``evaluate_scheme``'s error. ``_block_cells``
+    at the smallest C, with ``evaluate_scheme``'s error. ``read_block``
     computes the rows when they are written or read.
     """
     scheme_order = {s: i for i, s in enumerate(Scheme)}
@@ -346,7 +324,7 @@ def write_sweep_csv(sweep: SweepRows, stream: IO[str]) -> None:
         if head is None:
             head = heads[C] = [f"{ratio(p, q)},{_decimal(p, q * C)}," for p, q in grid]
         prefix = f"{scheme.value},{C},{r},"
-        cells = _block_cells(scheme, C, r, grid)
+        cells = read_block(scheme, C, r, grid)
         if isinstance(cells, Undefined):
             end = ",,,," + tail(False, cells.reason)
             stream.write(prefix + (end + prefix).join(head) + end)

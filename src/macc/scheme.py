@@ -175,8 +175,11 @@ class DemandAssignment:
         return sorted(self.entries)
 
 
-def _check_demand(params: SchemeParams, demand: DemandAssignment, strict: bool) -> None:
-    """Validate a demand assignment against concrete parameters.
+def _check_demand(
+    params: SchemeParams, demand: DemandAssignment, strict: bool
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Validate a demand assignment against concrete parameters, and return
+    the active users sorted, as an (A, r) int64 array, and their files.
 
     Keys are sorted integer tuples without repeats, so a user is valid
     exactly when it has r labels, the first at least 1 and the last at most
@@ -195,6 +198,9 @@ def _check_demand(params: SchemeParams, demand: DemandAssignment, strict: bool) 
             raise DemandError(f"user {user} demands file {file_index}, outside 1..{N}")
     if strict and len(set(demand.entries.values())) != len(demand.entries):
         raise DemandError("demands must be pairwise distinct in strict mode")
+    active = demand.active_users()
+    files = np.array([demand.entries[u] for u in active], dtype=np.int64)
+    return active, np.array(active, dtype=np.int64).reshape(len(active), r), files
 
 
 def cache_subfiles(params: SchemeParams) -> dict[int, list[SubfileId]]:
@@ -211,12 +217,6 @@ def cache_subfiles(params: SchemeParams) -> dict[int, list[SubfileId]]:
 def build_placement(params: SchemeParams) -> list[CacheContent]:
     """The C caches of :func:`cache_subfiles`, each a fraction t/C of the library."""
     return [CacheContent(k, frozenset(subfiles)) for k, subfiles in cache_subfiles(params).items()]
-
-
-def accessible_subfile_indices(params: SchemeParams, user: Sequence[int]) -> set[tuple[int, ...]]:
-    """Index sets a user can read: exactly the T with T intersecting the user."""
-    user_set = set(validate_subset(user, params.num_caches, params.access_degree))
-    return {T for T in params.subfile_index_sets() if user_set.intersection(T)}
 
 
 def accessible_fraction(params: SchemeParams) -> Fraction:
@@ -249,9 +249,10 @@ class _Plan(NamedTuple):
     subfile_sets: np.ndarray  # (F, t) every index set, by rank
 
 
-def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
-    """The term list: W_{d_U, T} for every active user U and every t-subset T
-    of [C] \\ U, sent in the message S = U ∪ T.
+def _delivery_plan(params: SchemeParams, users: np.ndarray, files: np.ndarray) -> _Plan:
+    """The term list: W_{d_U, T} for every active user U of ``users`` (sorted,
+    (A, r)) and every t-subset T of [C] \\ U, sent in the message S = U ∪ T;
+    ``files`` holds each user's demand d_U.
 
     That is A·binom(C-r, t) terms for A active users, with no work for an
     inactive one. The ranks of T and S come from a binomial table and the
@@ -264,9 +265,7 @@ def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
     term's U and T.
     """
     C, r, t = params.num_caches, params.access_degree, params.cache_param
-    k, active = t + r, demand.active_users()
-    users = np.array(active, dtype=np.int64).reshape(-1, r)
-    A = len(users)
+    k, A = t + r, len(users)
     free = np.ones((A, C + 1), dtype=bool)
     free[:, 0] = False
     free[np.arange(A)[:, None], users] = False
@@ -291,7 +290,6 @@ def _delivery_plan(params: SchemeParams, demand: DemandAssignment) -> _Plan:
     new = np.diff(set_rank[order], prepend=-1) != 0
     a, b = np.divmod(order[new], K)
     coded_sets = np.sort(np.concatenate([users[a], rest[a[:, None], picks[b]]], axis=1), axis=1)
-    files = np.array([demand.entries[u] for u in active], dtype=np.int64)
     return _Plan(coded_sets, np.cumsum(new) - 1, files[order // K],
                  term_rank.reshape(-1)[order], subset_array(C, t))
 
@@ -347,11 +345,11 @@ def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
 
 
 def _peeling(
-    params: SchemeParams, plan: _Plan, users: Sequence[tuple[int, ...]], wanted: np.ndarray
+    params: SchemeParams, plan: _Plan, users: np.ndarray, wanted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every (user, message) pair of a message serving one of ``users`` (sorted),
-    as the position in ``users`` and the term the pair delivers, ordered by
-    user, then message.
+    """Every (user, message) pair of a message serving one of ``users`` (sorted,
+    (A, r)), as the position in ``users`` and the term the pair delivers,
+    ordered by user, then message.
 
     Checks the decodability argument for all pairs at once, in O(terms),
     after ``_victims`` has refused a plan of the wrong shape: each term's
@@ -370,10 +368,9 @@ def _peeling(
     """
     C, r, t, N = params.num_caches, params.access_degree, params.cache_param, params.num_files
     M, A = len(plan.coded_sets), len(users)
-    user_sets = np.array(users, dtype=np.int64).reshape(A, r)
     # User rank -> position, -1 for an inactive user, in the smallest type that holds A.
     where = np.full(params.num_users, -1, dtype=np.min_scalar_type(-1 - A))
-    where[rank_subsets(user_sets, C)] = np.arange(A)
+    where[rank_subsets(users, C)] = np.arange(A)
     at = where[_victims(params, plan)]
     # The terms come in message order, so one stable sort orders the pairs.
     terms = np.flatnonzero(at >= 0)
@@ -393,7 +390,7 @@ def _peeling(
     failing = np.concatenate([pair_user[failed], np.flatnonzero(short)])
     if len(failing):
         a = int(failing.min())
-        user, mine = tuple(users[a]), pair_user == a
+        user, mine = tuple(users[a].tolist()), pair_user == a
         holding = np.flatnonzero(np.isin(plan.coded_sets, user).sum(axis=1) == r)
         count, file = np.zeros(M, dtype=np.int64), np.zeros(M, dtype=np.int64)
         count[messages[mine]], file[messages[mine]] = unread[mine], served[mine]
@@ -423,8 +420,8 @@ def generate_transmissions(
     coded set S, terms ordered lexicographically by U; none when t + r > C.
     This is the object view of the plan ``simulate_end_to_end`` runs on.
     """
-    _check_demand(params, demand, strict)
-    plan = _delivery_plan(params, demand)
+    _, users, files = _check_demand(params, demand, strict)
+    plan = _delivery_plan(params, users, files)
     terms = [SubfileId(f, tuple(T)) for f, T in
              zip(plan.term_file.tolist(), plan.subfile_sets[plan.term_rank].tolist())]
     bounds = np.searchsorted(plan.term_message, np.arange(len(plan.coded_sets) + 1)).tolist()
@@ -580,25 +577,24 @@ def simulate_end_to_end(
     evenly); coded messages are bytewise XORs of chunks. Returns the bytes
     each active user reassembles, which must equal its demanded payload.
     """
-    _check_demand(params, demand, strict)
+    active, users, files = _check_demand(params, demand, strict)
     chunks, length = _chunk_matrix(params, file_payloads)
-    plan = _delivery_plan(params, demand)
-    users = demand.active_users()
-    wanted = np.array([demand.entries[u] for u in users], dtype=np.int64)
-    pair_user, target = _peeling(params, plan, users, wanted)
+    plan = _delivery_plan(params, users, files)
+    _, target = _peeling(params, plan, users, files)
     pieces, places, row = _gather(plan, chunks)
     del chunks
     _leave_one_out(places, _encode(places))
-    delivered, row = plan.term_rank[target], row[target]
-    bounds = np.searchsorted(pair_user, np.arange(len(users) + 1)).tolist()
+    # _peeling proved that each user has exactly binom(C - r, t) pairs, in user order.
+    shape = (len(active), binom(params.num_caches - params.access_degree, params.cache_param))
+    delivered, row = plan.term_rank[target].reshape(shape), row[target].reshape(shape)
     decoded = np.empty((params.subpacketization, pieces.shape[1]), dtype=np.uint8)
     flat = decoded.reshape(-1)
     outputs = Decoded()
-    for user, f, lo, hi in zip(users, wanted.tolist(), bounds, bounds[1:]):
+    for user, f, mine, at in zip(active, files.tolist(), delivered, row):
         # Start from the cached file: _peeling proved that the pieces the user
         # cannot read are exactly the delivered ones, and those are overwritten.
         flat[:length] = np.frombuffer(file_payloads[f - 1], dtype=np.uint8)
-        decoded[delivered[lo:hi]] = np.take(pieces, row[lo:hi], axis=0)
+        decoded[mine] = np.take(pieces, at, axis=0)
         outputs[user] = flat[:length].tobytes()
     outputs.messages = len(plan.coded_sets)
     return outputs

@@ -25,7 +25,7 @@ from macc.baselines import (
 )
 from macc.combinatorics import binom
 from macc.golden import PROPOSED_ADVANTAGE_ROWS, SPE_ADVANTAGE_ROWS
-from macc.harness import evaluate_scheme
+from macc.harness import SweepSpec, evaluate_scheme, run_sweep
 from macc.metrics import delivery_rate, rate_memory_curve
 
 
@@ -56,6 +56,11 @@ def test_every_public_formula_refuses_nonpositive_counts():
                               (4, 0, "access degree must be positive, got 0")):
             with pytest.raises(ValueError, match=message):
                 formula(C, r, *rest)
+    # This package's own rate and curve refuse C < 1 first, as well.
+    for C in (0, -4):
+        for formula, rest in ((delivery_rate, 0), (rate_memory_curve, [0])):
+            with pytest.raises(ValueError, match=f"cache count must be positive, got {C}"):
+                formula(C, 1, rest)
 
 
 def test_rate_readers_give_the_sweep_gap_when_r_exceeds_C():
@@ -76,6 +81,18 @@ def test_rate_readers_give_the_sweep_gap_when_r_exceeds_C():
                 gap = Undefined(f"access degree {r} exceeds cache count {C}")
                 assert row.rate == gap, (scheme, C, r, t)
                 assert reader(C, r, t) == gap, (scheme, C, r, t)
+
+
+def test_public_rates_at_every_t_equal_their_sweep_rows():
+    """At every t, a t beyond C included, a public rate is its sweep row's
+    rate, and a gap is the row's gap with the same reason."""
+    for scheme, reader in ((Scheme.RK, rk_rate), (Scheme.CLWZC, clwzc_rate),
+                           (Scheme.SR1, sr1_rate), (Scheme.SR2, sr2_rate)):
+        for C in range(1, 7):
+            for r in range(1, C + 2):
+                for t in range(C + 3):
+                    (row,) = run_sweep(SweepSpec((C,), (r,), (Fraction(t),), (scheme,)))
+                    assert reader(C, r, t) == row.rate, (scheme, C, r, t)
 
 
 def test_hkd_rate_values():

@@ -25,8 +25,8 @@ from macc.scheme import (
     SubfileId,
     Transmission,
     accessible_fraction,
-    accessible_subfile_indices,
     build_placement,
+    cache_subfiles,
     decode_user,
     generate_transmissions,
     simulate_end_to_end,
@@ -45,6 +45,18 @@ ACCESSIBLE_C5_T2_R3_COUNT = 9
 def full_demand(params, offset=0):
     files = [1 + (i + offset) % params.num_files for i in range(params.num_users)]
     return DemandAssignment.from_request_vector(params, files)
+
+
+def accessible(params, user):
+    """Index sets a user reads: the union of its caches under ``cache_subfiles``."""
+    per_cache = cache_subfiles(params)
+    return {subfile.index_set for k in user for subfile in per_cache[k]}
+
+
+def plan_for(params, demand):
+    """``_delivery_plan`` over the users and files ``_check_demand`` reads from ``demand``."""
+    _, users, files = scheme._check_demand(params, demand, strict=False)
+    return scheme._delivery_plan(params, users, files)
 
 
 def test_params_validation():
@@ -121,12 +133,12 @@ def test_dump_caches_are_the_placement():
 
 
 def test_accessible_indices_examples():
-    got = accessible_subfile_indices(SchemeParams(5, 3, 2, 1), (1, 2, 3))
+    got = accessible(SchemeParams(5, 3, 2, 1), (1, 2, 3))
     assert len(got) == ACCESSIBLE_C5_T2_R3_COUNT
     assert (4, 5) not in got
-    assert accessible_subfile_indices(SchemeParams(4, 2, 1, 1), (1, 2)) == {(1,), (2,)}
+    assert accessible(SchemeParams(4, 2, 1, 1), (1, 2)) == {(1,), (2,)}
     for c in (1, 3):
-        assert (c,) in accessible_subfile_indices(SchemeParams(4, 2, 1, 1), (1, 3))
+        assert (c,) in accessible(SchemeParams(4, 2, 1, 1), (1, 3))
 
 
 def test_accessible_fraction_examples():
@@ -143,7 +155,7 @@ def test_accessible_fraction_matches_brute_force():
             for t in range(1, C + 1):
                 params = SchemeParams(C, r, t, 1)
                 user = tuple(range(1, r + 1))
-                count = len(accessible_subfile_indices(params, user))
+                count = len(accessible(params, user))
                 assert accessible_fraction(params) == Fraction(count, binom(C, t))
 
 
@@ -253,8 +265,7 @@ def test_decode_user_first_example_trace():
     txs = generate_transmissions(EX1.params, demand)
     peeled = decode_user(EX1.params, (1, 2), demand, txs, caches)
     assert peeled == EX1_USER_12_PEELED
-    accessible = accessible_subfile_indices(EX1.params, (1, 2))
-    assert {SubfileId(1, T) for T in accessible} == EX1_USER_12_CACHED
+    assert {SubfileId(1, T) for T in accessible(EX1.params, (1, 2))} == EX1_USER_12_CACHED
 
 
 def test_decode_user_single_transmission_example():
@@ -271,7 +282,7 @@ def test_decode_user_r_equals_C_needs_nothing():
     assert txs == []
     caches = build_placement(params)
     assert decode_user(params, (1, 2, 3), demand, txs, caches) == set()
-    assert accessible_subfile_indices(params, (1, 2, 3)) == {(1,), (2,), (3,)}
+    assert accessible(params, (1, 2, 3)) == {(1,), (2,), (3,)}
 
 
 def test_decode_coverage_all_small_params():
@@ -288,7 +299,7 @@ def test_decode_coverage_all_small_params():
                     wanted = demand.entries[user]
                     assert all(s.file_index == wanted for s in peeled)
                     got = {s.index_set for s in peeled}
-                    have = accessible_subfile_indices(params, user)
+                    have = accessible(params, user)
                     assert got.isdisjoint(have)
                     assert got | have == all_indices
 
@@ -324,7 +335,7 @@ def test_dynamism_partial_population_is_consistent_subset():
     for user in partial.entries:
         peeled = decode_user(params, user, partial, partial_txs, caches)
         got = {s.index_set for s in peeled}
-        assert got | accessible_subfile_indices(params, user) == set(
+        assert got | accessible(params, user) == set(
             params.subfile_index_sets()
         )
 
@@ -412,7 +423,7 @@ def test_random_partial_populations_decode(data):
     for user in demand.entries:
         peeled = decode_user(params, user, demand, txs, caches)
         got = {s.index_set for s in peeled}
-        assert got | accessible_subfile_indices(params, user) == set(
+        assert got | accessible(params, user) == set(
             params.subfile_index_sets()
         )
 
@@ -459,9 +470,9 @@ def reference_decode(params, payloads, demand, strict=True):
     target, and cancel the other terms of the message by gathering their
     chunks.
     """
-    scheme._check_demand(params, demand, strict)
+    _, users, files = scheme._check_demand(params, demand, strict)
     chunks, length = scheme._chunk_matrix(params, payloads)
-    plan = scheme._delivery_plan(params, demand)
+    plan = scheme._delivery_plan(params, users, files)
     # The encoder's rows follow its place-major buffer: a message's row is the
     # buffer row of its first term.
     _, places, row = scheme._gather(plan, chunks)
@@ -513,13 +524,12 @@ def test_simulation_and_delivery_match_the_construction(data):
     assert txs == brute_force_delivery(params, demand)
     assert outputs.messages == len(txs)
     # decode_user, reading the caches, peels what the batched check delivers.
-    plan = scheme._delivery_plan(params, demand)
-    users = demand.active_users()
-    wanted = np.array([demand.entries[u] for u in users], dtype=np.int64)
+    active, users, wanted = scheme._check_demand(params, demand, strict=False)
+    plan = scheme._delivery_plan(params, users, wanted)
     pair_user, target = scheme._peeling(params, plan, users, wanted)
     delivered = plan.subfile_sets[plan.term_rank[target]].tolist()
     caches = build_placement(params)
-    for a, user in enumerate(users):
+    for a, user in enumerate(active):
         assert decode_user(params, user, demand, txs, caches) == {
             SubfileId(demand.entries[user], tuple(T))
             for T, p in zip(delivered, pair_user.tolist()) if p == a}
@@ -537,7 +547,7 @@ def test_plan_holds_one_term_per_active_user_and_index_set(data):
     active = data.draw(st.sets(st.sampled_from(list(params.users())), min_size=1))
     files = data.draw(st.lists(st.integers(1, 3), min_size=len(active), max_size=len(active)))
     demand = DemandAssignment(dict(zip(sorted(active), files)))
-    plan = scheme._delivery_plan(params, demand)
+    plan = plan_for(params, demand)
     assert len(plan.term_message) == len(plan.term_file) == len(plan.term_rank)
     assert len(plan.term_rank) == len(active) * binom(C - r, t)
     terms = []
@@ -821,7 +831,7 @@ def test_simulate_rejects_corrupted_plans(corrupt, malformed, monkeypatch):
     demand = full_demand(params)
     payloads = [bytes([i]) * 30 for i in range(15)]
     build = scheme._delivery_plan
-    monkeypatch.setattr(scheme, "_delivery_plan", lambda p, d: corrupt(build(p, d), p))
+    monkeypatch.setattr(scheme, "_delivery_plan", lambda p, u, f: corrupt(build(p, u, f), p))
     with pytest.raises(DecodingError) as caught:
         simulate_end_to_end(params, payloads, demand)
     error = caught.value
@@ -884,7 +894,7 @@ def test_message_bytes_and_pieces_match_an_independent_xor(data):
     for i, payload in enumerate(payloads):
         chunks[i, :size] = list(payload)
     chunks = chunks.reshape(N, F, L)
-    plan = scheme._delivery_plan(params, demand)
+    plan = plan_for(params, demand)
     pieces, places, row = scheme._gather(plan, scheme._chunk_matrix(params, payloads)[0])
     coded = scheme._encode(places)
     M = len(plan.coded_sets)
@@ -966,8 +976,8 @@ def test_decoding_error_names_the_smallest_failing_user(
     corrupt_larger = _plan_swap_demand((1, 2, 3, 4), (2, 3))
     corrupted = {}
 
-    def plan_with_two_failures(p, d):
-        corrupted["plan"] = corrupt_smaller(corrupt_larger(build(p, d), p), p)
+    def plan_with_two_failures(p, u, f):
+        corrupted["plan"] = corrupt_smaller(corrupt_larger(build(p, u, f), p), p)
         return corrupted["plan"]
 
     monkeypatch.setattr(scheme, "_delivery_plan", plan_with_two_failures)
@@ -1031,8 +1041,8 @@ def test_simulate_decodes_messages_with_permuted_terms(monkeypatch):
     payloads = [bytes((11 * i + j) % 256 for j in range(50)) for i in range(15)]
     build = scheme._delivery_plan
 
-    def reversed_terms(p, d):
-        plan = build(p, d)
+    def reversed_terms(p, u, f):
+        plan = build(p, u, f)
         return _plan_terms(plan, np.lexsort((-np.arange(len(plan.term_rank)), plan.term_message)))
 
     monkeypatch.setattr(scheme, "_delivery_plan", reversed_terms)
@@ -1207,7 +1217,8 @@ def test_peeling_agrees_with_a_brute_force_check_on_terms_partly_outside():
     # is refused at its message; every such move of every term is checked.
     params = SchemeParams(5, 1, 3, 2)
     users, wanted = [(1,), (2,), (4,)], np.array([1, 2, 1])
-    plan = scheme._delivery_plan(params, DemandAssignment(dict(zip(users, wanted.tolist()))))
+    plan = plan_for(params, DemandAssignment(dict(zip(users, wanted.tolist()))))
+    user_array = np.array(users, dtype=np.int64)
     for k, m in enumerate(plan.term_message.tolist()):
         S = set(plan.coded_sets[m].tolist())
         for T in combinations(range(1, 6), 3):
@@ -1217,7 +1228,8 @@ def test_peeling_agrees_with_a_brute_force_check_on_terms_partly_outside():
             term_rank[k] = rank_subset(T, 5)
             moved = plan._replace(term_rank=term_rank)
             try:
-                got = [column.tolist() for column in scheme._peeling(params, moved, users, wanted)]
+                got = [column.tolist()
+                       for column in scheme._peeling(params, moved, user_array, wanted)]
             except DecodingError as error:
                 got = (error.user, error.coded_set, error.reason, str(error))
             assert got == reference_check(params, moved, users, wanted)
@@ -1237,7 +1249,7 @@ def test_peeling_agrees_with_a_brute_force_check(kind, data):
     users = sorted(active)
     wanted = np.array(data.draw(st.lists(st.integers(1, N), min_size=len(users),
                                          max_size=len(users))), dtype=np.int64)
-    plan = scheme._delivery_plan(params, DemandAssignment(dict(zip(users, wanted.tolist()))))
+    plan = plan_for(params, DemandAssignment(dict(zip(users, wanted.tolist()))))
     if kind == "two-kinds":
         plan = _corrupt_plan(data, params, plan, data.draw(st.sampled_from(_PLAN_CORRUPTIONS)))
         assume(len(plan.term_rank) > 0)  # the second kind needs a term to act on
@@ -1245,7 +1257,8 @@ def test_peeling_agrees_with_a_brute_force_check(kind, data):
     plan = _corrupt_plan(data, params, plan, kind)
     expected = reference_check(params, plan, users, wanted)
     try:
-        got = [column.tolist() for column in scheme._peeling(params, plan, users, wanted)]
+        got = [column.tolist() for column in
+               scheme._peeling(params, plan, np.array(users, dtype=np.int64), wanted)]
     except DecodingError as error:
         got = (error.user, error.coded_set, error.reason, str(error))
     assert got == expected
