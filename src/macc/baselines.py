@@ -10,7 +10,8 @@ memory-sharing curve are wrapped by ``macc.metrics``. Each scheme's
 existence rule and rate are stated once, in integers, in that block
 function, with a rate as a lowest-terms pair (p, q). A public rate is one
 point of its block, read as a Fraction or a gap by ``_rate_at``. Every
-public formula refuses C < 1, then r < 1, through ``check_counts``.
+public formula refuses C < 1, then r < 1, through ``check_counts``, and
+one with a cache parameter t then refuses t < 0 through ``_check_t``.
 ``read_block`` is the one reader of a block, for the sweep and the public
 formulas alike: it decides the gaps every scheme shares, a t beyond C and
 then an r beyond C.
@@ -79,16 +80,18 @@ def check_memory_fraction(mn: Fraction) -> Fraction:
     return mn
 
 
-def check_cache_count(C: int) -> None:
+def check_counts(C: int, r: int) -> None:
+    """Refuse a cache count C < 1, then an access degree r < 1, at every entry point."""
     if C < 1:
         raise ValueError(f"cache count must be positive, got {C}")
-
-
-def check_counts(C: int, r: int) -> None:
-    """Refuse a cache count C < 1, then an access degree r < 1."""
-    check_cache_count(C)
     if r < 1:
         raise ValueError(f"access degree must be positive, got {r}")
+
+
+def _check_t(t: int) -> None:
+    """Refuse t < 0 at a comparison reader; a t beyond C is ``read_block``'s gap."""
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
 
 
 Cells = Union[tuple[int, Union[Pair, Undefined], Count, str], Undefined]
@@ -206,7 +209,7 @@ _RK_F = Undefined("subpacketization not modeled for this scheme")
 
 def _rk_cells(C: int, r: int, i: int) -> Cells:
     ceil_cr = -(-C // r)
-    if not 0 <= i <= ceil_cr:
+    if i > ceil_cr:
         return Undefined(f"grid index i={i} outside 0..{ceil_cr} for C={C}, r={r}")
     rate = _ZERO if i == ceil_cr and C % r != 0 else _lowest((C - r * i) ** 2, C)
     return C, rate, _RK_F, ""
@@ -219,8 +222,7 @@ def _rk(C: int, r: int, grid: Sequence[Pair]) -> Block:
 def rk_rate(C: int, r: int, i: int) -> Rational:
     """Rate C*(1 - r*i/C)^2 at M/N = i/C for i >= 0: zero at ceil(C/r), undefined past it."""
     check_counts(C, r)
-    if i < 0:
-        raise ValueError(_rk_cells(C, r, i).reason)
+    _check_t(i)
     return _rate_at(Scheme.RK, C, r, (i, 1))
 
 
@@ -278,6 +280,7 @@ def _spe_special(C: int, r: int, t: int) -> Union[Pair, Undefined]:
 def spe_special_rate(C: int, r: int, t: int) -> Rational:
     """Rate of the optimal special case r = (C-1)/t: always 1/C, with F = C."""
     check_counts(C, r)
+    _check_t(t)
     return _fraction(_spe_special(C, r, t))
 
 
@@ -294,11 +297,6 @@ def _spe_cells(C: int, r: int, t: int) -> Cells:
     F = spe_subpacketization(C, r)
     note = F.reason if isinstance(F, Undefined) else "subpacketization only"
     return C, _SPE_RATE, F, note
-
-
-def _check_t(t: int) -> None:
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
 
 
 def clwzc_rate(C: int, r: int, t: int) -> Rational:
@@ -370,6 +368,7 @@ def sr1_rate(C: int, r: int, t: int) -> Rational:
     (see :func:`sr1_rate_value`); the sweep row's note flags it.
     """
     check_counts(C, r)
+    _check_t(t)
     return _rate_at(Scheme.SR1, C, r, (t, 1))
 
 
@@ -387,6 +386,7 @@ def _sr2_cells(C: int, r: int, t: int) -> Cells:
 def sr2_rate(C: int, r: int, t: int) -> Rational:
     """Rate (C - tr)(C - tr + t) / (2C) where t | C and (C - tr + t) | C."""
     check_counts(C, r)
+    _check_t(t)
     return _rate_at(Scheme.SR2, C, r, (t, 1))
 
 

@@ -102,16 +102,22 @@ def subset_array(n: int, k: int) -> np.ndarray:
     return flat.reshape(binom(n, k), k)
 
 
-def rank_subsets(subsets: np.ndarray, n: int) -> np.ndarray:
-    """:func:`rank_subset` of every row of an array of sorted k-subsets of [n].
+def rank_weights(n: int, k: int) -> np.ndarray:
+    """The (n + 1, k) int64 table of C(n - x, k - i) at row x, column i.
 
-    Vectorised through rank = C(n, k) - 1 - sum_i C(n - c_i, k - i) over the
-    row's labels c_0 < ... < c_{k-1}, one gather per column i from the
-    column C(n - c, k - i) of a binomial table. Rows are not validated, and
-    C(n, k) must stay below 2**63.
+    The lex rank of a k-subset c_0 < ... < c_{k-1} of [n] is
+    C(n, k) - 1 - sum_i table[c_i, i]: the subsets after it number
+    sum_i C(n - c_i, k - i). C(n, k) must stay below 2**63.
     """
+    return np.array([[binom(n - x, k - i) for i in range(k)] for x in range(n + 1)],
+                    np.int64).reshape(n + 1, k)
+
+
+def rank_subsets(subsets: np.ndarray, n: int) -> np.ndarray:
+    """:func:`rank_subset` of every row of an array of sorted k-subsets of [n],
+    read from :func:`rank_weights`. Rows are not validated."""
     k = subsets.shape[-1]
-    rank = np.full(subsets.shape[:-1], binom(n, k) - 1, np.int64)
+    weights, rank = rank_weights(n, k), np.full(subsets.shape[:-1], binom(n, k) - 1, np.int64)
     for i in range(k):
-        rank -= np.array([binom(n - c, k - i) for c in range(n + 1)], np.int64)[subsets[..., i]]
+        rank -= weights[subsets[..., i], i]
     return rank

@@ -23,6 +23,7 @@ from .baselines import (
     Pair,
     Scheme,
     Undefined,
+    _check_t,
     check_counts,
     check_memory_fraction,
     clwzc_rate,
@@ -205,10 +206,7 @@ class SweepSpec:
             raise ValueError("sweep needs at least one scheme")
         if self.param_kind not in ("t", "mn"):
             raise ValueError(f"param_kind must be 't' or 'mn', got {self.param_kind!r}")
-        if any(C < 1 for C in self.cache_counts):
-            raise ValueError("cache counts must be positive")
-        if any(r < 1 for r in self.access_degrees):
-            raise ValueError("access degrees must be positive")
+        check_counts(min(self.cache_counts), min(self.access_degrees))
         if self.param_kind == "mn":
             for mn in self.cache_params:
                 check_memory_fraction(mn)
@@ -228,14 +226,14 @@ def _point_row(scheme: Scheme, C: int, r: int, point: Pair) -> ComparisonRow:
 
 
 def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRow:
-    """One comparison row; parameter points a scheme lacks come back undefined.
+    """One comparison row; parameter points a scheme lacks come back undefined,
+    a t beyond C among them, as in the sweep.
 
     The memory fraction is t / C and the per-user rate rate / K.
     """
     check_counts(C, r)
     t = Fraction(t)
-    if not 0 <= t.numerator <= C * t.denominator:
-        raise ValueError(f"cache parameter {t} outside 0..{C}")
+    _check_t(t)
     return _point_row(scheme, C, r, (t.numerator, t.denominator))
 
 
@@ -268,19 +266,17 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
 
     The grid of each C, the pair (p, q) of each t = p/q in lowest terms, is
     built here; a negative t (only a t grid can hold one) is refused once,
-    at the smallest C, with ``evaluate_scheme``'s error. ``read_block``
-    computes the rows when they are written or read.
+    with ``evaluate_scheme``'s error. ``read_block`` computes the rows when
+    they are written or read.
     """
     scheme_order = {s: i for i, s in enumerate(Scheme)}
     values = sorted({Fraction(p) for p in spec.cache_params})
+    _check_t(values[0])
     access_degrees = sorted(set(spec.access_degrees))
-    cache_counts = sorted(set(spec.cache_counts))
-    if values[0] < 0:
-        raise ValueError(f"cache parameter {values[0]} outside 0..{cache_counts[0]}")
     t_grid = spec.param_kind == "t"
     grids = {
         C: [(t.numerator, t.denominator) for t in (values if t_grid else [v * C for v in values])]
-        for C in cache_counts
+        for C in sorted(set(spec.cache_counts))
     }
     blocks = [
         (scheme, C, r, grid)

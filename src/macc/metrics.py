@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .baselines import CELLS, Scheme, check_cache_count, check_memory_fraction
+from .baselines import CELLS, Scheme, check_memory_fraction
 from .combinatorics import binom
 from .scheme import SchemeParams, accessible_fraction
 
@@ -34,16 +34,11 @@ def delivery_rate(C: int, r: int, t: int) -> Fraction:
 
     Defined for t = 0 as well (no caching, rate binom(C, r): one full file
     per user). Zero once t + r > C, where caches alone cover every demand.
-    A cache count C < 1 is refused first, then a t outside 0..C, then an
-    r outside 1..C. The value is the integer-t cell of
-    ``baselines.CELLS[Scheme.PROPOSED]``, the kernel the sweep reads a whole
-    block from, made a Fraction.
+    A bad point is refused as ``SchemeParams`` refuses it: C, then r, then t.
+    The value is the integer-t cell of ``baselines.CELLS[Scheme.PROPOSED]``,
+    the kernel the sweep reads a whole block from, made a Fraction.
     """
-    check_cache_count(C)
-    if not 0 <= t <= C:
-        raise ValueError(f"t must lie in 0..{C}, got {t}")
-    if not 1 <= r <= C:
-        raise ValueError(f"access degree must satisfy 1 <= r <= {C}, got {r}")
+    SchemeParams(C, r, t, 1)
     ((_, rate, _, _),) = CELLS[Scheme.PROPOSED](C, r, [(t, 1)])
     return Fraction(*rate)
 
@@ -78,9 +73,7 @@ def rate_memory_curve(C: int, r: int, memory_points: Sequence[Fraction]) -> list
     product of two such functions is again one ((fg)'' = f''g + 2f'g' + fg'',
     each term nonnegative), and R is 0 beyond that point.
     """
-    check_cache_count(C)
-    if not 1 <= r <= C:
-        raise ValueError(f"access degree must satisfy 1 <= r <= {C}, got {r}")
+    SchemeParams(C, r, 0, 1)  # C and r as this scheme's range has them; t = 0 is in range
     ts = [check_memory_fraction(mn) * C for mn in memory_points]
     cells = CELLS[Scheme.PROPOSED](C, r, [(t.numerator, t.denominator) for t in ts])
     return [Fraction(*rate) for _, rate, _, _ in cells]

@@ -22,7 +22,8 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import binom, enumerate_subsets, rank_subsets, subset_array
+from .baselines import check_counts
+from .combinatorics import binom, enumerate_subsets, rank_subsets, rank_weights, subset_array
 from .combinatorics import validate_subset
 from .combinatorics import rank_subset  # noqa: F401  perfbench/layers.py wraps macc.scheme.rank_subset
 
@@ -56,7 +57,8 @@ class SubfileId(NamedTuple):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Validated parameter tuple (C, r, t, N).
+    """Validated parameter tuple (C, r, t, N) of integers, the owner of this
+    scheme's range: C and r as ``check_counts`` has them, then r <= C, then t in 0..C.
 
     t = 0 is no caching: every file is one subfile, sent uncoded once per
     active user. t + r > C is permitted: the delivery phase is then empty
@@ -69,13 +71,18 @@ class SchemeParams:
     num_files: int
 
     def __post_init__(self) -> None:
+        for field in ("num_caches", "access_degree", "cache_param", "num_files"):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, operator.index(value))
+            except TypeError as exc:
+                raise ValueError(f"{field} must be an integer, got {value!r}") from exc
         C, r, t, N = self.num_caches, self.access_degree, self.cache_param, self.num_files
-        if C < 1:
-            raise ValueError(f"num_caches must be positive, got {C}")
-        if not 1 <= r <= C:
-            raise ValueError(f"access_degree must satisfy 1 <= r <= {C}, got {r}")
+        check_counts(C, r)
+        if r > C:
+            raise ValueError(f"access degree {r} exceeds cache count {C}")
         if not 0 <= t <= C:
-            raise ValueError(f"cache_param must satisfy 0 <= t <= {C}, got {t}")
+            raise ValueError(f"cache parameter {t} outside 0..{C}")
         if N < 1:
             raise ValueError(f"num_files must be positive, got {N}")
 
@@ -255,7 +262,7 @@ def _delivery_plan(params: SchemeParams, users: np.ndarray, files: np.ndarray) -
     ``files`` holds each user's demand d_U.
 
     That is A·binom(C-r, t) terms for A active users, with no work for an
-    inactive one. The ranks of T and S come from a binomial table and the
+    inactive one. The ranks of T and S come from ``rank_weights`` and the
     place of each label in S. The label x at place p of [C] \\ U has
     x - 1 - p labels of U below it, so as the i-th label of T it sits at
     place i + x - 1 - p of S; the j-th label of U sits at place j plus the
@@ -274,10 +281,7 @@ def _delivery_plan(params: SchemeParams, users: np.ndarray, files: np.ndarray) -
     K = len(picks)
     # below[q, b]: how many of the places in pick b lie below place q of the rest.
     below = (picks[:, :, None] < np.arange(C - r + 1)).sum(axis=1).T
-    # The lex rank of a k-subset is C(C, k) - 1 - the sum of C(C - x, k - i) over
-    # its labels x at places i; weight[x, i] is that term, and weight[x, r + i]
-    # the one of a t-subset.
-    weight = np.array([[binom(C - x, k - i) for i in range(k)] for x in range(C + 1)], np.int64)
+    weight = rank_weights(C, k)  # column r + i is column i of rank_weights(C, t)
     set_rank = np.full((A, K), binom(C, k) - 1, dtype=np.int64)
     term_rank = np.full((A, K), binom(C, t) - 1, dtype=np.int64)
     for i in range(t):
@@ -332,10 +336,8 @@ def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
     if malformed.any():
         S = tuple(plan.coded_sets[malformed.argmax()].tolist())
         raise DecodingError(f"transmission {S} {_MALFORMED}", None, S, _MALFORMED)
-    # The victim's rank: C(C, r) - 1 - the sum of C(C - x, r - j) over its labels
-    # x at places j, read from one (k, r) table per message.
-    weight = np.array([[binom(C - x, r - j) for j in range(r)] for x in range(C + 1)], np.int64)
-    table, places = weight[plan.coded_sets].reshape(-1), subset_array(k, r) - 1
+    # The victim's rank, from one (k, r) table of rank weights per message.
+    table, places = rank_weights(C, r)[plan.coded_sets].reshape(-1), subset_array(k, r) - 1
     victims, at = np.full(n, binom(C, r) - 1, dtype=np.int64), plan.term_message * (k * r)
     for offset in (places * r + np.arange(r)).T:  # flat (place, j) of the victim's j-th label
         index = offset[slot]

@@ -109,15 +109,19 @@ def test_invalid_parameters_exit_1(capsys):
     assert code == 1
     for command in ("analyze", "simulate"):
         code, _, err = run_cli(capsys, [command, "-C", "-1", "-r", "1", "--t", "0"])
-        assert (code, err) == (1, "error: num_caches must be positive, got -1\n")
+        assert (code, err) == (1, "error: cache count must be positive, got -1\n")
+    # One message for one mistake, whichever command reads it.
+    for command in ("analyze", "simulate", "sweep"):
+        code, _, err = run_cli(capsys, [command, "-C", "0", "-r", "1", "--t", "0"])
+        assert (code, err) == (1, "error: cache count must be positive, got 0\n")
 
 
 @pytest.mark.parametrize(
     "flag, err",
     [
-        (["--t", "-1,0,1"], "error: cache parameter -1 outside 0..3\n"),
-        (["--t", "-1"], "error: cache parameter -1 outside 0..3\n"),
-        (["--t=-1,0,1"], "error: cache parameter -1 outside 0..3\n"),
+        (["--t", "-1,0,1"], "error: t must be nonnegative, got -1\n"),
+        (["--t", "-1"], "error: t must be nonnegative, got -1\n"),
+        (["--t=-1,0,1"], "error: t must be nonnegative, got -1\n"),
         (["--mn", "-1/2,0"], "error: memory fraction -1/2 outside [0, 1]\n"),
         (["--mn", "-.5,0"], "error: memory fraction -1/2 outside [0, 1]\n"),
     ],

@@ -1,5 +1,6 @@
 """Harness pieces below the command line: the seeded generator and the sweep."""
 
+import functools
 import hashlib
 import io
 from decimal import ROUND_DOWN, Context, Decimal, localcontext
@@ -29,6 +30,7 @@ from macc.harness import (
     ComparisonRow,
     SplitMix64,
     SweepSpec,
+    analyze_report,
     evaluate_scheme,
     make_demand,
     render_decimal,
@@ -36,6 +38,7 @@ from macc.harness import (
     simulate_report,
     write_sweep_csv,
 )
+from macc.metrics import delivery_rate, rate_memory_curve
 from macc.scheme import SchemeParams
 
 
@@ -209,30 +212,26 @@ def test_verification_report_golden_digest(capsys, argv, sha256):
 
 @pytest.mark.parametrize("kind", ["mn", "t"])
 def test_sweep_rows_match_evaluate_scheme(kind):
-    checked = 0
-    for row in run_sweep(small_spec(kind)):
-        if row.r <= row.C and row.t <= row.C:
-            assert row == evaluate_scheme(row.scheme, row.C, row.r, row.t)
-            assert row.mn == row.t / row.C
-            checked += 1
-    assert checked > 0
+    rows = list(run_sweep(small_spec(kind)))
+    for row in rows:
+        assert row == evaluate_scheme(row.scheme, row.C, row.r, row.t)
+        assert row.mn == row.t / row.C
+    assert rows
 
 
 def pointwise_rows(spec):
-    """The sweep built one row at a time: gaps by hand, the rest by evaluate_scheme."""
+    """The sweep built one row at a time: the gap of an r beyond C (and t within
+    C) by hand, every other row by evaluate_scheme."""
     rows = []
     for scheme in (s for s in Scheme if s in spec.schemes):
         for C in sorted(set(spec.cache_counts)):
             for r in sorted(set(spec.access_degrees)):
                 for value in sorted(set(spec.cache_params)):
                     t, mn = (value, value / C) if spec.param_kind == "t" else (value * C, value)
-                    if t > C:
-                        gap = Undefined(f"cache parameter {t} exceeds cache count {C}")
-                    elif r > C:
-                        gap = Undefined(f"access degree {r} exceeds cache count {C}")
-                    else:
+                    if r <= C or t > C:
                         rows.append(evaluate_scheme(scheme, C, r, t))
                         continue
+                    gap = Undefined(f"access degree {r} exceeds cache count {C}")
                     rows.append(ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, gap.reason))
     return rows
 
@@ -266,6 +265,10 @@ def test_cache_parameter_gap_precedes_access_degree_gap(scheme):
     assert notes[(3, 1)] == "access degree 3 exceeds cache count 2"
     row = evaluate_scheme(scheme, 2, 3, Fraction(1))
     assert row.note == notes[(3, 1)] and not row.defined
+    # evaluate_scheme gives the same gap at a t beyond C as the sweep row.
+    for r, t in ((1, Fraction(3)), (3, Fraction(5, 2))):
+        row = evaluate_scheme(scheme, 2, r, t)
+        assert row.note == notes[(r, t)] and not row.defined
     assert notes[(1, 1)] == evaluate_scheme(scheme, 2, 1, Fraction(1)).note
     if scheme is Scheme.PROPOSED:
         assert not notes[(1, 1)]
@@ -273,21 +276,35 @@ def test_cache_parameter_gap_precedes_access_degree_gap(scheme):
 
 def test_sweep_refuses_negative_cache_parameter():
     spec = SweepSpec((5, 2), (3,), (Fraction(-1), Fraction(1)), (Scheme.PROPOSED,))
-    with pytest.raises(ValueError, match=r"cache parameter -1 outside 0\.\.2"):
+    with pytest.raises(ValueError, match="t must be nonnegative, got -1"):
         run_sweep(spec)
 
 
 ONE = (Fraction(1),)
 PROPOSED = (Scheme.PROPOSED,)
+# One bad point of this package's scheme, one message, at every entry point that takes it.
+BAD_POINTS = [
+    ("C-0", (0, 1, 0), "cache count must be positive, got 0"),
+    ("r-0", (4, 0, 1), "access degree must be positive, got 0"),
+    ("r-above-C", (4, 5, 1), "access degree 5 exceeds cache count 4"),
+    ("t-above-C", (4, 2, 5), r"cache parameter 5 outside 0\.\.4"),
+]
+SCHEME_ENTRY_POINTS = [
+    ("params", lambda C, r, t: SchemeParams(C, r, t, 1)),
+    ("delivery-rate", delivery_rate),
+    # The curve reads t as the memory fraction t / C.
+    ("curve", lambda C, r, t: rate_memory_curve(C, r, [Fraction(t, max(C, 1))])),
+    ("analyze", analyze_report),
+    ("simulate", simulate_report),
+]
+CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: evaluate_scheme(Scheme.PROPOSED, 4, 2, Fraction(5)),
-         r"cache parameter 5 outside 0\.\.4"),
         (lambda: evaluate_scheme(Scheme.HKD, 4, 2, Fraction(-1, 2)),
-         r"cache parameter -1/2 outside 0\.\.4"),
+         "t must be nonnegative, got -1/2"),
         (lambda: evaluate_scheme(Scheme.HKD, 4, 0, Fraction(1)),
          "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.RK, 4, 0, Fraction(1)),
@@ -299,8 +316,8 @@ PROPOSED = (Scheme.PROPOSED,)
         (lambda: SweepSpec((), (1,), ONE, PROPOSED), "at least one C, one r and one cache"),
         (lambda: SweepSpec((1,), (1,), ONE, ()), "at least one scheme"),
         (lambda: SweepSpec((1,), (1,), ONE, PROPOSED, "M"), "param_kind must be 't' or 'mn'"),
-        (lambda: SweepSpec((0, 1), (1,), ONE, PROPOSED), "cache counts must be positive"),
-        (lambda: SweepSpec((1,), (0,), ONE, PROPOSED), "access degrees must be positive"),
+        (lambda: SweepSpec((0, 1), (1,), ONE, PROPOSED), "cache count must be positive, got 0"),
+        (lambda: SweepSpec((1,), (0,), ONE, PROPOSED), "access degree must be positive, got 0"),
         (lambda: SweepSpec((1,), (1,), (Fraction(3, 2),), PROPOSED, "mn"),
          r"memory fraction 3/2 outside \[0, 1\]"),
         (lambda: make_demand(SchemeParams(4, 2, 1, 6), "random", SplitMix64(0), 0),
@@ -328,10 +345,18 @@ PROPOSED = (Scheme.PROPOSED,)
         (lambda: sr1_rate(4, 0, 2), "access degree must be positive, got 0"),
         (lambda: sr1_rate_value(4, 0, 1), "access degree must be positive, got 0"),
         (lambda: sr2_rate(4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: rk_rate(4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: spe_special_rate(4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: sr1_rate(4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: sr2_rate(4, 1, -1), "t must be nonnegative, got -1"),
         (lambda: list(enumerate_subsets(3, -1)), "subset size must be nonnegative, got -1"),
         (lambda: SplitMix64(0).next_below(0), "need a positive bound, got 0"),
+    ] + [
+        (functools.partial(entry, *point),
+         CURVE_ABOVE_ONE if (name, case) == ("curve", "t-above-C") else message)
+        for name, entry in SCHEME_ENTRY_POINTS for case, point, message in BAD_POINTS
     ],
-    ids=["evaluate-t-above-C", "evaluate-t-negative", "evaluate-hkd-r-0", "evaluate-rk-r-0",
+    ids=["evaluate-t-negative", "evaluate-hkd-r-0", "evaluate-rk-r-0",
          "evaluate-sr2-r-0", "evaluate-C-0", "sweep-no-C", "sweep-no-scheme",
          "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
          "demand-active-above-K", "demand-mode", "simulate-negative-size",
@@ -339,8 +364,10 @@ PROPOSED = (Scheme.PROPOSED,)
          "sr1-value-negative-t", "sr1-value-negative-t-r-2",
          "hkd-r-0", "hkd-r-negative", "rk-r-0", "rk-lb-r-0", "spe-F-r-0", "spe-special-r-0",
          "clwzc-rate-r-0", "clwzc-F-r-0", "clwzc-rate-r-0-before-t", "sr1-r-0",
-         "sr1-r-0-before-gcd", "sr1-value-r-0", "sr2-r-0",
-         "subsets-negative-size", "next-below-0"],
+         "sr1-r-0-before-gcd", "sr1-value-r-0", "sr2-r-0", "rk-negative-t",
+         "spe-special-negative-t", "sr1-negative-t", "sr2-negative-t",
+         "subsets-negative-size", "next-below-0"]
+    + [f"{name}-{case}" for name, _ in SCHEME_ENTRY_POINTS for case, _, _ in BAD_POINTS],
 )
 def test_public_entry_points_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):

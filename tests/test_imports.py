@@ -7,9 +7,10 @@ only purpose such an import may have is to be wrapped by the benchmark's
 tracer, so each must name an attribute that ``perfbench/layers.py`` wraps
 on that same module.
 
-A second pass requires every module-level private name (a ``_name``
-function, class or assignment) to be read somewhere in the package, so no
-helper outlives its last caller. Reads from the tests do not count.
+A second pass requires every module-level name (a function, class or
+assignment) to be read somewhere in the package, so no helper outlives its
+last caller: each private ``_name``, and each public name that ``macc``
+does not export in its ``__all__``. Reads from the tests do not count.
 """
 
 import ast
@@ -121,10 +122,11 @@ def test_kept_imports_are_wrapped_by_the_tracer(path):
     assert stale_tracer_imports(path.stem, source, layers) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` definitions that no source in ``sources`` reads,
-    as "module name". A read is a loaded name, an attribute of a name (as in
-    ``module._name``) or an imported name."""
+def unread_names(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Module-level definitions that no source in ``sources`` reads, as
+    "module name": each ``_name``, and each public name not in ``exported``.
+    A read is a loaded name, an attribute of a name (as in ``module._name``)
+    or an imported name."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -146,8 +148,8 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                          if isinstance(n, ast.Name)]
             else:
                 continue
-            unread += [f"{module} {name}" for name in names
-                       if name.startswith("_") and not name.startswith("__") and name not in read]
+            unread += [f"{module} {name}" for name in names if not name.startswith("__")
+                       and (name.startswith("_") or name not in exported) and name not in read]
     return sorted(unread)
 
 
@@ -160,9 +162,21 @@ def test_the_check_finds_an_unread_private_helper():
               "__all__ = []\n"),
         "b": "from .a import _used\n\ndef run(a):\n    return _used() + a._SPARE\n",
     }
-    assert unread_private_names(sources) == ["a _Unused", "a _helper"]
+    assert unread_names(sources, {"run"}) == ["a _Unused", "a _helper"]
+
+
+def test_the_check_finds_an_unread_public_helper():
+    sources = {
+        "a": ("LIMIT = 3\n"
+              "def check(x):\n    return x < LIMIT\n"
+              "def check_old(x):\n    return x < 3\n"
+              "def exported():\n    return 1\n"),
+        "b": "from .a import check\n\ndef run(x):\n    return check(x)\n",
+    }
+    assert unread_names(sources, {"exported", "run"}) == ["a check_old"]
+    assert unread_names(sources, {"run"}) == ["a check_old", "a exported"]
 
 
 def test_every_private_name_is_read_in_the_package():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert unread_private_names(sources) == []
+    assert unread_names(sources, set(macc.__all__)) == []

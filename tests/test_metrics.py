@@ -78,14 +78,17 @@ def test_per_user_rate_strictly_decreasing_in_t():
 def test_delivery_rate_domain():
     assert delivery_rate(4, 2, 0) == 6
     assert delivery_rate(4, 2, 4) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cache parameter 5 outside 0\.\.4"):
         delivery_rate(4, 2, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cache parameter -1 outside 0\.\.4"):
         delivery_rate(4, 2, -1)
-    with pytest.raises(ValueError, match=r"access degree must satisfy 1 <= r <= 4, got -1"):
+    with pytest.raises(ValueError, match="access degree must be positive, got -1"):
         delivery_rate(4, -1, 1)
-    with pytest.raises(ValueError, match=r"access degree must satisfy 1 <= r <= 4, got 0"):
+    with pytest.raises(ValueError, match="access degree must be positive, got 0"):
         delivery_rate(4, 0, 1)
+    # C, then r, then t, as SchemeParams refuses them.
+    with pytest.raises(ValueError, match="access degree 5 exceeds cache count 4"):
+        delivery_rate(4, 5, 9)
 
 
 def test_curve_endpoints_and_grid():

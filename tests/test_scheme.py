@@ -72,6 +72,12 @@ def test_params_validation():
         SchemeParams(4, 2, -1, 1)
     with pytest.raises(ValueError):
         SchemeParams(4, 2, 1, 0)
+    # A field that is not an integer is refused by name, before any range.
+    with pytest.raises(ValueError, match=r"^cache_param must be an integer, got 1\.5$"):
+        SchemeParams(4, 2, 1.5, 6)
+    with pytest.raises(ValueError, match=r"^num_files must be an integer, got 0\.5$"):
+        SchemeParams(4, 2, 1, 0.5)
+    assert SchemeParams(*np.array([4, 2, 1, 6])) == SchemeParams(4, 2, 1, 6)
     # t = 0 is no caching: one subfile per file.
     assert SchemeParams(4, 2, 0, 1).subpacketization == 1
     p = SchemeParams(4, 3, 2, 6)
