@@ -7,22 +7,7 @@ byte-level simulation), its exact closed-form metrics, analytic formulas of
 seven comparison schemes, and a CLI (`macc`) for sweeps and verification.
 """
 
-from .baselines import (
-    Scheme,
-    Undefined,
-    clwzc_rate,
-    clwzc_subpacketization,
-    crd_affine,
-    hkd_rate,
-    is_prime_power,
-    rk_lower_bound,
-    rk_rate,
-    spe_special_rate,
-    spe_subpacketization,
-    sr1_rate,
-    sr1_rate_value,
-    sr2_rate,
-)
+from .baselines import Scheme, Undefined
 from .combinatorics import binom, enumerate_subsets, rank_subset, unrank_subset, validate_subset
 from .harness import (
     ComparisonRow,
@@ -73,31 +58,19 @@ __all__ = [
     "analyze",
     "binom",
     "build_placement",
-    "clwzc_rate",
-    "clwzc_subpacketization",
-    "crd_affine",
     "decode_user",
     "delivery_rate",
     "enumerate_subsets",
     "evaluate_scheme",
     "generate_transmissions",
-    "hkd_rate",
-    "is_prime_power",
     "parse_fraction",
     "rank_subset",
     "rate_memory_curve",
     "render_decimal",
     "render_fraction",
-    "rk_lower_bound",
-    "rk_rate",
     "run_sweep",
     "scheme_dump",
     "simulate_end_to_end",
-    "spe_special_rate",
-    "spe_subpacketization",
-    "sr1_rate",
-    "sr1_rate_value",
-    "sr2_rate",
     "unrank_subset",
     "validate_subset",
     "__version__",

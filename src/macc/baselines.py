@@ -8,13 +8,12 @@ crashing. ``CELLS`` gives each scheme's sweep cells (K, rate, F, note) over
 a whole block of points, this package's own scheme included: its rate and
 memory-sharing curve are wrapped by ``macc.metrics``. Each scheme's
 existence rule and rate are stated once, in integers, in that block
-function, with a rate as a lowest-terms pair (p, q). A public rate is one
-point of its block, read as a Fraction or a gap by ``_rate_at``. Every
-public formula refuses C < 1, then r < 1, through ``check_counts``, and
-one with a cache parameter t then refuses t < 0 through ``_check_t``.
-``read_block`` is the one reader of a block, for the sweep and the public
-formulas alike: it decides the gaps every scheme shares, a t beyond C and
-then an r beyond C.
+function, with a rate as a lowest-terms pair (p, q). ``read_block`` is the
+one reader of a block, and ``read_point`` reads one point of it: they
+decide the gaps every scheme shares, a t beyond C and then an r beyond C.
+A single comparison value is read as a row of ``harness.evaluate_scheme``,
+which refuses a bad C, then r, through ``check_counts``, then t < 0
+through ``_check_t``.
 
 Scheme tags: PROPOSED is this package's scheme, with K = binom(C, r) users.
 HKD, RK and RK_LB (the same work's converse bound), SPE, CLWZC, SR1, SR2 all
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -55,7 +55,6 @@ class Undefined:
         return False
 
 
-Rational = Union[Fraction, Undefined]
 Count = Union[int, Undefined]
 Pair = tuple[int, int]
 """A rational p/q as the integers (p, q) in lowest terms, q > 0."""
@@ -68,10 +67,6 @@ def _lowest(p: int, q: int) -> Pair:
     return p // g, q // g
 
 
-def _fraction(rate: Union[Pair, Undefined]) -> Rational:
-    return rate if isinstance(rate, Undefined) else Fraction(*rate)
-
-
 def check_memory_fraction(mn: Fraction) -> Fraction:
     if not isinstance(mn, Fraction):
         mn = Fraction(mn)
@@ -81,15 +76,20 @@ def check_memory_fraction(mn: Fraction) -> Fraction:
 
 
 def check_counts(C: int, r: int) -> None:
-    """Refuse a cache count C < 1, then an access degree r < 1, at every entry point."""
-    if C < 1:
-        raise ValueError(f"cache count must be positive, got {C}")
-    if r < 1:
-        raise ValueError(f"access degree must be positive, got {r}")
+    """Refuse a cache count C, then an access degree r, that is not an integer
+    (taken through ``operator.index``) or is below 1."""
+    for value, name in ((C, "cache count"), (r, "access degree")):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _check_t(t: int) -> None:
-    """Refuse t < 0 at a comparison reader; a t beyond C is ``read_block``'s gap."""
+def _check_t(t: Fraction) -> None:
+    """Refuse t < 0 at the two comparison readers, ``evaluate_scheme`` and
+    ``run_sweep``; a t beyond C is ``read_block``'s gap."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
 
@@ -140,13 +140,6 @@ def read_point(scheme: Scheme, C: int, r: int, point: Pair) -> Cells:
     return cells if isinstance(cells, Undefined) else cells[0]
 
 
-def _rate_at(scheme: Scheme, C: int, r: int, point: Pair) -> Rational:
-    """The rate of ``scheme`` at one point as a public value: a gap of the
-    point's cells or of its rate comes back as that gap, a rate as a Fraction."""
-    cells = read_point(scheme, C, r, point)
-    return cells if isinstance(cells, Undefined) else _fraction(cells[1])
-
-
 _SHARING_GAP = Undefined("memory sharing point")
 _SHARING_NOTE = "memory sharing between adjacent integer cache parameters"
 
@@ -193,16 +186,6 @@ def _hkd(C: int, r: int, grid: Sequence[Pair]) -> Block:
     ]
 
 
-def hkd_rate(C: int, r: int, mn: Fraction) -> Rational:
-    """Rate (C - C*r*mn) / (1 + C*mn), zero once mn reaches 1/r.
-
-    Exists only when r divides C (K = C users on consecutive caches).
-    """
-    check_counts(C, r)
-    mn = check_memory_fraction(mn)
-    return _rate_at(Scheme.HKD, C, r, _lowest(C * mn.numerator, mn.denominator))
-
-
 _RK_OFF_GRID = Undefined("defined only on the grid M/N = i/C")
 _RK_F = Undefined("subpacketization not modeled for this scheme")
 
@@ -217,13 +200,6 @@ def _rk_cells(C: int, r: int, i: int) -> Cells:
 
 def _rk(C: int, r: int, grid: Sequence[Pair]) -> Block:
     return [_rk_cells(C, r, p) if q == 1 else _RK_OFF_GRID for p, q in grid]
-
-
-def rk_rate(C: int, r: int, i: int) -> Rational:
-    """Rate C*(1 - r*i/C)^2 at M/N = i/C for i >= 0: zero at ceil(C/r), undefined past it."""
-    check_counts(C, r)
-    _check_t(i)
-    return _rate_at(Scheme.RK, C, r, (i, 1))
 
 
 _RK_LB_F = Undefined("converse bound, not a construction")
@@ -249,20 +225,8 @@ def _rk_lb(C: int, r: int, grid: Sequence[Pair]) -> Block:
     ]
 
 
-def rk_lower_bound(C: int, r: int, mn: Fraction) -> Rational:
-    """Optimal-rate lower bound under uncoded placement, valid for r >= C/2.
-
-    Three pieces: linear down from C on [0, 1/C], then a shallower line to
-    zero on [1/C, 2/C], then zero (see ``_rk_lb``).
-    """
-    check_counts(C, r)
-    mn = check_memory_fraction(mn)
-    return _rate_at(Scheme.RK_LB, C, r, _lowest(C * mn.numerator, mn.denominator))
-
-
-def spe_subpacketization(C: int, r: int) -> Count:
+def _spe_subpacketization(C: int, r: int) -> Count:
     """C*(C - 2r + 2)/4 where integral and positive (needs r < (C+2)/2)."""
-    check_counts(C, r)
     if 2 * r >= C + 2:
         return Undefined(f"requires r < (C+2)/2, got C={C}, r={r}")
     numerator = C * (C - 2 * r + 2)
@@ -271,81 +235,42 @@ def spe_subpacketization(C: int, r: int) -> Count:
     return numerator // 4
 
 
-def _spe_special(C: int, r: int, t: int) -> Union[Pair, Undefined]:
-    if r * t != C - 1:
-        return Undefined(f"special case needs r*t = C-1, got r*t = {r * t}, C = {C}")
-    return _lowest(C - r * t, 1 + r * t)
-
-
-def spe_special_rate(C: int, r: int, t: int) -> Rational:
-    """Rate of the optimal special case r = (C-1)/t: always 1/C, with F = C."""
-    check_counts(C, r)
-    _check_t(t)
-    return _fraction(_spe_special(C, r, t))
-
-
 _SPE_ELSEWHERE = Undefined("exists for C*M/N = 2 or r*t = C-1 only")
 _SPE_RATE = Undefined("general rate expression not reproduced here")
 
 
 def _spe_cells(C: int, r: int, t: int) -> Cells:
-    special = _spe_special(C, r, t)
-    if not isinstance(special, Undefined):
-        return C, special, C, "optimal special case r*t = C-1"
+    if r * t == C - 1:
+        # The optimal special case: rate (C - r*t) / (1 + r*t) = 1/C with F = C.
+        return C, (1, C), C, "optimal special case r*t = C-1"
     if t != 2:
         return _SPE_ELSEWHERE
-    F = spe_subpacketization(C, r)
+    F = _spe_subpacketization(C, r)
     note = F.reason if isinstance(F, Undefined) else "subpacketization only"
     return C, _SPE_RATE, F, note
 
 
-def clwzc_rate(C: int, r: int, t: int) -> Rational:
-    """Rate (C - t*r)/(1 + t), clamped to zero once caches cover everything."""
-    check_counts(C, r)
-    _check_t(t)
-    return _rate_at(Scheme.CLWZC, C, r, (t, 1))
-
-
-def _clwzc_F(C: int, r: int, t: int) -> int:
-    inner = C - t * (r - 1)
-    return 0 if inner < t else C * math.comb(inner, t)
-
-
-def clwzc_subpacketization(C: int, r: int, t: int) -> int:
-    """C * binom(C - t(r-1), t); zero when the inner binomial collapses."""
-    check_counts(C, r)
-    _check_t(t)
-    return _clwzc_F(C, r, t)
-
-
 def _clwzc_cells(C: int, r: int, t: int) -> Cells:
-    return C, _cyclic_rate(C, r, t, 1), _clwzc_F(C, r, t), ""
+    """F = C * binom(C - t(r-1), t), zero when the inner binomial collapses."""
+    inner = C - t * (r - 1)
+    return C, _cyclic_rate(C, r, t, 1), 0 if inner < t else C * math.comb(inner, t), ""
 
 
 def _sr1_sum(C: int, r: int, t: int) -> Pair:
+    """Sum over i = floor(m/2)+1..m of w_i / (1 + ceil(tr/i)), m = C - tr.
+
+    w_i = 2 except w_i = 1 at 2i = m + 1. For odd m > 1 the published
+    leading ceiling contains symbols with no definition in scope; the
+    weight-1 term, ceil(tr/i) = ceil(2tr/(m+1)), stands in for it,
+    extrapolating the even branch's pattern at i = (m+1)/2. That is an
+    assumption, not ground truth; the cells' note flags it.
+    """
     tr, m = t * r, C - t * r
     p, q = 0, 1
     for i in range(m // 2 + 1, m + 1):
         d = 1 + -(-tr // i)
         p, q = p * d + (1 if 2 * i == m + 1 else 2) * q, q * d
     return _lowest(p, q)
-
-
-def sr1_rate_value(C: int, r: int, t: int) -> Fraction:
-    """Sum over i = floor(m/2)+1..m of w_i / (1 + ceil(tr/i)), m = C - tr.
-
-    w_i = 2 except w_i = 1 at 2i = m + 1. No existence preconditions, so the
-    arithmetic can be exercised at points :func:`sr1_rate` excludes. For odd
-    m > 1 the published leading ceiling contains symbols with no definition
-    in scope; the weight-1 term, ceil(tr/i) = ceil(2tr/(m+1)), stands in for
-    it, extrapolating the even branch's pattern at i = (m+1)/2. That is an
-    assumption, not ground truth.
-    """
-    check_counts(C, r)
-    _check_t(t)
-    if t * r > C:
-        raise ValueError(f"needs t*r <= C, got C={C}, r={r}, t={t}")
-    return Fraction(*_sr1_sum(C, r, t))
 
 
 _SR1_F = Undefined("only the bound F <= C^2 is published")
@@ -361,17 +286,6 @@ def _sr1_cells(C: int, r: int, t: int) -> Cells:
     return C, _sr1_sum(C, r, t), _SR1_F, note
 
 
-def sr1_rate(C: int, r: int, t: int) -> Rational:
-    """Cyclic-setup rate for cache parameters t with gcd(t, C) = 1.
-
-    Odd C - t*r > 1 goes through the interpretation-dependent leading term
-    (see :func:`sr1_rate_value`); the sweep row's note flags it.
-    """
-    check_counts(C, r)
-    _check_t(t)
-    return _rate_at(Scheme.SR1, C, r, (t, 1))
-
-
 def _sr2_cells(C: int, r: int, t: int) -> Cells:
     if t < 1 or C % t != 0:
         return Undefined(f"requires t | C with t >= 1, got C={C}, t={t}")
@@ -383,14 +297,7 @@ def _sr2_cells(C: int, r: int, t: int) -> Cells:
     return C, _lowest((C - t * r) * d, 2 * C), C, ""
 
 
-def sr2_rate(C: int, r: int, t: int) -> Rational:
-    """Rate (C - tr)(C - tr + t) / (2C) where t | C and (C - tr + t) | C."""
-    check_counts(C, r)
-    _check_t(t)
-    return _rate_at(Scheme.SR2, C, r, (t, 1))
-
-
-def is_prime_power(n: int) -> bool:
+def _is_prime_power(n: int) -> bool:
     """True when n = p^k for a prime p and k >= 1. Trial division up to sqrt(n)."""
     if n < 2:
         return False
@@ -406,34 +313,16 @@ def is_prime_power(n: int) -> bool:
     return n == 1
 
 
-def _crd_at(n: int) -> Union[tuple[int, Pair, int], Undefined]:
-    if not is_prime_power(n):
-        return Undefined(f"n = {n} is not a prime power")
-    K = n ** 3 * (n + 1) // 2
-    return K, _lowest((n - 1) ** 2 * K, 4 * n ** 2), n ** 2
-
-
-def crd_affine(n: int) -> Union[tuple[int, Fraction, int], Undefined]:
-    """(K, rate, F) of the design-based scheme built from an affine plane of order n.
-
-    C = n(n+1) caches, K = n^3(n+1)/2 users, each file in n^2 pieces, each
-    cache holding the fraction 1/n, per-user rate (n-1)^2 / (4n^2).
-    """
-    cells = _crd_at(n)
-    if isinstance(cells, Undefined):
-        return cells
-    K, rate, F = cells
-    return K, Fraction(*rate), F
-
-
 def _crd_cells(C: int, n: int, p: int, q: int) -> Cells:
     if n * (n + 1) != C or (p, q) != (n + 1, 1):
         t = p if q == 1 else f"{p}/{q}"
         return Undefined(f"needs C = n(n+1) and t = n+1 for a prime power n, got C={C}, t={t}")
-    cells = _crd_at(n)
-    if isinstance(cells, Undefined):
-        return cells
-    return (*cells, f"affine-plane parameters with n = {n}; r plays no role")
+    if not _is_prime_power(n):
+        return Undefined(f"n = {n} is not a prime power")
+    # K = n^3(n+1)/2 users, each file in F = n^2 pieces, per-user rate (n-1)^2 / (4n^2).
+    K = n ** 3 * (n + 1) // 2
+    return (K, _lowest((n - 1) ** 2 * K, 4 * n ** 2), n ** 2,
+            f"affine-plane parameters with n = {n}; r plays no role")
 
 
 def _crd_affine(C: int, r: int, grid: Sequence[Pair]) -> Block:

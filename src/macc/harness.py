@@ -26,11 +26,8 @@ from .baselines import (
     _check_t,
     check_counts,
     check_memory_fraction,
-    clwzc_rate,
-    clwzc_subpacketization,
     read_block,
     read_point,
-    spe_special_rate,
 )
 from .combinatorics import binom
 from .golden import (
@@ -190,7 +187,7 @@ class SweepSpec:
 
     ``cache_params`` is interpreted per ``param_kind``: cache parameter
     values t directly, or memory fractions M/N converted to t = C * mn per
-    cache count.
+    cache count. Each scheme is stored as its ``Scheme`` member.
     """
 
     cache_counts: tuple[int, ...]
@@ -206,7 +203,10 @@ class SweepSpec:
             raise ValueError("sweep needs at least one scheme")
         if self.param_kind not in ("t", "mn"):
             raise ValueError(f"param_kind must be 't' or 'mn', got {self.param_kind!r}")
-        check_counts(min(self.cache_counts), min(self.access_degrees))
+        for C in self.cache_counts:
+            for r in self.access_degrees:
+                check_counts(C, r)
+        object.__setattr__(self, "schemes", tuple(map(Scheme, self.schemes)))
         if self.param_kind == "mn":
             for mn in self.cache_params:
                 check_memory_fraction(mn)
@@ -229,8 +229,10 @@ def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRo
     """One comparison row; parameter points a scheme lacks come back undefined,
     a t beyond C among them, as in the sweep.
 
-    The memory fraction is t / C and the per-user rate rate / K.
+    The memory fraction is t / C and the per-user rate rate / K. ``scheme``
+    may be a ``Scheme`` member or its value, such as "hkd".
     """
+    scheme = Scheme(scheme)
     check_counts(C, r)
     t = Fraction(t)
     _check_t(t)
@@ -406,13 +408,14 @@ def run_tables() -> tuple[bool, list[str]]:
     ):
         lines.append(heading)
         for C, r, t, published in rows:
-            competitor = spe_special_rate(C, r, t)
+            cells = read_point(Scheme.SPE, C, r, (t, 1))
+            competitor = cells if isinstance(cells, Undefined) else cells[1]
             if isinstance(competitor, Undefined):
                 ok = False
                 lines.append(f"FAIL {label} C={C} r={r} t={t}: {competitor.reason}")
                 continue
             proposed_pu = delivery_rate(C, r, t) / binom(C, r)
-            ratio = proposed_pu / (competitor / C)
+            ratio = proposed_pu / (Fraction(*competitor) / C)
             if proposed_wins:
                 ratio = 1 / ratio
             delta = abs(float(ratio) - published)
@@ -428,11 +431,12 @@ def run_tables() -> tuple[bool, list[str]]:
     for C in range(4, 41):
         r = C - 2
         params = SchemeParams(C, r, 1, 1)
+        _, rate, F, _ = read_point(Scheme.CLWZC, C, r, (1, 1))
         checks = [
             binom(C, 1) == C,
-            clwzc_subpacketization(C, r, 1) == 3 * C,
+            F == 3 * C,
             delivery_rate(C, r, 1) == 1,
-            clwzc_rate(C, r, 1) == 1,
+            rate == (1, 1),
             binom(C, r) == C * (C - 1) // 2,
             accessible_fraction(params) == Fraction(C - 2, C),
             Fraction(r, C) == Fraction(C - 2, C),

@@ -11,14 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from macc.baselines import (
-    clwzc_rate,
-    clwzc_subpacketization,
-    hkd_rate,
-    rk_lower_bound,
-    rk_rate,
-    spe_special_rate,
-)
+from macc.baselines import Scheme
 from macc.combinatorics import binom
 from macc.golden import (
     PROPOSED_ADVANTAGE_ROWS,
@@ -27,7 +20,7 @@ from macc.golden import (
     TABLE_RATIO_TOLERANCE,
     plain,
 )
-from macc.harness import SplitMix64, run_tables, verify_reference_cases
+from macc.harness import SplitMix64, evaluate_scheme, run_tables, verify_reference_cases
 from macc.metrics import analyze, delivery_rate
 from macc.scheme import (
     DemandAssignment,
@@ -43,6 +36,11 @@ from macc.scheme import (
 
 def _proposed_per_user(C: int, r: int, t: int) -> Fraction:
     return delivery_rate(C, r, t) / binom(C, r)
+
+
+def rate(scheme: Scheme, C: int, r: int, t: int):
+    """The rate of ``scheme``'s comparison row at (C, r, t), or its gap."""
+    return evaluate_scheme(scheme, C, r, t).rate
 
 
 @pytest.fixture(scope="module")
@@ -120,22 +118,23 @@ def test_criterion_02_ratio_tables():
     assert ok, [line for line in lines if line.startswith("FAIL")]
 
     for C, r, t, published in SPE_ADVANTAGE_ROWS:
-        ratio = _proposed_per_user(C, r, t) / (spe_special_rate(C, r, t) / C)
+        ratio = _proposed_per_user(C, r, t) / (rate(Scheme.SPE, C, r, t) / C)
         assert abs(float(ratio) - published) <= TABLE_RATIO_TOLERANCE, (C, r, t)
     for C, r, t, published in PROPOSED_ADVANTAGE_ROWS:
-        ratio = (spe_special_rate(C, r, t) / C) / _proposed_per_user(C, r, t)
+        ratio = (rate(Scheme.SPE, C, r, t) / C) / _proposed_per_user(C, r, t)
         assert abs(float(ratio) - published) <= TABLE_RATIO_TOLERANCE, (C, r, t)
 
-    spot = _proposed_per_user(5, 2, 2) / (spe_special_rate(5, 2, 2) / 5)
+    spot = _proposed_per_user(5, 2, 2) / (rate(Scheme.SPE, 5, 2, 2) / 5)
     assert spot == Fraction(5, 4)
-    spot = (spe_special_rate(25, 6, 4) / 25) / _proposed_per_user(25, 6, 4)
+    spot = (rate(Scheme.SPE, 25, 6, 4) / 25) / _proposed_per_user(25, 6, 4)
     assert abs(float(spot) - 1.097) <= TABLE_RATIO_TOLERANCE
 
     for C in range(4, 41):
         assert delivery_rate(C, C - 2, 1) == 1
-        assert clwzc_rate(C, C - 2, 1) == 1
+        row = evaluate_scheme(Scheme.CLWZC, C, C - 2, 1)
+        assert row.rate == 1
         assert binom(C, 1) == C
-        assert clwzc_subpacketization(C, C - 2, 1) == 3 * C
+        assert row.subpacketization == 3 * C
 
     assert elapsed < 5.0, f"table recomputation took {elapsed:.3f}s"
     print(f"PASS criterion 2: 32 + 21 ratio rows within {TABLE_RATIO_TOLERANCE}, "
@@ -203,16 +202,16 @@ def test_criterion_08_baseline_consistency():
             if C % r != 0:
                 continue
             for t in range(0, C + 1):
-                assert hkd_rate(C, r, Fraction(t, C)) == clwzc_rate(C, r, t), (C, r, t)
+                assert rate(Scheme.HKD, C, r, t) == rate(Scheme.CLWZC, C, r, t), (C, r, t)
 
     for C in range(2, 41):
         for r in range((C + 1) // 2, C + 1):
             q = Fraction((C - r) * (C - r + 1), 2 * C)
             # Both closed forms at the first breakpoint, written out directly.
             assert C - (C - q) * Fraction(1, C) * C == q * (2 - Fraction(1, C) * C)
-            assert rk_lower_bound(C, r, Fraction(1, C)) == q
+            assert rate(Scheme.RK_LB, C, r, 1) == q  # M/N = 1/C
             assert q * (2 - Fraction(2, C) * C) == 0
-            assert rk_lower_bound(C, r, Fraction(2, C)) == 0
+            assert rate(Scheme.RK_LB, C, r, 2) == 0
     print("PASS criterion 8: clwzc and hkd rates identical where both defined "
           "(C <= 40); lower-bound pieces agree exactly at both breakpoints")
 
@@ -258,7 +257,7 @@ def test_criterion_10_figure_dominance():
     for r in (2, 3, 4, 6, 8):
         t = 1
         while t * r < 24:
-            competitor = hkd_rate(24, r, Fraction(t, 24)) / 24
+            competitor = rate(Scheme.HKD, 24, r, t) / 24
             assert _proposed_per_user(24, r, t) < competitor, (24, r, t)
             hkd_points += 1
             t += 1
@@ -267,8 +266,8 @@ def test_criterion_10_figure_dominance():
     # integer grid point below 1/r is t = 1. At r = 11 the proposed curve
     # meets the bound exactly, so dominance is non-strict there.
     for r in range(6, 12):
-        bound = rk_lower_bound(12, r, Fraction(1, 12)) / 12
-        achievable = rk_rate(12, r, 1) / 12
+        bound = rate(Scheme.RK_LB, 12, r, 1) / 12
+        achievable = rate(Scheme.RK, 12, r, 1) / 12
         proposed = _proposed_per_user(12, r, 1)
         assert bound <= achievable
         if r < 11:
@@ -281,7 +280,7 @@ def test_criterion_10_figure_dominance():
     for r in range(2, 7):
         t = 1
         while t * r < 15:
-            competitor = clwzc_rate(15, r, t) / 15
+            competitor = rate(Scheme.CLWZC, 15, r, t) / 15
             assert _proposed_per_user(15, r, t) < competitor, (15, r, t)
             clwzc_points += 1
             t += 1

@@ -1,4 +1,4 @@
-"""Analytic formulas of the comparison schemes."""
+"""Analytic formulas of the comparison schemes, read as ``evaluate_scheme`` rows."""
 
 import inspect
 import math
@@ -7,26 +7,18 @@ from fractions import Fraction
 import pytest
 
 import macc
-from macc.baselines import (
-    Scheme,
-    Undefined,
-    clwzc_rate,
-    clwzc_subpacketization,
-    crd_affine,
-    hkd_rate,
-    is_prime_power,
-    rk_lower_bound,
-    rk_rate,
-    spe_special_rate,
-    spe_subpacketization,
-    sr1_rate,
-    sr1_rate_value,
-    sr2_rate,
-)
+from macc import baselines
+from macc.baselines import Scheme, Undefined
 from macc.combinatorics import binom
 from macc.golden import PROPOSED_ADVANTAGE_ROWS, SPE_ADVANTAGE_ROWS
 from macc.harness import SweepSpec, evaluate_scheme, run_sweep
 from macc.metrics import delivery_rate, rate_memory_curve
+from macc.scheme import SchemeParams
+
+
+def rate(scheme, C, r, t):
+    """The rate of ``scheme``'s row at (C, r, t): a Fraction, or the row's gap."""
+    return evaluate_scheme(scheme, C, r, t).rate
 
 
 def test_undefined_marker_is_falsy():
@@ -34,80 +26,94 @@ def test_undefined_marker_is_falsy():
     assert not gap
 
 
-def counted_formulas():
-    """Every exported function of ``macc.baselines`` whose parameters start (C, r)."""
-    return [
-        function for function in (getattr(macc, name) for name in macc.__all__)
-        if inspect.isfunction(function) and function.__module__ == "macc.baselines"
-        and list(inspect.signature(function).parameters)[:2] == ["C", "r"]
-    ]
+# Every public entry point that takes a cache count C and an access degree r,
+# with the names it gives C and r when it refuses a non-integer: ``SchemeParams``
+# (and what validates through it) takes its fields through ``operator.index``
+# before any range rule, with its own field-named messages.
+COUNT_ENTRY_POINTS = {
+    "evaluate_scheme": (lambda C, r: evaluate_scheme(Scheme.HKD, C, r, 0),
+                        ("cache count", "access degree")),
+    "SweepSpec": (lambda C, r: SweepSpec((C,), (r,), (Fraction(0),), (Scheme.HKD,)),
+                  ("cache count", "access degree")),
+    "SchemeParams": (lambda C, r: SchemeParams(C, r, 0, 1), ("num_caches", "access_degree")),
+    "delivery_rate": (lambda C, r: delivery_rate(C, r, 0), ("num_caches", "access_degree")),
+    "rate_memory_curve": (lambda C, r: rate_memory_curve(C, r, [Fraction(0)]),
+                          ("num_caches", "access_degree")),
+}
+
+
+COUNT_PARAMETERS = ({"C", "r"}, {"num_caches", "access_degree"},
+                    {"cache_counts", "access_degrees"})
+
+
+def takes_counts(value):
+    """Whether ``value`` is a callable whose signature names a C and an r."""
+    try:
+        parameters = set(inspect.signature(value).parameters)
+    except (TypeError, ValueError):
+        return False
+    return any(pair <= parameters for pair in COUNT_PARAMETERS)
 
 
 def test_every_public_formula_refuses_nonpositive_counts():
-    formulas = counted_formulas()
-    assert sorted(formula.__name__ for formula in formulas) == sorted([
-        "spe_subpacketization", "hkd_rate", "rk_rate", "rk_lower_bound", "spe_special_rate",
-        "clwzc_rate", "clwzc_subpacketization", "sr1_rate", "sr1_rate_value", "sr2_rate",
-    ])
-    for formula in formulas:
-        rest = [0] * (len(inspect.signature(formula).parameters) - 2)
+    """Each public entry point that takes (C, r) refuses C < 1, then r < 1,
+    and a non-integer C or r, checking C before r. The list is complete:
+    every callable of ``macc.__all__`` whose signature names a C and an r is
+    on it, except ``ComparisonRow``, a record of values already checked."""
+    found = {name for name in macc.__all__ if takes_counts(getattr(macc, name))}
+    assert COUNT_ENTRY_POINTS and set(COUNT_ENTRY_POINTS) == found - {"ComparisonRow"}
+    for entry, (C_name, r_name) in COUNT_ENTRY_POINTS.values():
         for C, r, message in ((0, 1, "cache count must be positive, got 0"),
                               (-4, 1, "cache count must be positive, got -4"),
-                              (4, 0, "access degree must be positive, got 0")):
-            with pytest.raises(ValueError, match=message):
-                formula(C, r, *rest)
-    # This package's own rate and curve refuse C < 1 first, as well.
-    for C in (0, -4):
-        for formula, rest in ((delivery_rate, 0), (rate_memory_curve, [0])):
-            with pytest.raises(ValueError, match=f"cache count must be positive, got {C}"):
-                formula(C, 1, rest)
+                              (4, 0, "access degree must be positive, got 0"),
+                              (0, 0, "cache count must be positive, got 0"),
+                              (2.5, 1, f"{C_name} must be an integer, got 2.5"),
+                              (4, 1.5, f"{r_name} must be an integer, got 1.5"),
+                              (2.5, 0, f"{C_name} must be an integer, got 2.5")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                entry(C, r)
 
 
 def test_rate_readers_give_the_sweep_gap_when_r_exceeds_C():
-    """At r > C every public rate read from a ``CELLS`` block is the gap of
-    its ``evaluate_scheme`` row, at every point, not a number."""
-    readers = [
-        (Scheme.HKD, lambda C, r, t: hkd_rate(C, r, Fraction(t, C))),
-        (Scheme.RK, rk_rate),
-        (Scheme.RK_LB, lambda C, r, t: rk_lower_bound(C, r, Fraction(t, C))),
-        (Scheme.CLWZC, clwzc_rate),
-        (Scheme.SR1, sr1_rate),
-        (Scheme.SR2, sr2_rate),
-    ]
-    for scheme, reader in readers:
+    """At r > C every comparison rate is the gap "access degree r exceeds
+    cache count C", in its ``evaluate_scheme`` row and its sweep row alike,
+    at every point, not a number."""
+    for scheme in (Scheme.HKD, Scheme.RK, Scheme.RK_LB, Scheme.CLWZC, Scheme.SR1, Scheme.SR2):
         for C, r in ((1, 2), (4, 5), (4, 6), (6, 12)):
+            gap = Undefined(f"access degree {r} exceeds cache count {C}")
+            rows = run_sweep(SweepSpec((C,), (r,), tuple(map(Fraction, range(C + 1))), (scheme,)))
             for t in range(C + 1):
-                row = evaluate_scheme(scheme, C, r, t)
-                gap = Undefined(f"access degree {r} exceeds cache count {C}")
-                assert row.rate == gap, (scheme, C, r, t)
-                assert reader(C, r, t) == gap, (scheme, C, r, t)
+                assert rate(scheme, C, r, t) == gap, (scheme, C, r, t)
+                assert rows[t].rate == gap, (scheme, C, r, t)
 
 
 def test_public_rates_at_every_t_equal_their_sweep_rows():
-    """At every t, a t beyond C included, a public rate is its sweep row's
-    rate, and a gap is the row's gap with the same reason."""
-    for scheme, reader in ((Scheme.RK, rk_rate), (Scheme.CLWZC, clwzc_rate),
-                           (Scheme.SR1, sr1_rate), (Scheme.SR2, sr2_rate)):
+    """At every t, a t beyond C included, an ``evaluate_scheme`` row is its
+    sweep row: the same rate, or the same gap with the same reason."""
+    for scheme in (Scheme.RK, Scheme.CLWZC, Scheme.SR1, Scheme.SR2):
         for C in range(1, 7):
             for r in range(1, C + 2):
                 for t in range(C + 3):
                     (row,) = run_sweep(SweepSpec((C,), (r,), (Fraction(t),), (scheme,)))
-                    assert reader(C, r, t) == row.rate, (scheme, C, r, t)
+                    assert evaluate_scheme(scheme, C, r, t) == row, (scheme, C, r, t)
 
 
 def test_hkd_rate_values():
-    assert hkd_rate(4, 2, Fraction(1, 2)) == 0
-    assert hkd_rate(24, 2, Fraction(1, 24)) == 11
-    assert hkd_rate(6, 2, Fraction(0)) == 6
-    assert hkd_rate(4, 2, 0) == 4
+    # At M/N = 1/2, 1/24, 0, 0 and 3/4: t = C * M/N.
+    assert rate(Scheme.HKD, 4, 2, 2) == 0
+    assert rate(Scheme.HKD, 24, 2, 1) == 11
+    assert rate(Scheme.HKD, 6, 2, Fraction(0)) == 6
+    assert rate(Scheme.HKD, 4, 2, 0) == 4
     # Past the zero crossing the clamp holds.
-    assert hkd_rate(4, 2, Fraction(3, 4)) == 0
+    assert rate(Scheme.HKD, 4, 2, 3) == 0
 
 
 def test_hkd_rate_undefined_and_errors():
-    assert isinstance(hkd_rate(6, 4, Fraction(1, 6)), Undefined)
-    with pytest.raises(ValueError):
-        hkd_rate(6, 2, Fraction(7, 6))
+    assert isinstance(rate(Scheme.HKD, 6, 4, 1), Undefined)
+    # M/N = 7/6 is t = 7 beyond C = 6: the gap the sweep row shows.
+    assert rate(Scheme.HKD, 6, 2, 7) == Undefined("cache parameter 7 exceeds cache count 6")
+    with pytest.raises(ValueError, match="t must be nonnegative, got -1/6"):
+        evaluate_scheme(Scheme.HKD, 6, 2, Fraction(-1, 6))
 
 
 def test_hkd_subpacketization():
@@ -119,73 +125,85 @@ def test_hkd_subpacketization():
 
 def test_rk_rate_values():
     for C in (5, 12):
-        assert rk_rate(C, 2, 0) == C
-    assert rk_rate(12, 6, 1) == 3
-    assert rk_rate(12, 5, 3) == 0
-    assert rk_rate(12, 6, 2) == 0
-    assert rk_rate(12, 5, 4) == Undefined("grid index i=4 outside 0..3 for C=12, r=5")
+        assert rate(Scheme.RK, C, 2, 0) == C
+    assert rate(Scheme.RK, 12, 6, 1) == 3
+    assert rate(Scheme.RK, 12, 5, 3) == 0
+    assert rate(Scheme.RK, 12, 6, 2) == 0
+    assert rate(Scheme.RK, 12, 5, 4) == Undefined("grid index i=4 outside 0..3 for C=12, r=5")
     with pytest.raises(ValueError):
-        rk_rate(12, 5, -1)
+        rate(Scheme.RK, 12, 5, -1)
 
 
 def test_rk_lower_bound_pieces():
-    assert rk_lower_bound(12, 6, Fraction(0)) == 12
-    assert rk_lower_bound(12, 6, Fraction(1, 12)) == Fraction(7, 4)
-    assert rk_lower_bound(12, 6, Fraction(2, 12)) == 0
-    assert rk_lower_bound(12, 6, Fraction(5, 12)) == 0
-    assert isinstance(rk_lower_bound(12, 5, Fraction(1, 12)), Undefined)
+    # At M/N = 0, 1/12, 2/12, 5/12 and 1/12: t = 12 * M/N.
+    assert rate(Scheme.RK_LB, 12, 6, 0) == 12
+    assert rate(Scheme.RK_LB, 12, 6, 1) == Fraction(7, 4)
+    assert rate(Scheme.RK_LB, 12, 6, 2) == 0
+    assert rate(Scheme.RK_LB, 12, 6, 5) == 0
+    assert isinstance(rate(Scheme.RK_LB, 12, 5, 1), Undefined)
 
 
 def test_rk_lower_bound_breakpoint_continuity():
     for C in range(2, 25):
         for r in range((C + 1) // 2, C + 1):
             q = Fraction((C - r) * (C - r + 1), 2 * C)
-            at_first = rk_lower_bound(C, r, Fraction(1, C))
+            at_first = rate(Scheme.RK_LB, C, r, 1)  # M/N = 1/C
             # Both piece formulas, written out independently.
             assert at_first == C - (C - q) * Fraction(1, C) * C
             assert at_first == q * (2 - 1)
-            assert rk_lower_bound(C, r, Fraction(2, C)) == 0
+            assert rate(Scheme.RK_LB, C, r, 2) == 0
 
 
 def test_spe_subpacketization():
-    assert spe_subpacketization(18, 2) == 72
-    assert spe_subpacketization(18, 8) == 18
-    assert isinstance(spe_subpacketization(5, 4), Undefined)
-    assert isinstance(spe_subpacketization(7, 3), Undefined)  # 21 not divisible by 4
+    # SPE's F outside its special case is read at C*M/N = t = 2.
+    assert evaluate_scheme(Scheme.SPE, 18, 2, 2).subpacketization == 72
+    assert evaluate_scheme(Scheme.SPE, 18, 8, 2).subpacketization == 18
+    assert evaluate_scheme(Scheme.SPE, 18, 8, 2).note == "subpacketization only"
+    row = evaluate_scheme(Scheme.SPE, 5, 4, 2)
+    assert row.subpacketization == Undefined("requires r < (C+2)/2, got C=5, r=4")
+    assert row.note == "requires r < (C+2)/2, got C=5, r=4"
+    # (7, 3, 2) is the special case r*t = C-1 with F = C, so the kernel is read directly.
+    assert evaluate_scheme(Scheme.SPE, 7, 3, 2).subpacketization == 7
+    gap = baselines._spe_subpacketization(7, 3)
+    assert gap == Undefined("C(C-2r+2) = 21 not divisible by 4")
 
 
 def test_spe_special_rate():
-    assert spe_special_rate(5, 2, 2) == Fraction(1, 5)
-    assert spe_special_rate(7, 3, 2) == Fraction(1, 7)
-    assert isinstance(spe_special_rate(6, 2, 2), Undefined)
+    assert rate(Scheme.SPE, 5, 2, 2) == Fraction(1, 5)
+    assert rate(Scheme.SPE, 7, 3, 2) == Fraction(1, 7)
+    assert isinstance(rate(Scheme.SPE, 6, 2, 2), Undefined)
 
 
 def test_spe_special_spot_ratios():
     # Frozen spot rows from the two published comparison tables.
     prop = delivery_rate(5, 2, 2) / binom(5, 2)
-    ratio = prop / (spe_special_rate(5, 2, 2) / 5)
+    ratio = prop / (rate(Scheme.SPE, 5, 2, 2) / 5)
     assert ratio == Fraction(5, 4)
     prop = delivery_rate(25, 6, 4) / binom(25, 6)
-    ratio = (spe_special_rate(25, 6, 4) / 25) / prop
+    ratio = (rate(Scheme.SPE, 25, 6, 4) / 25) / prop
     assert abs(float(ratio) - 1.097) <= 0.002
+
+
+def clwzc_F(C, r, t):
+    return evaluate_scheme(Scheme.CLWZC, C, r, t).subpacketization
 
 
 def test_clwzc_rate():
     for C in range(4, 30):
-        assert clwzc_rate(C, C - 2, 1) == 1
-    assert clwzc_rate(15, 3, 2) == 3
-    assert clwzc_rate(12, 6, 2) == 0
-    assert clwzc_rate(12, 7, 2) == 0  # t*r past C clamps to zero
+        assert rate(Scheme.CLWZC, C, C - 2, 1) == 1
+    assert rate(Scheme.CLWZC, 15, 3, 2) == 3
+    assert rate(Scheme.CLWZC, 12, 6, 2) == 0
+    assert rate(Scheme.CLWZC, 12, 7, 2) == 0  # t*r past C clamps to zero
 
 
 def test_clwzc_subpacketization():
     for C in range(4, 30):
-        assert clwzc_subpacketization(C, C - 2, 1) == 3 * C
-    assert clwzc_subpacketization(15, 2, 2) == 1170
-    assert clwzc_subpacketization(6, 1, 2) == 6 * binom(6, 2)
-    assert clwzc_subpacketization(6, 3, 2) == 6  # inner binomial is binom(2,2)
-    assert clwzc_subpacketization(6, 4, 2) == 0
-    assert clwzc_subpacketization(6, 5, 3) == 0  # inner count negative
+        assert clwzc_F(C, C - 2, 1) == 3 * C
+    assert clwzc_F(15, 2, 2) == 1170
+    assert clwzc_F(6, 1, 2) == 6 * binom(6, 2)
+    assert clwzc_F(6, 3, 2) == 6  # inner binomial is binom(2,2)
+    assert clwzc_F(6, 4, 2) == 0
+    assert clwzc_F(6, 5, 3) == 0  # inner count negative
 
 
 def test_clwzc_equals_hkd_where_both_defined():
@@ -194,28 +212,34 @@ def test_clwzc_equals_hkd_where_both_defined():
             if C % r != 0:
                 continue
             for t in range(0, C + 1):
-                hkd = hkd_rate(C, r, Fraction(t, C))
-                assert hkd == clwzc_rate(C, r, t)
+                assert rate(Scheme.HKD, C, r, t) == rate(Scheme.CLWZC, C, r, t)
 
 
 def test_sr1_gcd_precondition():
-    assert isinstance(sr1_rate(18, 8, 2), Undefined)
-    assert isinstance(sr1_rate(18, 4, 2), Undefined)
-    assert isinstance(sr1_rate(10, 2, 4), Undefined)
-    assert isinstance(sr1_rate(7, 4, 2), Undefined)  # t*r > C
+    assert isinstance(rate(Scheme.SR1, 18, 8, 2), Undefined)
+    assert isinstance(rate(Scheme.SR1, 18, 4, 2), Undefined)
+    assert isinstance(rate(Scheme.SR1, 10, 2, 4), Undefined)
+    assert isinstance(rate(Scheme.SR1, 7, 4, 2), Undefined)  # t*r > C
+
+
+def sr1_sum(C, r, t):
+    """SR1's sum ``baselines._sr1_sum`` as a Fraction, with no existence rule
+    but t*r <= C, so its arithmetic can be exercised where SR1 does not exist."""
+    assert t >= 0 and t * r <= C, (C, r, t)
+    return Fraction(*baselines._sr1_sum(C, r, t))
 
 
 def test_sr1_raw_arithmetic_even_branch():
     # Raw formula values at gcd-excluded points, frozen by direct evaluation.
-    assert sr1_rate_value(18, 8, 2) == Fraction(2, 9)
-    assert sr1_rate_value(18, 4, 2) == Fraction(13, 3)
+    assert sr1_sum(18, 8, 2) == Fraction(2, 9)
+    assert sr1_sum(18, 4, 2) == Fraction(13, 3)
 
 
 def sr1_published(C, r, t):
     """The sr1 expression in its published three branches, m = C - t*r.
 
     For odd m > 1 the leading term ceil(2tr/(m+1)) is the stand-in that
-    ``sr1_rate_value`` uses as well.
+    ``baselines._sr1_sum`` uses as well.
     """
     m = C - t * r
     if m == 1:
@@ -237,14 +261,14 @@ def test_sr1_value_is_the_published_expression():
     for C in range(1, 41):
         for r in range(1, C + 1):
             for t in range(C // r + 1):
-                assert sr1_rate_value(C, r, t) == sr1_published(C, r, t), (C, r, t)
+                assert sr1_sum(C, r, t) == sr1_published(C, r, t), (C, r, t)
 
 
 def test_sr1_defined_values():
-    assert sr1_rate(18, 17, 1) == Fraction(1, 18)
-    assert sr1_rate(18, 8, 1) == Fraction(13, 3)
+    assert rate(Scheme.SR1, 18, 17, 1) == Fraction(1, 18)
+    assert rate(Scheme.SR1, 18, 8, 1) == Fraction(13, 3)
     # m = 5 odd: head 1/(ceil(8/6)+1) = 1/3, tail i in {4, 5} gives 1 + 1.
-    assert sr1_rate(9, 2, 2) == Fraction(7, 3)
+    assert rate(Scheme.SR1, 9, 2, 2) == Fraction(7, 3)
     assert evaluate_scheme(Scheme.SR1, 18, 8, 1).note == ""
     assert evaluate_scheme(Scheme.SR1, 18, 17, 1).note == ""
 
@@ -252,7 +276,7 @@ def test_sr1_defined_values():
 def test_sr1_odd_branch_flag_and_pluggable_leading_term():
     row = evaluate_scheme(Scheme.SR1, 18, 5, 1)
     assert row.note == "interpretation-dependent odd-branch leading term"
-    default = sr1_rate(18, 5, 1)
+    default = sr1_sum(18, 5, 1)
     assert row.rate == default
     # ceil(2*5/14) = 1, so the default head term is 1/2.
     tail = sum(Fraction(2, 1 + -(-5 // i)) for i in range(8, 14))
@@ -260,11 +284,11 @@ def test_sr1_odd_branch_flag_and_pluggable_leading_term():
 
 
 def test_sr2_rate():
-    assert sr2_rate(12, 6, 2) == 0
-    assert sr2_rate(12, 4, 2) == 1
-    assert isinstance(sr2_rate(18, 2, 3), Undefined)
-    assert isinstance(sr2_rate(18, 8, 2), Undefined)
-    assert isinstance(sr2_rate(9, 2, 2), Undefined)  # t does not divide C
+    assert rate(Scheme.SR2, 12, 6, 2) == 0
+    assert rate(Scheme.SR2, 12, 4, 2) == 1
+    assert isinstance(rate(Scheme.SR2, 18, 2, 3), Undefined)
+    assert isinstance(rate(Scheme.SR2, 18, 8, 2), Undefined)
+    assert isinstance(rate(Scheme.SR2, 9, 2, 2), Undefined)  # t does not divide C
     assert evaluate_scheme(Scheme.SR2, 12, 4, 2).subpacketization == 12
     assert isinstance(evaluate_scheme(Scheme.SR2, 18, 8, 2).subpacketization, Undefined)
 
@@ -282,24 +306,29 @@ def test_is_prime_power():
         return False
 
     for n in range(0, 300):
-        assert is_prime_power(n) == naive(n), n
-    assert is_prime_power(1024)
-    assert not is_prime_power(1000)
+        assert baselines._is_prime_power(n) == naive(n), n
+    assert baselines._is_prime_power(1024)
+    assert not baselines._is_prime_power(1000)
+
+
+def crd_affine(n):
+    """The CRD_AFFINE row of the affine plane of order n: C = n(n+1), t = n+1."""
+    return evaluate_scheme(Scheme.CRD_AFFINE, n * (n + 1), 1, n + 1)
 
 
 def test_crd_affine_values():
-    K, rate, F = crd_affine(2)
-    assert K == 12
-    assert F == 4
-    assert rate / K == Fraction(1, 16)
-    assert rate == Fraction(1, 16) * 12
+    row = crd_affine(2)
+    assert row.num_users == 12
+    assert row.subpacketization == 4
+    assert row.rate / row.num_users == Fraction(1, 16)
+    assert row.rate == Fraction(1, 16) * 12
 
-    K, rate, F = crd_affine(3)
-    assert K == 54
-    assert F == 9
-    assert rate / K == Fraction(1, 9)
+    row = crd_affine(3)
+    assert row.num_users == 54
+    assert row.subpacketization == 9
+    assert row.rate / row.num_users == Fraction(1, 9)
 
-    gap = crd_affine(6)
+    gap = crd_affine(6).rate
     assert isinstance(gap, Undefined)
     assert gap.reason == "n = 6 is not a prime power"
 
@@ -313,21 +342,21 @@ def test_crd_affine_values():
 def test_all_schemes_start_at_unit_per_user_rate():
     # With empty caches every defined scheme sends one file unit per user.
     for C, r in ((6, 2), (12, 6), (8, 4)):
-        assert hkd_rate(C, r, Fraction(0)) / C == 1
-        assert rk_rate(C, r, 0) / C == 1
+        assert rate(Scheme.HKD, C, r, 0) / C == 1
+        assert rate(Scheme.RK, C, r, 0) / C == 1
         if 2 * r >= C:
-            assert rk_lower_bound(C, r, Fraction(0)) / C == 1
-        assert clwzc_rate(C, r, 0) / C == 1
+            assert rate(Scheme.RK_LB, C, r, 0) / C == 1
+        assert rate(Scheme.CLWZC, C, r, 0) / C == 1
         assert delivery_rate(C, r, 0) / binom(C, r) == 1
 
 
 def test_dominance_flip_between_published_tables():
     for C, r, t, _ in SPE_ADVANTAGE_ROWS:
         prop = delivery_rate(C, r, t) / binom(C, r)
-        assert prop / (spe_special_rate(C, r, t) / C) > 1
+        assert prop / (rate(Scheme.SPE, C, r, t) / C) > 1
     for C, r, t, _ in PROPOSED_ADVANTAGE_ROWS:
         prop = delivery_rate(C, r, t) / binom(C, r)
-        assert (spe_special_rate(C, r, t) / C) / prop > 1
+        assert (rate(Scheme.SPE, C, r, t) / C) / prop > 1
 
 
 # Reference forms: the Fraction expressions these formulas had before the
@@ -424,19 +453,11 @@ def test_formulas_and_rows_match_the_fraction_references():
                     Scheme.SR2: sr2_reference(C, r, i) if integer else None,
                 }
                 where = (C, r, t)
-                assert_matches(hkd_rate(C, r, mn), expected[Scheme.HKD], where)
-                assert_matches(rk_lower_bound(C, r, mn), expected[Scheme.RK_LB], where)
-                if integer:
-                    assert_matches(rk_rate(C, r, i), expected[Scheme.RK], where)
-                    assert_matches(clwzc_rate(C, r, i), expected[Scheme.CLWZC], where)
-                    assert_matches(spe_special_rate(C, r, i), expected[Scheme.SPE], where)
-                    assert_matches(sr1_rate(C, r, i), expected[Scheme.SR1], where)
-                    assert_matches(sr2_rate(C, r, i), expected[Scheme.SR2], where)
-                for scheme, rate in expected.items():
+                for scheme, value in expected.items():
                     row = evaluate_scheme(scheme, C, r, t)
-                    assert_matches(row.rate, rate, (scheme, *where))
-                    if rate is not None:
-                        assert row.per_user_rate == rate / C, (scheme, *where)
+                    assert_matches(row.rate, value, (scheme, *where))
+                    if value is not None:
+                        assert row.per_user_rate == value / C, (scheme, *where)
                 proposed = proposed_reference(C, r, mn)
                 assert_matches(rate_memory_curve(C, r, [mn])[0], proposed, where)
                 if integer:
@@ -452,15 +473,23 @@ def test_formulas_and_rows_match_the_fraction_references():
 
 
 def test_crd_affine_matches_its_sweep_row():
+    """At every r the row of the affine plane of order n holds the published
+    (K, rate, F), K = n^3(n+1)/2, per-user rate (n-1)^2/(4n^2), F = n^2,
+    and is the sweep's row; where n is no prime power each cell is the gap."""
+    prime_powers = {2, 3, 4, 5, 7, 8, 9, 11, 13}
     for n in range(1, 14):
-        C, cells = n * (n + 1), crd_affine(n)
+        C = n * (n + 1)
         for r in (1, C):
             row = evaluate_scheme(Scheme.CRD_AFFINE, C, r, n + 1)
+            (swept,) = run_sweep(SweepSpec((C,), (r,), (Fraction(n + 1),), (Scheme.CRD_AFFINE,)))
+            assert row == swept, (n, r)
             assert row.mn == Fraction(1, n), (n, r)
-            if isinstance(cells, Undefined):
+            if n not in prime_powers:
+                gap = Undefined(f"n = {n} is not a prime power")
                 assert (row.num_users, row.rate, row.subpacketization, row.per_user_rate) == (
-                    cells, cells, cells, cells), (n, r)
+                    gap, gap, gap, gap), (n, r)
                 continue
-            K, rate, F = cells
-            assert (row.num_users, row.rate, row.subpacketization) == (K, rate, F), (n, r)
-            assert row.per_user_rate == rate / K, (n, r)
+            K = n ** 3 * (n + 1) // 2
+            assert (row.num_users, row.subpacketization) == (K, n ** 2), (n, r)
+            assert row.per_user_rate == Fraction((n - 1) ** 2, 4 * n ** 2), (n, r)
+            assert row.rate == row.per_user_rate * K, (n, r)

@@ -14,7 +14,7 @@ import pytest
 import macc
 import macc.cli as cli
 import macc.harness as harness
-from macc.baselines import Undefined
+from macc.baselines import Scheme, Undefined, read_point
 from macc.cli import main
 from macc.scheme import Transmission
 
@@ -483,7 +483,8 @@ def test_verify_examples_reports_diverging_transmissions(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "name, patch, line",
     [
-        ("spe_special_rate", lambda C, r, t: Undefined("patched"),
+        ("read_point", lambda scheme, C, r, point: (
+            Undefined("patched") if scheme is Scheme.SPE else read_point(scheme, C, r, point)),
          "FAIL table-1 C=5 r=2 t=2: patched"),
         ("accessible_fraction", lambda params: 0,
          "FAIL column comparison at C=4: [True, True, True, True, True, False, True]"),

@@ -10,20 +10,7 @@ import pytest
 
 import macc.baselines as baselines
 import macc.harness as harness
-from macc.baselines import (
-    Scheme,
-    Undefined,
-    clwzc_rate,
-    clwzc_subpacketization,
-    hkd_rate,
-    rk_lower_bound,
-    rk_rate,
-    spe_special_rate,
-    spe_subpacketization,
-    sr1_rate,
-    sr1_rate_value,
-    sr2_rate,
-)
+from macc.baselines import Scheme, Undefined
 from macc.combinatorics import enumerate_subsets
 from macc.cli import main
 from macc.harness import (
@@ -119,7 +106,7 @@ def test_sweep_csv_evaluates_by_block(monkeypatch):
         rows_built.append(args)
         return original_row(*args, **kwargs)
 
-    # The comparison schemes check C and r at most once per block, and every
+    # The comparison blocks do not check C and r again, and every
     # scheme builds its cells from integers: no Fraction is made inside a
     # block function.
     checks = []
@@ -153,8 +140,7 @@ def test_sweep_csv_evaluates_by_block(monkeypatch):
     swept = run_sweep(spec)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     write_sweep_csv(swept, io.StringIO())
-    comparison_blocks = (len(Scheme) - 1) * len(spec.cache_counts) * len(spec.access_degrees)
-    assert len(checks) <= comparison_blocks
+    assert checks == []
     assert built_in_cells and sum(built_in_cells) == 0
     assert sorted(block_calls) == sorted(
         (scheme, C, r) for scheme in Scheme for C in spec.cache_counts
@@ -327,28 +313,40 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
         (lambda: make_demand(SchemeParams(4, 2, 1, 6), "zipf", SplitMix64(0)),
          "unknown demand mode 'zipf'"),
         (lambda: simulate_report(4, 2, 1, file_size=-1), "file size must be nonnegative, got -1"),
-        (lambda: clwzc_rate(4, 2, -1), "t must be nonnegative, got -1"),
-        (lambda: clwzc_subpacketization(4, 2, -1), "t must be nonnegative, got -1"),
-        (lambda: sr1_rate_value(4, 2, 3), r"needs t\*r <= C, got C=4, r=2, t=3"),
-        (lambda: sr1_rate_value(4, 1, -1), "t must be nonnegative, got -1"),
-        (lambda: sr1_rate_value(4, 2, -3), "t must be nonnegative, got -3"),
-        (lambda: hkd_rate(4, 0, Fraction(1, 4)), "access degree must be positive, got 0"),
-        (lambda: hkd_rate(4, -2, Fraction(1, 4)), "access degree must be positive, got -2"),
-        (lambda: rk_rate(4, 0, 1), "access degree must be positive, got 0"),
-        (lambda: rk_lower_bound(4, 0, Fraction(0)), "access degree must be positive, got 0"),
-        (lambda: spe_subpacketization(4, 0), "access degree must be positive, got 0"),
-        (lambda: spe_special_rate(4, 0, 1), "access degree must be positive, got 0"),
-        (lambda: clwzc_rate(4, 0, 1), "access degree must be positive, got 0"),
-        (lambda: clwzc_subpacketization(4, 0, 1), "access degree must be positive, got 0"),
-        (lambda: clwzc_rate(4, 0, -1), "access degree must be positive, got 0"),
-        (lambda: sr1_rate(4, 0, 1), "access degree must be positive, got 0"),
-        (lambda: sr1_rate(4, 0, 2), "access degree must be positive, got 0"),
-        (lambda: sr1_rate_value(4, 0, 1), "access degree must be positive, got 0"),
-        (lambda: sr2_rate(4, 0, 1), "access degree must be positive, got 0"),
-        (lambda: rk_rate(4, 1, -1), "t must be nonnegative, got -1"),
-        (lambda: spe_special_rate(4, 1, -1), "t must be nonnegative, got -1"),
-        (lambda: sr1_rate(4, 1, -1), "t must be nonnegative, got -1"),
-        (lambda: sr2_rate(4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: evaluate_scheme(Scheme.CLWZC, 4, 2, -1), "t must be nonnegative, got -1"),
+        (lambda: evaluate_scheme(Scheme.CLWZC, 4, 2, -1), "t must be nonnegative, got -1"),
+        (lambda: evaluate_scheme(Scheme.SR1, 4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: evaluate_scheme(Scheme.SR1, 4, 2, -3), "t must be nonnegative, got -3"),
+        (lambda: evaluate_scheme(Scheme.HKD, 4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.HKD, 4, -2, 1), "access degree must be positive, got -2"),
+        (lambda: evaluate_scheme(Scheme.RK, 4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.RK_LB, 4, 0, 0), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.SPE, 4, 0, 2), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.SPE, 4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.CLWZC, 4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.CLWZC, 4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.CLWZC, 4, 0, -1), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.SR1, 4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.SR1, 4, 0, 2), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.SR1, 4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.SR2, 4, 0, 1), "access degree must be positive, got 0"),
+        (lambda: evaluate_scheme(Scheme.RK, 4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: evaluate_scheme(Scheme.SPE, 4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: evaluate_scheme(Scheme.SR1, 4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: evaluate_scheme(Scheme.SR2, 4, 1, -1), "t must be nonnegative, got -1"),
+        (lambda: evaluate_scheme(Scheme.PROPOSED, 2.5, 1, 0),
+         "cache count must be an integer, got 2.5"),
+        (lambda: evaluate_scheme(Scheme.CLWZC, 4, 1.5, 1),
+         "access degree must be an integer, got 1.5"),
+        (lambda: evaluate_scheme(Scheme.SPE, 4, 2.5, 2),
+         "access degree must be an integer, got 2.5"),
+        (lambda: SweepSpec((2, 3.5), (1,), ONE, PROPOSED),
+         "cache count must be an integer, got 3.5"),
+        (lambda: SweepSpec((4,), (1, 1.5), ONE, PROPOSED),
+         "access degree must be an integer, got 1.5"),
+        (lambda: SweepSpec((4, 2), (1,), ONE, PROPOSED + ("nope",)),
+         "'nope' is not a valid Scheme"),
+        (lambda: evaluate_scheme("nope", 4, 2, 1), "'nope' is not a valid Scheme"),
         (lambda: list(enumerate_subsets(3, -1)), "subset size must be nonnegative, got -1"),
         (lambda: SplitMix64(0).next_below(0), "need a positive bound, got 0"),
     ] + [
@@ -360,18 +358,44 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
          "evaluate-sr2-r-0", "evaluate-C-0", "sweep-no-C", "sweep-no-scheme",
          "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
          "demand-active-above-K", "demand-mode", "simulate-negative-size",
-         "clwzc-rate-negative-t", "clwzc-F-negative-t", "sr1-tr-above-C",
+         "clwzc-rate-negative-t", "clwzc-F-negative-t",
          "sr1-value-negative-t", "sr1-value-negative-t-r-2",
          "hkd-r-0", "hkd-r-negative", "rk-r-0", "rk-lb-r-0", "spe-F-r-0", "spe-special-r-0",
          "clwzc-rate-r-0", "clwzc-F-r-0", "clwzc-rate-r-0-before-t", "sr1-r-0",
          "sr1-r-0-before-gcd", "sr1-value-r-0", "sr2-r-0", "rk-negative-t",
          "spe-special-negative-t", "sr1-negative-t", "sr2-negative-t",
-         "subsets-negative-size", "next-below-0"]
+         "evaluate-C-non-integer", "evaluate-r-non-integer", "spe-F-r-non-integer",
+         "sweep-C-non-integer", "sweep-r-non-integer", "sweep-unknown-scheme",
+         "evaluate-unknown-scheme", "subsets-negative-size", "next-below-0"]
     + [f"{name}-{case}" for name, _ in SCHEME_ENTRY_POINTS for case, _, _ in BAD_POINTS],
 )
 def test_public_entry_points_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_sr1_tr_above_C_is_a_gap():
+    """SR1's rule t*r <= C is one gap with one wording, in its row as in the sweep."""
+    gap = Undefined("requires t*r <= C, got t*r = 6, C = 4")
+    row = evaluate_scheme(Scheme.SR1, 4, 2, 3)
+    assert (row.rate, row.note) == (gap, gap.reason)
+    (swept,) = run_sweep(SweepSpec((4,), (2,), (Fraction(3),), (Scheme.SR1,)))
+    assert swept == row
+
+
+def test_scheme_names_are_taken_as_their_members():
+    """A scheme given by its value reads as its ``Scheme`` member, in a row
+    and in a sweep, which then writes the same CSV."""
+    row = evaluate_scheme("hkd", 4, 2, 1)
+    assert row.scheme is Scheme.HKD and row == evaluate_scheme(Scheme.HKD, 4, 2, 1)
+    spec = SweepSpec((4, 6), (2,), (Fraction(0), Fraction(1)), ("sr1", "hkd"))
+    assert spec.schemes == (Scheme.SR1, Scheme.HKD)
+    assert all(type(scheme) is Scheme for scheme in spec.schemes)
+    by_name, by_member = io.StringIO(), io.StringIO()
+    write_sweep_csv(run_sweep(spec), by_name)
+    write_sweep_csv(run_sweep(SweepSpec((4, 6), (2,), spec.cache_params,
+                                        (Scheme.SR1, Scheme.HKD))), by_member)
+    assert by_name.getvalue() == by_member.getvalue()
 
 
 def test_render_decimal_rounds_in_its_own_context():
