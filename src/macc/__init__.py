@@ -21,7 +21,7 @@ from .harness import (
     run_sweep,
     scheme_dump,
 )
-from .metrics import SchemeReport, analyze, delivery_rate, rate_memory_curve
+from .metrics import delivery_rate, rate_memory_curve
 from .scheme import (
     CacheContent,
     DecodingError,
@@ -47,7 +47,6 @@ __all__ = [
     "DemandError",
     "Scheme",
     "SchemeParams",
-    "SchemeReport",
     "SplitMix64",
     "SubfileId",
     "SweepRows",
@@ -55,7 +54,6 @@ __all__ = [
     "Transmission",
     "Undefined",
     "accessible_fraction",
-    "analyze",
     "binom",
     "build_placement",
     "decode_user",

@@ -37,7 +37,7 @@ from .golden import (
     TABLE_RATIO_TOLERANCE,
     plain,
 )
-from .metrics import analyze, delivery_rate
+from .metrics import delivery_rate
 from .metrics import rate_memory_curve  # noqa: F401  perfbench/layers.py wraps macc.harness.rate_memory_curve
 from .scheme import (
     DemandAssignment,
@@ -212,10 +212,20 @@ class SweepSpec:
                 check_memory_fraction(mn)
 
 
-def _point_row(scheme: Scheme, C: int, r: int, point: Pair) -> ComparisonRow:
-    """The row of one scheme at the point t = p/q; the per-user rate is rate / K."""
-    cells = read_point(scheme, C, r, point)
-    t, mn = Fraction(*point), Fraction(point[0], point[1] * C)
+def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRow:
+    """One comparison row; parameter points a scheme lacks come back undefined,
+    a t beyond C among them, as in the sweep.
+
+    This is the one place a row's values are built: the memory fraction is
+    t / C and the per-user rate rate / K. ``scheme`` may be a ``Scheme``
+    member or its value, such as "hkd".
+    """
+    scheme = Scheme(scheme)
+    check_counts(C, r)
+    t = Fraction(t)
+    _check_t(t)
+    cells = read_point(scheme, C, r, (t.numerator, t.denominator))
+    mn = t / C
     if isinstance(cells, Undefined):
         return ComparisonRow(scheme, C, r, t, mn, cells, cells, cells, cells, note=cells.reason)
     K, rate, F, note = cells
@@ -225,26 +235,12 @@ def _point_row(scheme: Scheme, C: int, r: int, point: Pair) -> ComparisonRow:
     return ComparisonRow(scheme, C, r, t, mn, K, rate, rate / K, F, note)
 
 
-def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRow:
-    """One comparison row; parameter points a scheme lacks come back undefined,
-    a t beyond C among them, as in the sweep.
+class SweepRows:
+    """A sweep as one (scheme, C, r, grid) block per scheme, C and r, in
+    order (scheme, C, r, t); its length is its number of rows.
 
-    The memory fraction is t / C and the per-user rate rate / K. ``scheme``
-    may be a ``Scheme`` member or its value, such as "hkd".
-    """
-    scheme = Scheme(scheme)
-    check_counts(C, r)
-    t = Fraction(t)
-    _check_t(t)
-    return _point_row(scheme, C, r, (t.numerator, t.denominator))
-
-
-class SweepRows(Sequence[ComparisonRow]):
-    """The rows of a sweep, read-only, in order (scheme, C, r, t).
-
-    They are held as one (scheme, C, r, grid) tuple per block and computed
-    when read, so none is kept. Every grid has the same number of points, so
-    row i is row i % width of block i // width.
+    No row is kept: ``write_sweep_csv`` computes each block's cells when it
+    writes them, and the row at one point is ``evaluate_scheme``'s.
     """
 
     def __init__(self, blocks: list[tuple[Scheme, int, int, list[Pair]]], width: int) -> None:
@@ -254,22 +250,14 @@ class SweepRows(Sequence[ComparisonRow]):
     def __len__(self) -> int:
         return len(self._blocks) * self._width
 
-    def __getitem__(self, index: Union[int, slice]):
-        position = range(len(self))[index]
-        if isinstance(position, range):
-            return [self[i] for i in position]
-        number, i = divmod(position, self._width)
-        scheme, C, r, grid = self._blocks[number]
-        return _point_row(scheme, C, r, grid[i])
-
 
 def run_sweep(spec: SweepSpec) -> SweepRows:
-    """All grid rows in deterministic order (scheme, C, r, t).
+    """The sweep's blocks, its rows in deterministic order (scheme, C, r, t).
 
     The grid of each C, the pair (p, q) of each t = p/q in lowest terms, is
     built here; a negative t (only a t grid can hold one) is refused once,
     with ``evaluate_scheme``'s error. ``read_block`` computes the rows when
-    they are written or read.
+    they are written.
     """
     scheme_order = {s: i for i, s in enumerate(Scheme)}
     values = sorted({Fraction(p) for p in spec.cache_params})
@@ -397,7 +385,8 @@ def verify_reference_cases() -> tuple[bool, list[str]]:
 def run_tables() -> tuple[bool, list[str]]:
     """Recompute both published ratio tables and the t=1 column comparison.
 
-    Each table divides the losing per-user rate by the winning one.
+    Each table divides the losing per-user rate by the winning one, both
+    read from ``evaluate_scheme`` rows.
     """
     ok = True
     lines = []
@@ -408,14 +397,12 @@ def run_tables() -> tuple[bool, list[str]]:
     ):
         lines.append(heading)
         for C, r, t, published in rows:
-            cells = read_point(Scheme.SPE, C, r, (t, 1))
-            competitor = cells if isinstance(cells, Undefined) else cells[1]
+            competitor = evaluate_scheme(Scheme.SPE, C, r, t).per_user_rate
             if isinstance(competitor, Undefined):
                 ok = False
                 lines.append(f"FAIL {label} C={C} r={r} t={t}: {competitor.reason}")
                 continue
-            proposed_pu = delivery_rate(C, r, t) / binom(C, r)
-            ratio = proposed_pu / (Fraction(*competitor) / C)
+            ratio = evaluate_scheme(Scheme.PROPOSED, C, r, t).per_user_rate / competitor
             if proposed_wins:
                 ratio = 1 / ratio
             delta = abs(float(ratio) - published)
@@ -597,23 +584,25 @@ def scheme_dump(
 def analyze_report(C: int, r: int, t: int, N: Union[int, None] = None) -> dict:
     """The analytic summary as a JSON-ready dict, rationals as p/q + decimal.
 
-    The library size N defaults to the number of users, binom(C, r).
+    The library size N defaults to the number of users, binom(C, r). K, the
+    rate, the per-user rate and F are those of the ``evaluate_scheme`` row;
+    the coding gain is binom(t + r, r), the users one message serves.
     """
     if N is None:
         N = SchemeParams(C, r, t, 1).num_users
     params = SchemeParams(C, r, t, N)
-    report = analyze(params)
+    row = evaluate_scheme(Scheme.PROPOSED, C, r, t)
 
     def rational(x: Fraction) -> dict:
         return {"exact": render_fraction(x), "decimal": render_decimal(x)}
 
     return {
         "params": _params_record(params),
-        "num_users": report.num_users,
-        "subpacketization": report.subpacketization,
-        "coding_gain": report.coding_gain,
-        "rate": rational(report.rate),
-        "per_user_rate": rational(report.per_user_rate),
-        "accessible_fraction": rational(report.accessible_fraction),
-        "cache_fraction": rational(report.cache_fraction),
+        "num_users": row.num_users,
+        "subpacketization": row.subpacketization,
+        "coding_gain": binom(t + r, r),
+        "rate": rational(row.rate),
+        "per_user_rate": rational(row.per_user_rate),
+        "accessible_fraction": rational(accessible_fraction(params)),
+        "cache_fraction": rational(params.cache_fraction),
     }

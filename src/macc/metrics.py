@@ -1,32 +1,18 @@
-"""Closed-form performance metrics and the memory-sharing rate curve.
+"""The closed-form delivery rate and the memory-sharing rate curve.
 
-All quantities are exact: Fractions for rates and fractions of files,
-arbitrary-precision integers for counts. Decimal rendering is left to the
-harness.
+Both are exact Fractions, read from the PROPOSED block of
+``baselines.CELLS``; decimal rendering is left to the harness. The other
+values at a point (K, the per-user rate, F) are read from its
+``harness.evaluate_scheme`` row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .baselines import CELLS, Scheme, check_memory_fraction
-from .combinatorics import binom
-from .scheme import SchemeParams, accessible_fraction
-
-
-@dataclass(frozen=True)
-class SchemeReport:
-    """Analytic summary of one (C, r, t) operating point."""
-
-    rate: Fraction
-    per_user_rate: Fraction
-    subpacketization: int
-    coding_gain: int
-    accessible_fraction: Fraction
-    num_users: int
-    cache_fraction: Fraction
+from .scheme import SchemeParams
 
 
 def delivery_rate(C: int, r: int, t: int) -> Fraction:
@@ -41,22 +27,6 @@ def delivery_rate(C: int, r: int, t: int) -> Fraction:
     SchemeParams(C, r, t, 1)
     ((_, rate, _, _),) = CELLS[Scheme.PROPOSED](C, r, [(t, 1)])
     return Fraction(*rate)
-
-
-def analyze(params: SchemeParams) -> SchemeReport:
-    """Exact metrics of the scheme at integer t."""
-    C, r, t = params.num_caches, params.access_degree, params.cache_param
-    rate = delivery_rate(C, r, t)
-    K = params.num_users
-    return SchemeReport(
-        rate=rate,
-        per_user_rate=rate / K,
-        subpacketization=params.subpacketization,
-        coding_gain=binom(t + r, r),
-        accessible_fraction=accessible_fraction(params),
-        num_users=K,
-        cache_fraction=params.cache_fraction,
-    )
 
 
 def rate_memory_curve(C: int, r: int, memory_points: Sequence[Fraction]) -> list[Fraction]:

@@ -130,10 +130,6 @@ class Transmission:
     coded_set: tuple[int, ...]
     terms: tuple[SubfileId, ...]
 
-    def user_of_term(self, term: SubfileId) -> tuple[int, ...]:
-        """The user a term serves: the coded set minus the term's index set."""
-        return tuple(x for x in self.coded_set if x not in term.index_set)
-
 
 @dataclass(frozen=True)
 class DemandAssignment:

@@ -21,7 +21,7 @@ from macc.golden import (
     plain,
 )
 from macc.harness import SplitMix64, evaluate_scheme, run_tables, verify_reference_cases
-from macc.metrics import analyze, delivery_rate
+from macc.metrics import delivery_rate
 from macc.scheme import (
     DemandAssignment,
     SchemeParams,
@@ -191,8 +191,7 @@ def test_criterion_06_accessible_fraction_oracle():
 def test_criterion_07_single_access_reduction():
     for C in range(2, 31):
         for t in range(1, C):
-            report = analyze(SchemeParams(C, 1, t, 1))
-            assert report.rate == Fraction(C - t, t + 1), (C, t)
+            assert evaluate_scheme(Scheme.PROPOSED, C, 1, t).rate == Fraction(C - t, t + 1), (C, t)
     print("PASS criterion 7: r=1 rate equals (C-t)/(t+1) for all 1 <= t < C <= 30")
 
 

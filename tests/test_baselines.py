@@ -11,9 +11,10 @@ from macc import baselines
 from macc.baselines import Scheme, Undefined
 from macc.combinatorics import binom
 from macc.golden import PROPOSED_ADVANTAGE_ROWS, SPE_ADVANTAGE_ROWS
-from macc.harness import SweepSpec, evaluate_scheme, run_sweep
+from macc.harness import SweepSpec, evaluate_scheme
 from macc.metrics import delivery_rate, rate_memory_curve
 from macc.scheme import SchemeParams
+from sweep_csv import csv_line, sweep_lines
 
 
 def rate(scheme, C, r, t):
@@ -76,26 +77,28 @@ def test_every_public_formula_refuses_nonpositive_counts():
 
 def test_rate_readers_give_the_sweep_gap_when_r_exceeds_C():
     """At r > C every comparison rate is the gap "access degree r exceeds
-    cache count C", in its ``evaluate_scheme`` row and its sweep row alike,
-    at every point, not a number."""
+    cache count C", in its ``evaluate_scheme`` row and its sweep CSV line
+    alike, at every point, not a number."""
     for scheme in (Scheme.HKD, Scheme.RK, Scheme.RK_LB, Scheme.CLWZC, Scheme.SR1, Scheme.SR2):
         for C, r in ((1, 2), (4, 5), (4, 6), (6, 12)):
             gap = Undefined(f"access degree {r} exceeds cache count {C}")
-            rows = run_sweep(SweepSpec((C,), (r,), tuple(map(Fraction, range(C + 1))), (scheme,)))
-            for t in range(C + 1):
-                assert rate(scheme, C, r, t) == gap, (scheme, C, r, t)
-                assert rows[t].rate == gap, (scheme, C, r, t)
+            lines = sweep_lines(SweepSpec((C,), (r,), tuple(map(Fraction, range(C + 1))), (scheme,)))
+            for (_, _, _, t), line in lines.items():
+                row = evaluate_scheme(scheme, C, r, t)
+                assert row.rate == gap, (scheme, C, r, t)
+                assert line == csv_line(row), (scheme, C, r, t)
 
 
 def test_public_rates_at_every_t_equal_their_sweep_rows():
-    """At every t, a t beyond C included, an ``evaluate_scheme`` row is its
-    sweep row: the same rate, or the same gap with the same reason."""
+    """At every t, a t beyond C included, an ``evaluate_scheme`` row written
+    out is its sweep CSV line: the same rate, or the same gap with the same
+    reason."""
     for scheme in (Scheme.RK, Scheme.CLWZC, Scheme.SR1, Scheme.SR2):
         for C in range(1, 7):
             for r in range(1, C + 2):
                 for t in range(C + 3):
-                    (row,) = run_sweep(SweepSpec((C,), (r,), (Fraction(t),), (scheme,)))
-                    assert evaluate_scheme(scheme, C, r, t) == row, (scheme, C, r, t)
+                    (line,) = sweep_lines(SweepSpec((C,), (r,), (Fraction(t),), (scheme,))).values()
+                    assert line == csv_line(evaluate_scheme(scheme, C, r, t)), (scheme, C, r, t)
 
 
 def test_hkd_rate_values():
@@ -475,14 +478,14 @@ def test_formulas_and_rows_match_the_fraction_references():
 def test_crd_affine_matches_its_sweep_row():
     """At every r the row of the affine plane of order n holds the published
     (K, rate, F), K = n^3(n+1)/2, per-user rate (n-1)^2/(4n^2), F = n^2,
-    and is the sweep's row; where n is no prime power each cell is the gap."""
+    and is the sweep's CSV line; where n is no prime power each cell is the gap."""
     prime_powers = {2, 3, 4, 5, 7, 8, 9, 11, 13}
     for n in range(1, 14):
         C = n * (n + 1)
         for r in (1, C):
             row = evaluate_scheme(Scheme.CRD_AFFINE, C, r, n + 1)
-            (swept,) = run_sweep(SweepSpec((C,), (r,), (Fraction(n + 1),), (Scheme.CRD_AFFINE,)))
-            assert row == swept, (n, r)
+            (line,) = sweep_lines(SweepSpec((C,), (r,), (Fraction(n + 1),), (Scheme.CRD_AFFINE,))).values()
+            assert line == csv_line(row), (n, r)
             assert row.mn == Fraction(1, n), (n, r)
             if n not in prime_powers:
                 gap = Undefined(f"n = {n} is not a prime power")

@@ -14,7 +14,6 @@ from macc.baselines import Scheme, Undefined
 from macc.combinatorics import enumerate_subsets
 from macc.cli import main
 from macc.harness import (
-    ComparisonRow,
     SplitMix64,
     SweepSpec,
     analyze_report,
@@ -27,6 +26,7 @@ from macc.harness import (
 )
 from macc.metrics import delivery_rate, rate_memory_curve
 from macc.scheme import SchemeParams
+from sweep_csv import csv_line, sweep_lines
 
 
 def scalar_bytes(rng, n):
@@ -147,7 +147,7 @@ def test_sweep_csv_evaluates_by_block(monkeypatch):
         for r in spec.access_degrees if r <= C
     )
     assert rows_built == [] and made == []
-    swept[0]  # the row API still builds its row and its Fractions, so both counters are live
+    evaluate_scheme(Scheme.PROPOSED, 1, 1, 0)  # a row builds its Fractions, so both counters are live
     monkeypatch.setattr(Fraction, "__new__", original_new)
     assert len(rows_built) == 1
     assert made
@@ -197,45 +197,13 @@ def test_verification_report_golden_digest(capsys, argv, sha256):
 
 
 @pytest.mark.parametrize("kind", ["mn", "t"])
-def test_sweep_rows_match_evaluate_scheme(kind):
-    rows = list(run_sweep(small_spec(kind)))
-    for row in rows:
-        assert row == evaluate_scheme(row.scheme, row.C, row.r, row.t)
-        assert row.mn == row.t / row.C
-    assert rows
-
-
-def pointwise_rows(spec):
-    """The sweep built one row at a time: the gap of an r beyond C (and t within
-    C) by hand, every other row by evaluate_scheme."""
-    rows = []
-    for scheme in (s for s in Scheme if s in spec.schemes):
-        for C in sorted(set(spec.cache_counts)):
-            for r in sorted(set(spec.access_degrees)):
-                for value in sorted(set(spec.cache_params)):
-                    t, mn = (value, value / C) if spec.param_kind == "t" else (value * C, value)
-                    if r <= C or t > C:
-                        rows.append(evaluate_scheme(scheme, C, r, t))
-                        continue
-                    gap = Undefined(f"access degree {r} exceeds cache count {C}")
-                    rows.append(ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, gap.reason))
-    return rows
-
-
-@pytest.mark.parametrize("kind", ["mn", "t"])
-def test_sweep_row_api_matches_pointwise_rows(kind):
-    swept = run_sweep(small_spec(kind))
-    expected = pointwise_rows(small_spec(kind))
-    rows = list(swept)
-    assert len(swept) == len(rows) == len(expected)
-    # repr also tells an int cell from an equal whole Fraction.
-    assert [repr(row) for row in rows] == [repr(row) for row in expected]
-    middle = len(rows) // 2 + 1
-    for index in (0, -1, middle, -middle):
-        assert swept[index] == rows[index]
-    assert swept[middle:middle + 5] == rows[middle:middle + 5]
-    with pytest.raises(IndexError):
-        swept[len(rows)]
+def test_sweep_csv_lines_are_evaluate_scheme_rows(kind):
+    # Each line of the CSV is its point's row written out, so a block read
+    # agrees with a point read whatever the pinned digests are.
+    lines = sweep_lines(small_spec(kind))
+    assert len(lines) == len(run_sweep(small_spec(kind)))
+    for key, line in lines.items():
+        assert line == csv_line(evaluate_scheme(*key)), key
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=[s.value for s in Scheme])
@@ -243,21 +211,19 @@ def test_cache_parameter_gap_precedes_access_degree_gap(scheme):
     # t = 5/2 is fractional and beyond C: the t gap must win over both the
     # access-degree gap and the integer-only gap.
     params = (Fraction(1), Fraction(5, 2), Fraction(3))
-    spec = SweepSpec((2,), (1, 3), params, (scheme,))
-    notes = {(row.r, row.t): row.note for row in run_sweep(spec)}
+    rows = {}
+    for (_, C, r, t), line in sweep_lines(SweepSpec((2,), (1, 3), params, (scheme,))).items():
+        rows[(r, t)] = evaluate_scheme(scheme, C, r, t)
+        assert line == csv_line(rows[(r, t)]), (r, t)
     for r in (1, 3):
-        assert notes[(r, 3)] == "cache parameter 3 exceeds cache count 2"
-        assert notes[(r, Fraction(5, 2))] == "cache parameter 5/2 exceeds cache count 2"
-    assert notes[(3, 1)] == "access degree 3 exceeds cache count 2"
-    row = evaluate_scheme(scheme, 2, 3, Fraction(1))
-    assert row.note == notes[(3, 1)] and not row.defined
-    # evaluate_scheme gives the same gap at a t beyond C as the sweep row.
-    for r, t in ((1, Fraction(3)), (3, Fraction(5, 2))):
-        row = evaluate_scheme(scheme, 2, r, t)
-        assert row.note == notes[(r, t)] and not row.defined
-    assert notes[(1, 1)] == evaluate_scheme(scheme, 2, 1, Fraction(1)).note
+        assert rows[(r, 3)].note == "cache parameter 3 exceeds cache count 2"
+        assert rows[(r, Fraction(5, 2))].note == "cache parameter 5/2 exceeds cache count 2"
+    assert rows[(3, 1)].note == "access degree 3 exceeds cache count 2"
+    # Each gap is a row without values, in the sweep as from evaluate_scheme.
+    for key in ((3, 1), (1, 3), (3, Fraction(5, 2))):
+        assert not rows[key].defined
     if scheme is Scheme.PROPOSED:
-        assert not notes[(1, 1)]
+        assert not rows[(1, 1)].note
 
 
 def test_sweep_refuses_negative_cache_parameter():
@@ -314,8 +280,6 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
          "unknown demand mode 'zipf'"),
         (lambda: simulate_report(4, 2, 1, file_size=-1), "file size must be nonnegative, got -1"),
         (lambda: evaluate_scheme(Scheme.CLWZC, 4, 2, -1), "t must be nonnegative, got -1"),
-        (lambda: evaluate_scheme(Scheme.CLWZC, 4, 2, -1), "t must be nonnegative, got -1"),
-        (lambda: evaluate_scheme(Scheme.SR1, 4, 1, -1), "t must be nonnegative, got -1"),
         (lambda: evaluate_scheme(Scheme.SR1, 4, 2, -3), "t must be nonnegative, got -3"),
         (lambda: evaluate_scheme(Scheme.HKD, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.HKD, 4, -2, 1), "access degree must be positive, got -2"),
@@ -324,11 +288,9 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
         (lambda: evaluate_scheme(Scheme.SPE, 4, 0, 2), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.SPE, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.CLWZC, 4, 0, 1), "access degree must be positive, got 0"),
-        (lambda: evaluate_scheme(Scheme.CLWZC, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.CLWZC, 4, 0, -1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.SR1, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.SR1, 4, 0, 2), "access degree must be positive, got 0"),
-        (lambda: evaluate_scheme(Scheme.SR1, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.SR2, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.RK, 4, 1, -1), "t must be nonnegative, got -1"),
         (lambda: evaluate_scheme(Scheme.SPE, 4, 1, -1), "t must be nonnegative, got -1"),
@@ -358,13 +320,12 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
          "evaluate-sr2-r-0", "evaluate-C-0", "sweep-no-C", "sweep-no-scheme",
          "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
          "demand-active-above-K", "demand-mode", "simulate-negative-size",
-         "clwzc-rate-negative-t", "clwzc-F-negative-t",
-         "sr1-value-negative-t", "sr1-value-negative-t-r-2",
-         "hkd-r-0", "hkd-r-negative", "rk-r-0", "rk-lb-r-0", "spe-F-r-0", "spe-special-r-0",
-         "clwzc-rate-r-0", "clwzc-F-r-0", "clwzc-rate-r-0-before-t", "sr1-r-0",
-         "sr1-r-0-before-gcd", "sr1-value-r-0", "sr2-r-0", "rk-negative-t",
-         "spe-special-negative-t", "sr1-negative-t", "sr2-negative-t",
-         "evaluate-C-non-integer", "evaluate-r-non-integer", "spe-F-r-non-integer",
+         "evaluate-clwzc-negative-t", "evaluate-sr1-negative-t-r-2",
+         "hkd-r-0", "hkd-r-negative", "rk-r-0", "rk-lb-r-0", "evaluate-spe-r-0-t-2",
+         "evaluate-spe-r-0", "evaluate-clwzc-r-0", "evaluate-clwzc-r-0-before-t", "sr1-r-0",
+         "sr1-r-0-before-gcd", "sr2-r-0", "rk-negative-t",
+         "evaluate-spe-negative-t", "sr1-negative-t", "sr2-negative-t",
+         "evaluate-C-non-integer", "evaluate-r-non-integer", "evaluate-spe-r-non-integer",
          "sweep-C-non-integer", "sweep-r-non-integer", "sweep-unknown-scheme",
          "evaluate-unknown-scheme", "subsets-negative-size", "next-below-0"]
     + [f"{name}-{case}" for name, _ in SCHEME_ENTRY_POINTS for case, _, _ in BAD_POINTS],
@@ -379,8 +340,8 @@ def test_sr1_tr_above_C_is_a_gap():
     gap = Undefined("requires t*r <= C, got t*r = 6, C = 4")
     row = evaluate_scheme(Scheme.SR1, 4, 2, 3)
     assert (row.rate, row.note) == (gap, gap.reason)
-    (swept,) = run_sweep(SweepSpec((4,), (2,), (Fraction(3),), (Scheme.SR1,)))
-    assert swept == row
+    (line,) = sweep_lines(SweepSpec((4,), (2,), (Fraction(3),), (Scheme.SR1,))).values()
+    assert line == csv_line(row)
 
 
 def test_scheme_names_are_taken_as_their_members():

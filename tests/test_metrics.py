@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from macc.baselines import Scheme
 from macc.combinatorics import binom
-from macc.metrics import analyze, delivery_rate, rate_memory_curve
+from macc.harness import analyze_report, evaluate_scheme
+from macc.metrics import delivery_rate, rate_memory_curve
 from macc.scheme import DemandAssignment, SchemeParams, generate_transmissions
 
 
@@ -15,46 +17,52 @@ def full_demand(params):
     return DemandAssignment.from_request_vector(params, list(files))
 
 
+def exact(report, field):
+    """A rational field of an ``analyze_report``, read back from its p/q."""
+    return Fraction(report[field]["exact"])
+
+
 def test_analyze_first_example():
-    report = analyze(SchemeParams(4, 2, 1, 6))
-    assert report.rate == 1
-    assert report.subpacketization == 4
-    assert report.num_users == 6
-    assert report.coding_gain == 3
-    assert report.per_user_rate == Fraction(1, 6)
-    assert report.cache_fraction == Fraction(1, 4)
+    report = analyze_report(4, 2, 1, 6)
+    assert exact(report, "rate") == 1
+    assert report["subpacketization"] == 4
+    assert report["num_users"] == 6
+    assert report["coding_gain"] == 3
+    assert exact(report, "per_user_rate") == Fraction(1, 6)
+    assert exact(report, "cache_fraction") == Fraction(1, 4)
 
 
 def test_analyze_frozen_case():
-    report = analyze(SchemeParams(5, 2, 2, 10))
-    assert report.rate == Fraction(1, 2)
-    assert report.num_users == 10
-    assert report.subpacketization == 10
-    assert report.coding_gain == 6
+    report = analyze_report(5, 2, 2, 10)
+    assert exact(report, "rate") == Fraction(1, 2)
+    assert report["num_users"] == 10
+    assert report["subpacketization"] == 10
+    assert report["coding_gain"] == 6
 
 
 def test_analyze_zero_rate_when_caches_cover_all():
-    report = analyze(SchemeParams(4, 3, 2, 4))
-    assert report.rate == 0
-    assert report.per_user_rate == 0
+    row = evaluate_scheme(Scheme.PROPOSED, 4, 3, 2)
+    assert row.rate == 0
+    assert row.per_user_rate == 0
 
 
 def test_man_identity_at_r_1():
     for C in range(2, 31):
         for t in range(1, C):
-            assert analyze(SchemeParams(C, 1, t, 1)).rate == Fraction(C - t, t + 1)
+            assert evaluate_scheme(Scheme.PROPOSED, C, 1, t).rate == Fraction(C - t, t + 1)
 
 
 def test_report_field_consistency():
     for C in range(2, 9):
         for r in range(1, C + 1):
             for t in range(1, C + 1):
-                report = analyze(SchemeParams(C, r, t, 1))
-                assert report.rate == Fraction(binom(C, t + r), binom(C, t))
-                assert report.per_user_rate * report.num_users == report.rate
-                assert report.subpacketization == binom(C, t)
-                assert report.coding_gain == binom(t + r, r)
-                assert report.cache_fraction == Fraction(t, C)
+                report = analyze_report(C, r, t, 1)
+                rate = exact(report, "rate")
+                assert rate == Fraction(binom(C, t + r), binom(C, t))
+                assert exact(report, "per_user_rate") * report["num_users"] == rate
+                assert report["subpacketization"] == binom(C, t)
+                assert report["coding_gain"] == binom(t + r, r)
+                assert exact(report, "cache_fraction") == Fraction(t, C)
 
 
 def test_rate_matches_construction():
@@ -64,7 +72,7 @@ def test_rate_matches_construction():
                 params = SchemeParams(C, r, t, binom(C, r))
                 txs = generate_transmissions(params, full_demand(params))
                 measured = Fraction(len(txs), params.subpacketization)
-                assert measured == analyze(params).rate
+                assert measured == evaluate_scheme(Scheme.PROPOSED, C, r, t).rate
 
 
 def test_per_user_rate_strictly_decreasing_in_t():

@@ -2,8 +2,9 @@
 
 ``perfbench/run.py`` calls ``simulate_end_to_end``, ``build_placement``,
 ``generate_transmissions`` and ``decode_user`` positionally, and its traced
-pass wraps named functions of ``macc.scheme`` and ``macc.harness``. A traced
-smoke run of each simulate workload must exit 0 and report itself correct.
+pass wraps named functions of ``macc.scheme``, ``macc.harness`` and
+``macc.metrics``. A traced smoke run of each workload in BENCHMARK.json must
+exit 0 and report itself correct.
 """
 
 import json
@@ -14,9 +15,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", ["dense-full", "partial-random"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_smoke_run_is_correct(workload):
     command = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
                "--smoke", "--trace", "1", "--seconds", "0.3"]

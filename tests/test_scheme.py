@@ -213,9 +213,10 @@ def test_transmission_counts_and_term_counts():
                 assert len(txs) == binom(C, t + r)
                 for tx in txs:
                     assert len(tx.terms) == binom(t + r, r)
-                    assert [tx.user_of_term(term) for term in tx.terms] == sorted(
-                        tx.user_of_term(term) for term in tx.terms
-                    )
+                    # The user of a term is the coded set minus its index set.
+                    users = [tuple(x for x in tx.coded_set if x not in term.index_set)
+                             for term in tx.terms]
+                    assert users == sorted(users)
 
 
 def test_single_user_transmission_count():
