@@ -14,6 +14,7 @@ from macc.baselines import Scheme, Undefined
 from macc.combinatorics import enumerate_subsets
 from macc.cli import main
 from macc.harness import (
+    ComparisonRow,
     SplitMix64,
     SweepSpec,
     analyze_report,
@@ -197,13 +198,41 @@ def test_verification_report_golden_digest(capsys, argv, sha256):
 
 
 @pytest.mark.parametrize("kind", ["mn", "t"])
-def test_sweep_csv_lines_are_evaluate_scheme_rows(kind):
+def test_sweep_rows_match_evaluate_scheme(kind):
     # Each line of the CSV is its point's row written out, so a block read
     # agrees with a point read whatever the pinned digests are.
     lines = sweep_lines(small_spec(kind))
     assert len(lines) == len(run_sweep(small_spec(kind)))
     for key, line in lines.items():
         assert line == csv_line(evaluate_scheme(*key)), key
+
+
+def pointwise_rows(spec):
+    """The sweep built one row at a time: the gap of an r beyond C (and t within
+    C) by hand, every other row by evaluate_scheme."""
+    rows = []
+    for scheme in (s for s in Scheme if s in spec.schemes):
+        for C in sorted(set(spec.cache_counts)):
+            for r in sorted(set(spec.access_degrees)):
+                for value in sorted(set(spec.cache_params)):
+                    t, mn = (value, value / C) if spec.param_kind == "t" else (value * C, value)
+                    if r <= C or t > C:
+                        rows.append(evaluate_scheme(scheme, C, r, t))
+                        continue
+                    gap = Undefined(f"access degree {r} exceeds cache count {C}")
+                    rows.append(ComparisonRow(scheme, C, r, t, mn, gap, gap, gap, gap, gap.reason))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["mn", "t"])
+def test_sweep_row_api_matches_pointwise_rows(kind):
+    # The sweep's API is its length and the CSV it writes: the lines, in the
+    # order written, are the rows built one point at a time.
+    swept = run_sweep(small_spec(kind))
+    expected = pointwise_rows(small_spec(kind))
+    lines = list(sweep_lines(small_spec(kind)).values())
+    assert len(swept) == len(lines) == len(expected)
+    assert lines == [csv_line(row) for row in expected]
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=[s.value for s in Scheme])
