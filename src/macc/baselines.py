@@ -5,15 +5,14 @@ implemented, never the constructions. Each operation returns an exact value
 where the scheme exists and an :class:`Undefined` marker (carrying the
 reason) where its preconditions fail, so sweeps can render gaps instead of
 crashing. ``CELLS`` gives each scheme's sweep cells (K, rate, F, note) over
-a whole block of points, this package's own scheme included: its rate and
-memory-sharing curve are wrapped by ``macc.metrics``. Each scheme's
+a whole block of points, this package's own scheme included. Each scheme's
 existence rule and rate are stated once, in integers, in that block
 function, with a rate as a lowest-terms pair (p, q). ``read_block`` is the
-one reader of a block, and ``read_point`` reads one point of it: they
-decide the gaps every scheme shares, a t beyond C and then an r beyond C.
-A single comparison value is read as a row of ``harness.evaluate_scheme``,
-which refuses a bad C, then r, through ``check_counts``, then t < 0
-through ``_check_t``.
+one reader of ``CELLS`` and decides the gaps every scheme shares, a t beyond
+C and then an r beyond C; the sweep, both ``macc.metrics`` wrappers and
+``harness.evaluate_scheme`` read through it. A single comparison value is a
+row of ``evaluate_scheme``, which reads a one-point block and refuses a bad
+C, then r, through ``check_counts``, then t < 0 through ``_check_t``.
 
 Scheme tags: PROPOSED is this package's scheme, with K = binom(C, r) users.
 HKD, RK and RK_LB (the same work's converse bound), SPE, CLWZC, SR1, SR2 all
@@ -115,7 +114,8 @@ def _at_integer_t(cells_at: Callable[[int, int, int], Cells], C: int, r: int,
 
 
 def read_block(scheme: Scheme, C: int, r: int, grid: Sequence[Pair]) -> Block:
-    """The cells of ``scheme`` at each t = p/q of ``grid``, which is sorted by t.
+    """The cells of ``scheme`` at each t = p/q of ``grid``, whose points
+    beyond C come last (as in a grid sorted by t).
 
     The gaps every scheme shares are decided here, in this order: a t beyond
     C, then an r beyond C (the rest of the block). Any further gap is the
@@ -132,12 +132,6 @@ def read_block(scheme: Scheme, C: int, r: int, grid: Sequence[Pair]) -> Block:
     return ([cells] * n if isinstance(cells, Undefined) else cells) + [
         Undefined(f"cache parameter {Fraction(p, q)} exceeds cache count {C}") for p, q in grid[n:]
     ]
-
-
-def read_point(scheme: Scheme, C: int, r: int, point: Pair) -> Cells:
-    """``read_block`` at the one point t = p/q: its cells, or its gap."""
-    cells = read_block(scheme, C, r, [point])
-    return cells if isinstance(cells, Undefined) else cells[0]
 
 
 _SHARING_GAP = Undefined("memory sharing point")

@@ -27,7 +27,6 @@ from .baselines import (
     check_counts,
     check_memory_fraction,
     read_block,
-    read_point,
 )
 from .combinatorics import binom
 from .golden import (
@@ -224,7 +223,8 @@ def evaluate_scheme(scheme: Scheme, C: int, r: int, t: Fraction) -> ComparisonRo
     check_counts(C, r)
     t = Fraction(t)
     _check_t(t)
-    cells = read_point(scheme, C, r, (t.numerator, t.denominator))
+    block = read_block(scheme, C, r, [(t.numerator, t.denominator)])
+    cells = block if isinstance(block, Undefined) else block[0]
     mn = t / C
     if isinstance(cells, Undefined):
         return ComparisonRow(scheme, C, r, t, mn, cells, cells, cells, cells, note=cells.reason)
@@ -386,7 +386,8 @@ def run_tables() -> tuple[bool, list[str]]:
     """Recompute both published ratio tables and the t=1 column comparison.
 
     Each table divides the losing per-user rate by the winning one, both
-    read from ``evaluate_scheme`` rows.
+    read from ``evaluate_scheme`` rows, as are the column's values: each
+    claim its PASS line prints is checked, in that order.
     """
     ok = True
     lines = []
@@ -416,17 +417,16 @@ def run_tables() -> tuple[bool, list[str]]:
     lines.append("column comparison at t=1, r=C-2 (cyclic competitor vs this scheme)")
     column_ok = True
     for C in range(4, 41):
-        r = C - 2
-        params = SchemeParams(C, r, 1, 1)
-        _, rate, F, _ = read_point(Scheme.CLWZC, C, r, (1, 1))
+        here = evaluate_scheme(Scheme.PROPOSED, C, C - 2, 1)
+        there = evaluate_scheme(Scheme.CLWZC, C, C - 2, 1)
         checks = [
-            binom(C, 1) == C,
-            F == 3 * C,
-            delivery_rate(C, r, 1) == 1,
-            rate == (1, 1),
-            binom(C, r) == C * (C - 1) // 2,
-            accessible_fraction(params) == Fraction(C - 2, C),
-            Fraction(r, C) == Fraction(C - 2, C),
+            here.subpacketization == C,
+            there.subpacketization == 3 * C,
+            here.rate == 1,
+            there.rate == 1,
+            here.num_users == C * (C - 1) // 2,
+            accessible_fraction(SchemeParams(C, C - 2, 1, 1)) == Fraction(C - 2, C),
+            there.num_users == C,
         ]
         if not all(checks):
             column_ok = False
@@ -585,8 +585,8 @@ def analyze_report(C: int, r: int, t: int, N: Union[int, None] = None) -> dict:
     """The analytic summary as a JSON-ready dict, rationals as p/q + decimal.
 
     The library size N defaults to the number of users, binom(C, r). K, the
-    rate, the per-user rate and F are those of the ``evaluate_scheme`` row;
-    the coding gain is binom(t + r, r), the users one message serves.
+    rate, the per-user rate, F and M/N are those of the ``evaluate_scheme``
+    row; the coding gain is binom(t + r, r), the users one message serves.
     """
     if N is None:
         N = SchemeParams(C, r, t, 1).num_users
@@ -604,5 +604,5 @@ def analyze_report(C: int, r: int, t: int, N: Union[int, None] = None) -> dict:
         "rate": rational(row.rate),
         "per_user_rate": rational(row.per_user_rate),
         "accessible_fraction": rational(accessible_fraction(params)),
-        "cache_fraction": rational(params.cache_fraction),
+        "cache_fraction": rational(row.mn),
     }

@@ -96,11 +96,6 @@ class SchemeParams:
         """Number of subfiles each file is split into."""
         return binom(self.num_caches, self.cache_param)
 
-    @property
-    def cache_fraction(self) -> Fraction:
-        """Fraction of the library each single cache stores (M/N = t/C)."""
-        return Fraction(self.cache_param, self.num_caches)
-
     def users(self) -> Iterator[tuple[int, ...]]:
         """All user identities in lexicographic order."""
         return enumerate_subsets(self.num_caches, self.access_degree)

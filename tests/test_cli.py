@@ -13,8 +13,9 @@ import pytest
 
 import macc
 import macc.cli as cli
+import macc.baselines as baselines
 import macc.harness as harness
-from macc.baselines import Scheme, Undefined, read_point
+from macc.baselines import Scheme, Undefined, read_block
 from macc.cli import main
 from macc.scheme import Transmission
 
@@ -480,19 +481,31 @@ def test_verify_examples_reports_diverging_transmissions(capsys, monkeypatch):
     assert out.endswith("RESULT: checks FAILED\n")
 
 
+CLWZC_CELLS, PROPOSED_CELLS = baselines.CELLS[Scheme.CLWZC], baselines.CELLS[Scheme.PROPOSED]
+
+
 @pytest.mark.parametrize(
-    "name, patch, line",
+    "patch, line",
     [
-        ("read_point", lambda scheme, C, r, point: (
-            Undefined("patched") if scheme is Scheme.SPE else read_point(scheme, C, r, point)),
+        (lambda mp: mp.setattr(harness, "read_block", lambda scheme, C, r, grid: (
+            Undefined("patched") if scheme is Scheme.SPE else read_block(scheme, C, r, grid))),
          "FAIL table-1 C=5 r=2 t=2: patched"),
-        ("accessible_fraction", lambda params: 0,
+        (lambda mp: mp.setattr(harness, "accessible_fraction", lambda params: 0),
          "FAIL column comparison at C=4: [True, True, True, True, True, False, True]"),
+        # The cyclic competitor serves one user too many.
+        (lambda mp: mp.setitem(baselines.CELLS, Scheme.CLWZC, lambda C, r, grid: [
+            (C + 1, *cell[1:]) for cell in CLWZC_CELLS(C, r, grid)]),
+         "FAIL column comparison at C=4: [True, True, True, True, True, True, False]"),
+        # This scheme splits each file into one subfile too many (``tables``
+        # reads it only at integer t, where F is a count).
+        (lambda mp: mp.setitem(baselines.CELLS, Scheme.PROPOSED, lambda C, r, grid: [
+            (K, rate, F + 1, note) for K, rate, F, note in PROPOSED_CELLS(C, r, grid)]),
+         "FAIL column comparison at C=4: [False, True, True, True, True, True, True]"),
     ],
-    ids=["undefined-competitor", "column-comparison"],
+    ids=["undefined-competitor", "column-comparison", "clwzc-K-plus-1", "proposed-F-plus-1"],
 )
-def test_tables_report_failed_checks(capsys, monkeypatch, name, patch, line):
-    monkeypatch.setattr(harness, name, patch)
+def test_tables_report_failed_checks(capsys, monkeypatch, patch, line):
+    patch(monkeypatch)
     code, out, _ = run_cli(capsys, ["tables"])
     assert code == 2
     assert line in out.splitlines()

@@ -310,9 +310,7 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
         (lambda: simulate_report(4, 2, 1, file_size=-1), "file size must be nonnegative, got -1"),
         (lambda: evaluate_scheme(Scheme.CLWZC, 4, 2, -1), "t must be nonnegative, got -1"),
         (lambda: evaluate_scheme(Scheme.SR1, 4, 2, -3), "t must be nonnegative, got -3"),
-        (lambda: evaluate_scheme(Scheme.HKD, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.HKD, 4, -2, 1), "access degree must be positive, got -2"),
-        (lambda: evaluate_scheme(Scheme.RK, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.RK_LB, 4, 0, 0), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.SPE, 4, 0, 2), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.SPE, 4, 0, 1), "access degree must be positive, got 0"),
@@ -320,7 +318,6 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
         (lambda: evaluate_scheme(Scheme.CLWZC, 4, 0, -1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.SR1, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.SR1, 4, 0, 2), "access degree must be positive, got 0"),
-        (lambda: evaluate_scheme(Scheme.SR2, 4, 0, 1), "access degree must be positive, got 0"),
         (lambda: evaluate_scheme(Scheme.RK, 4, 1, -1), "t must be nonnegative, got -1"),
         (lambda: evaluate_scheme(Scheme.SPE, 4, 1, -1), "t must be nonnegative, got -1"),
         (lambda: evaluate_scheme(Scheme.SR1, 4, 1, -1), "t must be nonnegative, got -1"),
@@ -350,10 +347,10 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
          "sweep-param-kind", "sweep-C-0", "sweep-r-0", "sweep-mn-above-1", "demand-active-0",
          "demand-active-above-K", "demand-mode", "simulate-negative-size",
          "evaluate-clwzc-negative-t", "evaluate-sr1-negative-t-r-2",
-         "hkd-r-0", "hkd-r-negative", "rk-r-0", "rk-lb-r-0", "evaluate-spe-r-0-t-2",
-         "evaluate-spe-r-0", "evaluate-clwzc-r-0", "evaluate-clwzc-r-0-before-t", "sr1-r-0",
-         "sr1-r-0-before-gcd", "sr2-r-0", "rk-negative-t",
-         "evaluate-spe-negative-t", "sr1-negative-t", "sr2-negative-t",
+         "evaluate-hkd-r-negative", "evaluate-rk-lb-r-0", "evaluate-spe-r-0-t-2",
+         "evaluate-spe-r-0", "evaluate-clwzc-r-0", "evaluate-clwzc-r-0-before-t",
+         "evaluate-sr1-r-0", "evaluate-sr1-r-0-before-gcd", "evaluate-rk-negative-t",
+         "evaluate-spe-negative-t", "evaluate-sr1-negative-t", "evaluate-sr2-negative-t",
          "evaluate-C-non-integer", "evaluate-r-non-integer", "evaluate-spe-r-non-integer",
          "sweep-C-non-integer", "sweep-r-non-integer", "sweep-unknown-scheme",
          "evaluate-unknown-scheme", "subsets-negative-size", "next-below-0"]

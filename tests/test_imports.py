@@ -11,6 +11,9 @@ A second pass requires every module-level name (a function, class or
 assignment) to be read somewhere in the package, so no helper outlives its
 last caller: each private ``_name``, and each public name that ``macc``
 does not export in its ``__all__``. Reads from the tests do not count.
+
+A third pass keeps one reader of the scheme table: no code in the package
+loads ``CELLS`` except the body of ``baselines.read_block``.
 """
 
 import ast
@@ -180,3 +183,37 @@ def test_the_check_finds_an_unread_public_helper():
 def test_every_private_name_is_read_in_the_package():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unread_names(sources, set(macc.__all__)) == []
+
+
+def cells_loads(source: str) -> list[str]:
+    """Each load of ``CELLS`` in ``source``, as a name or as an attribute,
+    given as "function line" with the dotted name of the enclosing function
+    or class ("<module>" outside any)."""
+    loads = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        named = (isinstance(node, ast.Name) and node.id == "CELLS"
+                 or isinstance(node, ast.Attribute) and node.attr == "CELLS")
+        if named and isinstance(node.ctx, ast.Load):
+            loads.append(f"{where} {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return loads
+
+
+def test_the_check_finds_a_second_cells_reader():
+    source = ("CELLS = {}\n"
+              "def read_block(s):\n    return CELLS[s]\n"
+              "class Table:\n    def rows(self, b):\n        return b.CELLS\n"
+              "SIZE = len(CELLS)\n")
+    assert cells_loads(source) == ["read_block 3", "Table.rows 6", "<module> 7"]
+
+
+def test_only_read_block_reads_cells():
+    loads = [f"{path.stem} {where}" for path in MODULES
+             for where in cells_loads(path.read_text(encoding="utf-8"))]
+    assert loads and all(load.startswith("baselines read_block ") for load in loads), loads

@@ -83,7 +83,6 @@ def test_params_validation():
     p = SchemeParams(4, 3, 2, 6)
     assert p.num_users == 4
     assert p.subpacketization == 6
-    assert p.cache_fraction == Fraction(1, 2)
 
 
 def test_placement_small_case_exact():
