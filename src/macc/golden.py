@@ -4,7 +4,8 @@ Three hand-checked worked examples pin down the exact transmissions the
 delivery rule must emit, and two published comparison tables pin down
 per-user-rate ratios against the special-case competitor at r*t = C - 1.
 
-Each example stores two listings:
+Each example stores two listings, written as the nested tuples
+``(coded_set, ((file_index, index_set), ...))`` that a ``Transmission`` equals:
 
 * ``expected`` — the rule's output, terms in lexicographic order of the user
   subset they serve. Regression tests require the generator to match this
@@ -21,21 +22,8 @@ Each example stores two listings:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .scheme import SchemeParams, Transmission
-
-# One term is (file_index, index_set); one transmission is (coded_set, terms).
-PlainTerm = tuple[int, tuple[int, ...]]
-PlainTransmission = tuple[tuple[int, ...], tuple[PlainTerm, ...]]
-
-
-def plain(transmissions: Sequence[Transmission]) -> tuple[PlainTransmission, ...]:
-    """Strip Transmission objects down to nested tuples for comparison."""
-    return tuple(
-        (tx.coded_set, tuple((term.file_index, term.index_set) for term in tx.terms))
-        for tx in transmissions
-    )
 
 
 @dataclass(frozen=True)
@@ -43,25 +31,25 @@ class ReferenceExample:
     label: str
     params: SchemeParams
     requests: tuple[int, ...]
-    expected: tuple[PlainTransmission, ...]
-    as_listed: tuple[PlainTransmission, ...]
+    expected: tuple[Transmission, ...]
+    as_listed: tuple[Transmission, ...]
 
 
-_EX1_EXPECTED: tuple[PlainTransmission, ...] = (
+_EX1_EXPECTED: tuple[Transmission, ...] = (
     ((1, 2, 3), ((1, (3,)), (2, (2,)), (4, (1,)))),
     ((1, 2, 4), ((1, (4,)), (3, (2,)), (5, (1,)))),
     ((1, 3, 4), ((2, (4,)), (3, (3,)), (6, (1,)))),
     ((2, 3, 4), ((4, (4,)), (5, (3,)), (6, (2,)))),
 )
 
-_EX1_LISTED: tuple[PlainTransmission, ...] = (
+_EX1_LISTED: tuple[Transmission, ...] = (
     ((1, 2, 3), ((1, (3,)), (2, (2,)), (4, (1,)))),
     ((1, 2, 4), ((1, (4,)), (5, (1,)), (3, (2,)))),
     ((1, 3, 4), ((2, (4,)), (3, (3,)), (6, (1,)))),
     ((2, 3, 4), ((5, (3,)), (6, (2,)), (4, (4,)))),
 )
 
-_EX2_EXPECTED: tuple[PlainTransmission, ...] = (
+_EX2_EXPECTED: tuple[Transmission, ...] = (
     (
         (1, 2, 3, 4, 5),
         (
@@ -79,7 +67,7 @@ _EX2_EXPECTED: tuple[PlainTransmission, ...] = (
     ),
 )
 
-_EX3_EXPECTED: tuple[PlainTransmission, ...] = (
+_EX3_EXPECTED: tuple[Transmission, ...] = (
     (
         (1, 2, 3, 4),
         ((1, (3, 4)), (2, (2, 4)), (3, (2, 3)), (5, (1, 4)), (6, (1, 3)), (8, (1, 2))),
@@ -102,7 +90,7 @@ _EX3_EXPECTED: tuple[PlainTransmission, ...] = (
     ),
 )
 
-_EX3_LISTED: tuple[PlainTransmission, ...] = _EX3_EXPECTED[:4] + (
+_EX3_LISTED: tuple[Transmission, ...] = _EX3_EXPECTED[:4] + (
     (
         (2, 3, 4, 5),
         ((5, (4, 5)), (6, (3, 5)), (4, (3, 4)), (8, (1, 5)), (9, (2, 4)), (10, (2, 3))),

@@ -34,7 +34,6 @@ from .golden import (
     REFERENCE_EXAMPLES,
     SPE_ADVANTAGE_ROWS,
     TABLE_RATIO_TOLERANCE,
-    plain,
 )
 from .metrics import delivery_rate
 from .metrics import rate_memory_curve  # noqa: F401  perfbench/layers.py wraps macc.harness.rate_memory_curve
@@ -347,13 +346,15 @@ def verify_reference_cases() -> tuple[bool, list[str]]:
     lines = []
     for example in REFERENCE_EXAMPLES:
         demand = DemandAssignment.from_request_vector(example.params, example.requests)
-        generated = plain(generate_transmissions(example.params, demand))
+        generated = tuple(generate_transmissions(example.params, demand))
         if generated != example.expected:
             ok = False
             lines.append(f"FAIL {example.label}: generated transmissions diverge from reference")
             for got, want in zip(generated, example.expected):
                 if got != want:
-                    lines.append(f"  coded set {want[0]}: expected {want[1]}, got {got[1]}")
+                    seen = "" if got.coded_set == want[0] else f"coded set {got.coded_set} with "
+                    lines.append(f"  coded set {want[0]}: expected {want[1]}, "
+                                 f"got {seen}{tuple(map(tuple, got.terms))}")
             if len(generated) != len(example.expected):
                 lines.append(
                     f"  expected {len(example.expected)} transmissions, got {len(generated)}"

@@ -113,13 +113,13 @@ class CacheContent:
     subfiles: frozenset[SubfileId]
 
 
-@dataclass(frozen=True)
-class Transmission:
+class Transmission(NamedTuple):
     """One coded message: the XOR of ``terms``, addressed by ``coded_set``.
 
     There is one term per active user U inside the coded set, carrying
     W_{d_U, coded_set \\ U}: binom(t+r, r) of them when every user is active.
-    Terms are ordered lexicographically by the user subset they serve.
+    Terms are ordered lexicographically by the user subset they serve. Like
+    ``SubfileId`` it is a tuple: equal to, and hashing like, its nested form.
     """
 
     coded_set: tuple[int, ...]
@@ -315,12 +315,13 @@ def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
     place[np.arange(M)[:, None], plan.coded_sets] = np.arange(k)
     at = plan.term_message * (C + 1)
     inside, slot = np.ones(n, dtype=bool), np.zeros(n, dtype=np.int64)
+    weight = np.vstack([rank_weights(k, t)[1:], np.zeros(t, np.int64)])  # [p, i]: C(k-1-p, t-i)
     for i, labels in enumerate(plan.subfile_sets.T):
         index = labels[plan.term_rank]
         index += at
         q = place.reshape(-1)[index]
         inside &= q < k
-        slot += np.array([binom(k - 1 - p, t - i) for p in range(k)] + [0])[q]
+        slot += weight[q, i]
     malformed = np.zeros(M, dtype=bool)
     malformed[1:] = np.diff(rank_subsets(plan.coded_sets, C)) <= 0
     malformed[plan.term_message[~inside]] = True

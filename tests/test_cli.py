@@ -481,6 +481,24 @@ def test_verify_examples_reports_diverging_transmissions(capsys, monkeypatch):
     assert out.endswith("RESULT: checks FAILED\n")
 
 
+def test_verify_examples_names_a_diverging_coded_set(capsys, monkeypatch):
+    generate = harness.generate_transmissions
+
+    def wrong_first_coded_set(params, demand, strict=True):
+        txs = generate(params, demand, strict)
+        txs[0] = Transmission((1, 2, 5), txs[0].terms)
+        return txs
+
+    monkeypatch.setattr(harness, "generate_transmissions", wrong_first_coded_set)
+    code, out, _ = run_cli(capsys, ["verify-examples"])
+    assert code == 2
+    assert out.splitlines()[:2] == [
+        "FAIL case 1 (C=4, r=2, t=1): generated transmissions diverge from reference",
+        "  coded set (1, 2, 3): expected ((1, (3,)), (2, (2,)), (4, (1,))), "
+        "got coded set (1, 2, 5) with ((1, (3,)), (2, (2,)), (4, (1,)))",
+    ]
+
+
 CLWZC_CELLS, PROPOSED_CELLS = baselines.CELLS[Scheme.CLWZC], baselines.CELLS[Scheme.PROPOSED]
 
 

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import macc.scheme as scheme
 from macc.combinatorics import binom, enumerate_subsets, rank_subset, unrank_subset
-from macc.golden import REFERENCE_EXAMPLES, plain
+from macc.golden import REFERENCE_EXAMPLES
 from macc.harness import SplitMix64, make_demand, scheme_dump, simulate_report
 from macc.scheme import (
     CacheContent,
@@ -175,9 +175,20 @@ def test_accessible_fraction_complement_identity():
 
 
 def test_generated_transmissions_match_frozen_references():
+    # The frozen listings are plain nested tuples; the generated ones compare as they are.
     for example in REFERENCE_EXAMPLES:
         demand = DemandAssignment.from_request_vector(example.params, example.requests)
-        assert plain(generate_transmissions(example.params, demand)) == example.expected
+        assert tuple(generate_transmissions(example.params, demand)) == example.expected
+
+
+def test_transmission_is_its_nested_tuple():
+    params = SchemeParams(4, 2, 1, 6)
+    tx = generate_transmissions(params, full_demand(params))[0]
+    nested = ((1, 2, 3), ((1, (3,)), (2, (2,)), (4, (1,))))
+    assert tx == nested and hash(tx) == hash(nested)
+    coded_set, terms = tx
+    assert (coded_set, terms) == (tx.coded_set, tx.terms) == nested
+    assert tx._replace(terms=terms[:1]) == ((1, 2, 3), ((1, (3,)),))
 
 
 def test_reference_listing_relationship():
@@ -582,14 +593,14 @@ def _swap_own_file(txs, user, params):
         if not set(term.index_set) & set(user) else term
         for term in txs[i].terms
     )
-    return txs[:i] + [replace(txs[i], terms=terms)] + txs[i + 1:]
+    return txs[:i] + [txs[i]._replace(terms=terms)] + txs[i + 1:]
 
 
 def _add_second_unreadable_term(txs, user, params):
     i = _tx_with(txs, user)
     own = next(term for term in txs[i].terms if not set(term.index_set) & set(user))
     extra = SubfileId(own.file_index % params.num_files + 1, own.index_set)
-    return txs[:i] + [replace(txs[i], terms=txs[i].terms + (extra,))] + txs[i + 1:]
+    return txs[:i] + [txs[i]._replace(terms=txs[i].terms + (extra,))] + txs[i + 1:]
 
 
 def _drop_message(txs, user, params):
@@ -603,14 +614,14 @@ def _file_out_of_range(bad_file):
         other = next(k for k, term in enumerate(txs[i].terms) if set(term.index_set) & set(user))
         terms = list(txs[i].terms)
         terms[other] = SubfileId(bad_file, terms[other].index_set)
-        return txs[:i] + [replace(txs[i], terms=tuple(terms))] + txs[i + 1:]
+        return txs[:i] + [txs[i]._replace(terms=tuple(terms))] + txs[i + 1:]
     return corrupt
 
 
 def _drop_own_term(txs, user, params):
     i = _tx_with(txs, user)
     terms = tuple(term for term in txs[i].terms if set(term.index_set) & set(user))
-    return txs[:i] + [replace(txs[i], terms=terms)] + txs[i + 1:]
+    return txs[:i] + [txs[i]._replace(terms=terms)] + txs[i + 1:]
 
 
 def _term_outside_coded_set(txs, user, params):
@@ -619,12 +630,12 @@ def _term_outside_coded_set(txs, user, params):
                    if not set(T) <= set(txs[i].coded_set))
     first = txs[i].terms[0]
     terms = (SubfileId(first.file_index, outside),) + txs[i].terms[1:]
-    return txs[:i] + [replace(txs[i], terms=terms)] + txs[i + 1:]
+    return txs[:i] + [txs[i]._replace(terms=terms)] + txs[i + 1:]
 
 
 def _repeat_term(txs, user, params):
     i = _tx_with(txs, user)
-    return txs[:i] + [replace(txs[i], terms=txs[i].terms + txs[i].terms[:1])] + txs[i + 1:]
+    return txs[:i] + [txs[i]._replace(terms=txs[i].terms + txs[i].terms[:1])] + txs[i + 1:]
 
 
 def _index_set_in_coded_set(pick):
@@ -633,7 +644,7 @@ def _index_set_in_coded_set(pick):
         i = _tx_with(txs, user)
         first = txs[i].terms[0]
         terms = (SubfileId(first.file_index, pick(txs[i].coded_set)),) + txs[i].terms[1:]
-        return txs[:i] + [replace(txs[i], terms=terms)] + txs[i + 1:]
+        return txs[:i] + [txs[i]._replace(terms=terms)] + txs[i + 1:]
     return corrupt
 
 
@@ -707,7 +718,7 @@ def test_decode_user_accepts_repeated_messages_and_unsorted_index_sets():
     demand = full_demand(params)
     txs = generate_transmissions(params, demand)
     caches = build_placement(params)
-    unsorted = [replace(tx, terms=tuple(SubfileId(f, T[::-1]) for f, T in tx.terms)) for tx in txs]
+    unsorted = [tx._replace(terms=tuple(SubfileId(f, T[::-1]) for f, T in tx.terms)) for tx in txs]
     for user in params.users():
         expected = decode_user(params, user, demand, txs, caches)
         assert decode_user(params, user, demand, txs + txs[::3], caches) == expected
@@ -1278,7 +1289,7 @@ def seeded_partial_demand(C, r, t, active, mode, seed=0):
 
 
 # Digests of scheme_dump (as compact JSON) and of generate_transmissions
-# (as the repr of ``plain``) for partial populations, taken while the plan
+# (as the repr of their nested tuples) for partial populations, taken while the plan
 # still held one slot per (message, user) with file 0 for inactive users.
 @pytest.mark.parametrize(
     "point, messages, dump_sha256, transmissions_sha256",
@@ -1300,7 +1311,8 @@ def test_partial_population_delivery_golden_digest(point, messages, dump_sha256,
     params, demand, strict = seeded_partial_demand(*point)
     txs = generate_transmissions(params, demand, strict)
     assert len(txs) == messages
-    assert hashlib.sha256(repr(plain(txs)).encode()).hexdigest() == transmissions_sha256
+    nested = tuple((S, tuple(map(tuple, terms))) for S, terms in txs)
+    assert hashlib.sha256(repr(nested).encode()).hexdigest() == transmissions_sha256
     dump = json.dumps(scheme_dump(params, demand, strict)).encode()
     assert hashlib.sha256(dump).hexdigest() == dump_sha256
 
