@@ -51,42 +51,31 @@ def validate_subset(elements: Iterable[int], n: int, size: int | None = None) ->
 
 
 def rank_subset(elements: Iterable[int], n: int) -> int:
-    """0-based lexicographic rank of a k-subset among all k-subsets of [n]."""
+    """0-based lexicographic rank of a k-subset among all k-subsets of [n]:
+    the identity of :func:`rank_weights`, in exact integers at any size."""
     subset = validate_subset(elements, n)
     k = len(subset)
-    rank = 0
-    prev = 0
-    for pos, e in enumerate(subset):
-        for skipped in range(prev + 1, e):
-            rank += binom(n - skipped, k - pos - 1)
-        prev = e
-    return rank
+    return binom(n, k) - 1 - sum(binom(n - c, k - i) for i, c in enumerate(subset))
 
 
 def unrank_subset(rank: int, k: int, n: int) -> tuple[int, ...]:
     """Inverse of :func:`rank_subset`: the k-subset of [n] at a given rank.
 
-    Raises IndexError when ``rank`` is outside 0 .. C(n, k) - 1.
+    Inverts the identity of :func:`rank_weights` greedily: c_i is the first
+    label after c_{i-1} whose term C(n - c_i, k - i) fits in what is left of
+    the C(n, k) - 1 - rank subsets after it. Raises IndexError when ``rank``
+    is outside 0 .. C(n, k) - 1.
     """
     if k < 0 or k > n:
         raise IndexError(f"no {k}-subsets of [{n}] exist")
     total = binom(n, k)
     if not 0 <= rank < total:
         raise IndexError(f"rank {rank} out of range for {k}-subsets of [{n}] (0..{total - 1})")
-    out = []
-    candidate = 1
-    remaining = rank
-    for pos in range(k):
-        # Advance past candidates whose branch of the lex tree is too small.
-        while True:
-            branch = binom(n - candidate, k - pos - 1)
-            if remaining < branch:
-                break
-            remaining -= branch
-            candidate += 1
-        out.append(candidate)
-        candidate += 1
-    return tuple(out)
+    out, after = [0], total - 1 - rank
+    for i in range(k):
+        out.append(next(c for c in range(out[-1] + 1, n + 1) if binom(n - c, k - i) <= after))
+        after -= binom(n - out[-1], k - i)
+    return tuple(out[1:])
 
 
 def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -435,7 +435,7 @@ def run_tables() -> tuple[bool, list[str]]:
     if column_ok:
         lines.append(
             "PASS C=4..40: F = C here vs 3C there, both rates exactly 1, "
-            "K = C(C-1)/2 here vs C there, equal M/N = 1/C and equal access fraction (C-2)/C"
+            "K = C(C-1)/2 here vs C there, access fraction (C-2)/C here"
         )
     ok &= column_ok
     return ok, lines

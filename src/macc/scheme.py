@@ -295,6 +295,7 @@ _PAIR_CHECKS = (
     "serves the user a file other than its demand",
 )
 _MALFORMED = "is out of lex order or holds a term outside it"
+_MISSING = "never obtained subfile indices"
 
 
 def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
@@ -340,25 +341,26 @@ def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
 
 def _peeling(
     params: SchemeParams, plan: _Plan, users: np.ndarray, wanted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every (user, message) pair of a message serving one of ``users`` (sorted,
-    (A, r)), as the position in ``users`` and the term the pair delivers,
-    ordered by user, then message.
+) -> np.ndarray:
+    """The term each message serving one of ``users`` (sorted, (A, r))
+    delivers to it, as an (A, binom(C-r, t)) array: row a holds user a's
+    terms, in message order.
 
-    Checks the decodability argument for all pairs at once, in O(terms),
-    after ``_victims`` has refused a plan of the wrong shape: each term's
-    one victim S \\ T is found from its index set and its message,
-    never from where it sits, and then each message containing a user must
-    name files in 1..N and hold exactly one term the user cannot read (no
-    term misses it twice, none is missing), for its demand ``wanted``; the
-    other terms meet the user, so its caches hold them. Coverage follows by
-    counting: the pieces a user cannot read are the binom(C-r, t) t-subsets
-    of the rest, and each message S containing it delivers a different one,
-    S minus the user, so it must be the victim in exactly that many messages.
-    Then no message containing it is left out, as there are no more such
-    coded sets. The first failing user in ``users`` order is reported, with
-    the first of these checks it fails; only then are its messages listed
-    and its missing pieces found.
+    Checks the decodability argument for every (user, message) pair at once,
+    in O(terms), after ``_victims`` has refused a plan of the wrong shape:
+    each term's one victim S \\ T is found from its index set and its
+    message, never from where it sits, and then each message containing a
+    user must name files in 1..N and hold exactly one term the user cannot
+    read (no term misses it twice, none is missing), for its demand
+    ``wanted``; the other terms meet the user, so its caches hold them.
+    Coverage follows by counting: the pieces a user cannot read are the
+    binom(C-r, t) t-subsets of the rest, and each message S containing it
+    delivers a different one, S minus the user, so it must be the victim in
+    exactly that many messages, the width of the array. Then no message
+    containing it is left out, as there are no more such coded sets. The
+    first failing user in ``users`` order is reported, with the first of
+    these checks it fails; only then are its messages listed and its
+    missing pieces found.
     """
     C, r, t, N = params.num_caches, params.access_degree, params.cache_param, params.num_files
     M, A = len(plan.coded_sets), len(users)
@@ -400,9 +402,8 @@ def _peeling(
         covered = np.isin(plan.subfile_sets, user).any(axis=1)
         covered[plan.term_rank[target[mine]]] = True
         missing = [tuple(T) for T in plan.subfile_sets[~covered].tolist()]
-        raise DecodingError(f"user {user} never obtained subfile indices {missing}",
-                            user, None, "never obtained subfile indices")
-    return pair_user, target
+        raise DecodingError(f"user {user} {_MISSING} {missing}", user, None, _MISSING)
+    return target.reshape(A, binom(C - r, t))
 
 
 def generate_transmissions(
@@ -473,9 +474,8 @@ def decode_user(
     missing = reduce(set.difference, held,
                      {(wanted, T) for T in params.subfile_index_sets()} - peeled)
     if missing:
-        raise DecodingError(f"user {user} never obtained subfile indices "
-                            f"{sorted(T for _, T in missing)}",
-                            user, None, "never obtained subfile indices")
+        raise DecodingError(f"user {user} {_MISSING} {sorted(T for _, T in missing)}",
+                            user, None, _MISSING)
     return {SubfileId(*piece) for piece in peeled}
 
 
@@ -574,13 +574,11 @@ def simulate_end_to_end(
     active, users, files = _check_demand(params, demand, strict)
     chunks, length = _chunk_matrix(params, file_payloads)
     plan = _delivery_plan(params, users, files)
-    _, target = _peeling(params, plan, users, files)
+    target = _peeling(params, plan, users, files)
     pieces, places, row = _gather(plan, chunks)
     del chunks
     _leave_one_out(places, _encode(places))
-    # _peeling proved that each user has exactly binom(C - r, t) pairs, in user order.
-    shape = (len(active), binom(params.num_caches - params.access_degree, params.cache_param))
-    delivered, row = plan.term_rank[target].reshape(shape), row[target].reshape(shape)
+    delivered, row = plan.term_rank[target], row[target]
     decoded = np.empty((params.subpacketization, pieces.shape[1]), dtype=np.uint8)
     flat = decoded.reshape(-1)
     outputs = Decoded()

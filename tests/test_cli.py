@@ -428,6 +428,8 @@ def test_tables_pass(capsys):
     # 32 + 21 ratio rows plus the column-comparison summary line.
     assert out.count("PASS") == 54
     assert "published 1.25" in out
+    assert ("PASS C=4..40: F = C here vs 3C there, both rates exactly 1, K = C(C-1)/2 here "
+            "vs C there, access fraction (C-2)/C here") in out.splitlines()
 
 
 def test_tables_json(capsys):

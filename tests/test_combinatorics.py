@@ -135,6 +135,23 @@ def test_rank_unrank_roundtrip_property(data):
     assert unrank_subset(rank, k, n) == subset
 
 
+def test_rank_and_unrank_stay_exact_beyond_int64():
+    # C(100, 50) is about 1.0e29, far above 2**63.
+    assert rank_subset(tuple(range(51, 101)), 100) == binom(100, 50) - 1
+    assert unrank_subset(0, 50, 100) == tuple(range(1, 51))
+
+
+@given(st.data())
+def test_unrank_rank_roundtrip_property_beyond_int64(data):
+    n = data.draw(st.integers(min_value=1, max_value=120))
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    rank = data.draw(st.integers(min_value=0, max_value=binom(n, k) - 1))
+    subset = unrank_subset(rank, k, n)
+    assert subset == tuple(sorted(set(subset))) and all(1 <= c <= n for c in subset)
+    assert len(subset) == k
+    assert rank_subset(subset, n) == rank
+
+
 def test_subset_array_and_rank_subsets_match_scalar_versions():
     for n in range(1, 10):
         for k in range(1, n + 1):

@@ -184,8 +184,8 @@ def test_full_memory_fraction_sweep_csv_digest():
 @pytest.mark.parametrize(
     "argv, sha256",
     [
-        (["tables"], "9642cdfec732aaa4186c13c25261afe5372d8599016484dd6a85062bdebec125"),
-        (["tables", "--json"], "e5ffd0bc1f2aa9f0e4556b69c356e2966ff3e2da8776460510153f29092b0e7d"),
+        (["tables"], "2903f83dc2ff07083a90b56724991d219f557cdb0ea10b4ae7a418560cd90bf2"),
+        (["tables", "--json"], "fc25ef290b3e18d681c850c5ff001a4e9c94f61b319e2c5155badb98364c210e"),
         (["verify-examples"], "ff6fbd0291f050cb598ec39a3648ebf238e5f65da87ab0305fffcc3041da0785"),
         (["verify-examples", "--json"],
          "4cf2d1adf5e4b170b988244799ab57a91eaba4d9f929b5d61d2e1d7ada4cd257"),

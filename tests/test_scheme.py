@@ -543,13 +543,13 @@ def test_simulation_and_delivery_match_the_construction(data):
     # decode_user, reading the caches, peels what the batched check delivers.
     active, users, wanted = scheme._check_demand(params, demand, strict=False)
     plan = scheme._delivery_plan(params, users, wanted)
-    pair_user, target = scheme._peeling(params, plan, users, wanted)
-    delivered = plan.subfile_sets[plan.term_rank[target]].tolist()
+    target = scheme._peeling(params, plan, users, wanted)
+    assert target.shape == (len(active), binom(C - r, t))
     caches = build_placement(params)
     for a, user in enumerate(active):
         assert decode_user(params, user, demand, txs, caches) == {
             SubfileId(demand.entries[user], tuple(T))
-            for T, p in zip(delivered, pair_user.tolist()) if p == a}
+            for T in plan.subfile_sets[plan.term_rank[target[a]]].tolist()}
 
 
 @settings(deadline=None, max_examples=60)
@@ -1133,8 +1133,8 @@ _REFERENCE_REASONS = (
 def reference_check(params, plan, users, wanted):
     """Brute-force decodability check of a plan, one (user, message) pair at a
     time with Python sets: a user cannot read a term exactly when the term's
-    index set misses it. Returns the passing pairs (user position, term) in
-    user then message order, or the failure as
+    index set misses it. Returns the terms each user is delivered, one list
+    per user in message order, or the failure as
     ``(user, coded_set, reason, message)``. A plan of the wrong shape, with a
     message not after the one before it or holding a term outside it, is
     refused first, with no user."""
@@ -1150,9 +1150,9 @@ def reference_check(params, plan, users, wanted):
                 not set(index_sets[k]) <= set(S) for k in terms_of[m]):
             reason = "is out of lex order or holds a term outside it"
             return (None, S, reason, f"transmission {S} {reason}")
-    pairs = []
+    rows = []
     for a, user in enumerate(users):
-        failure, delivered = None, set()
+        failure, delivered, row = None, set(), []
         for m, S in enumerate(coded_sets):
             if not set(user) <= set(S):
                 continue
@@ -1166,7 +1166,7 @@ def reference_check(params, plan, users, wanted):
             else:
                 check = 0
                 delivered.add(index_sets[unread[0]])
-                pairs.append((a, unread[0]))
+                row.append(unread[0])
             if check and (failure is None or check < failure[0]):
                 failure = (check, m)
         if failure:
@@ -1180,7 +1180,8 @@ def reference_check(params, plan, users, wanted):
         if missing:
             return (user, None, "never obtained subfile indices",
                     f"user {user} never obtained subfile indices {missing}")
-    return [list(column) for column in zip(*pairs)] or [[], []]
+        rows.append(row)
+    return rows
 
 
 _PLAN_CORRUPTIONS = ["none", "swap-file", "drop-term", "move-inside", "move-outside",
@@ -1245,8 +1246,7 @@ def test_peeling_agrees_with_a_brute_force_check_on_terms_partly_outside():
             term_rank[k] = rank_subset(T, 5)
             moved = plan._replace(term_rank=term_rank)
             try:
-                got = [column.tolist()
-                       for column in scheme._peeling(params, moved, user_array, wanted)]
+                got = scheme._peeling(params, moved, user_array, wanted).tolist()
             except DecodingError as error:
                 got = (error.user, error.coded_set, error.reason, str(error))
             assert got == reference_check(params, moved, users, wanted)
@@ -1274,8 +1274,7 @@ def test_peeling_agrees_with_a_brute_force_check(kind, data):
     plan = _corrupt_plan(data, params, plan, kind)
     expected = reference_check(params, plan, users, wanted)
     try:
-        got = [column.tolist() for column in
-               scheme._peeling(params, plan, np.array(users, dtype=np.int64), wanted)]
+        got = scheme._peeling(params, plan, np.array(users, dtype=np.int64), wanted).tolist()
     except DecodingError as error:
         got = (error.user, error.coded_set, error.reason, str(error))
     assert got == expected
