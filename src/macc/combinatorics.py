@@ -14,6 +14,7 @@ array forms return numpy arrays; the exact functions work on plain ints.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import chain, combinations
 from typing import Iterable, Iterator
@@ -85,21 +86,37 @@ def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from combinations(range(1, n + 1), k)
 
 
+# The (n, k) tables are built once each and shared: at most this many are kept.
+_TABLES = 32
+INT64_MAX = (1 << 63) - 1
+
+
+@functools.lru_cache(maxsize=_TABLES)
 def subset_array(n: int, k: int) -> np.ndarray:
-    """All k-subsets of [n] as the rows of a (C(n, k), k) int64 array, in lex order."""
+    """All k-subsets of [n] as the rows of a (C(n, k), k) int64 array, in lex
+    order. Built once per (n, k): the array is shared, read-only."""
     flat = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), k)), np.int64)
-    return flat.reshape(binom(n, k), k)
+    rows = flat.reshape(binom(n, k), k)
+    rows.flags.writeable = False
+    return rows
 
 
+@functools.lru_cache(maxsize=_TABLES)
 def rank_weights(n: int, k: int) -> np.ndarray:
-    """The (n + 1, k) int64 table of C(n - x, k - i) at row x, column i.
+    """The (n + 1, k) int64 table of C(n - x, k - i) at row x, column i, each
+    entry saturated at 2**63 - 1. Built once per (n, k): shared, read-only.
 
     The lex rank of a k-subset c_0 < ... < c_{k-1} of [n] is
     C(n, k) - 1 - sum_i table[c_i, i]: the subsets after it number
-    sum_i C(n - c_i, k - i). C(n, k) must stay below 2**63.
+    sum_i C(n - c_i, k - i). Each term is at most that sum, so at most
+    C(n, k) - 1: when C(n, k) fits in int64, no entry a rank reads is
+    saturated. Only entries at a (label, place) that no k-subset of [n] has,
+    such as C(69, 35) at row 1, column 34 of the (70, 69) table, can be.
     """
-    return np.array([[binom(n - x, k - i) for i in range(k)] for x in range(n + 1)],
-                    np.int64).reshape(n + 1, k)
+    table = np.array([[min(binom(n - x, k - i), INT64_MAX) for i in range(k)]
+                      for x in range(n + 1)], np.int64).reshape(n + 1, k)
+    table.flags.writeable = False
+    return table
 
 
 def rank_subsets(subsets: np.ndarray, n: int) -> np.ndarray:

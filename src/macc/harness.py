@@ -42,6 +42,7 @@ from .scheme import (
     SchemeParams,
     accessible_fraction,
     cache_subfiles,
+    check_rank_range,
     generate_transmissions,
     simulate_end_to_end,
 )
@@ -110,13 +111,31 @@ class SplitMix64:
             raise ValueError(f"need a positive bound, got {n}")
         return self.next_u64() % n
 
+    def draws(self, n: int, count: int) -> list[int]:
+        """``[self.next_below(n) for _ in range(count)]`` in one array pass."""
+        if n <= 0:
+            raise ValueError(f"need a positive bound, got {n}")
+        outputs = self._outputs(count)
+        return (outputs % np.uint64(n) if n <= self._MASK else outputs).tolist()
+
+    def _outputs(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of ``next_u64`` in one array pass: the
+        outputs of state + gamma * (1..count)."""
+        outputs = _splitmix_outputs(np.uint64(self._state) + _gammas(count))
+        self._state = (self._state + count * self._GAMMA) & self._MASK
+        return outputs
+
     def spawn(self) -> "SplitMix64":
         return SplitMix64(self.next_u64())
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates driven by this stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        """In-place Fisher-Yates driven by this stream: for i from len - 1
+        down to 1, swap item i with item ``next_below(i + 1)``. The draws are
+        computed first, in one array pass, with the same values and the same
+        final state as that loop."""
+        n = len(items)
+        picks = self._outputs(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
     def bytes(self, n: int) -> bytes:
@@ -133,15 +152,19 @@ class SplitMix64:
         holes in the heap that later allocations do not fit).
         """
         k = -(-n // 8)
-        steps = np.uint64(self._GAMMA) * np.arange(1, max(count, k) + 1, dtype=np.uint64)
-        seeds = _splitmix_outputs(np.uint64(self._state) + steps[:count])
-        self._state = (self._state + count * self._GAMMA) & self._MASK
-        block = max(1, (1 << 13) // max(k, 1))
+        seeds, steps = self._outputs(count), _gammas(k)
+        block, width = max(1, (1 << 13) // max(k, 1)), 8 * k
         out = []
         for first in range(0, count, block):
-            words = _splitmix_outputs(seeds[first:first + block, None] + steps[:k])
-            out += [row[:n].tobytes() for row in words.astype("<u8", copy=False).view(np.uint8)]
+            words = _splitmix_outputs(seeds[first:first + block, None] + steps)
+            data = memoryview(words.astype("<u8", copy=False).reshape(-1).view(np.uint8))
+            out += [data[i * width:i * width + n].tobytes() for i in range(len(words))]
         return out
+
+
+def _gammas(count: int) -> np.ndarray:
+    """gamma * (1..count) as a uint64 array, wrapping mod 2**64."""
+    return np.uint64(SplitMix64._GAMMA) * np.arange(1, count + 1, dtype=np.uint64)
 
 
 def _splitmix_outputs(z):
@@ -471,7 +494,7 @@ def make_demand(
         rng.shuffle(deck)
         return DemandAssignment(dict(zip(users, deck)))
     if mode == "random":
-        return DemandAssignment({u: 1 + rng.next_below(N) for u in users})
+        return DemandAssignment({u: 1 + d for u, d in zip(users, rng.draws(N, len(users)))})
     raise ValueError(f"unknown demand mode {mode!r}")
 
 
@@ -500,6 +523,7 @@ def simulate_report(
     if N is None:
         N = K_full if active is None else min(K_full, max(active, 1))
     params = SchemeParams(C, r, t, N)
+    check_rank_range(params)
     if file_size < 0:
         raise ValueError(f"file size must be nonnegative, got {file_size}")
 

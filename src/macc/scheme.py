@@ -17,14 +17,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product, starmap
+from itertools import accumulate, product, starmap
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .baselines import check_counts
-from .combinatorics import binom, enumerate_subsets, rank_subsets, rank_weights, subset_array
-from .combinatorics import validate_subset
+from .combinatorics import INT64_MAX, binom, enumerate_subsets, rank_subsets, rank_weights
+from .combinatorics import subset_array, validate_subset
 from .combinatorics import rank_subset  # noqa: F401  perfbench/layers.py wraps macc.scheme.rank_subset
 
 
@@ -173,11 +173,34 @@ class DemandAssignment:
         return sorted(self.entries)
 
 
+def check_rank_range(params: SchemeParams) -> None:
+    """Refuse a point whose subset ranks do not fit in int64: the integer
+    plan needs binom(C, t), binom(C, r) and binom(C, t + r) each at most
+    2**63 - 1, and nothing more.
+
+    Under that no saturated entry of a ``rank_weights`` table enters the
+    arithmetic. The ranks of users, victims, index sets T and coded sets S
+    each start from binom(C, k) - 1, for k = r, r, t and t + r, and subtract
+    entries at the label and place of a real k-subset of [C], each at most
+    that start (T reads column r + i of the t + r table, which is column i
+    of the t table). The entries that a fancy index gathers at other places
+    are dropped by the pick or slot index before any subtraction. The
+    victims' slot weights C(t+r-1-p, t-i) sum to a lex position below
+    binom(t + r, t) <= binom(C, t); when t + r > C there is no term to read.
+    """
+    C, r, t = params.num_caches, params.access_degree, params.cache_param
+    for k in (t, r, t + r):
+        if binom(C, k) > INT64_MAX:
+            raise ValueError(f"binom({C}, {k}) = {binom(C, k)} exceeds 2**63 - 1, "
+                             "the largest subset rank the byte simulation holds")
+
+
 def _check_demand(
     params: SchemeParams, demand: DemandAssignment, strict: bool
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Validate a demand assignment against concrete parameters, and return
     the active users sorted, as an (A, r) int64 array, and their files.
+    A point :func:`check_rank_range` refuses is refused first.
 
     Keys are sorted integer tuples without repeats, so a user is valid
     exactly when it has r labels, the first at least 1 and the last at most
@@ -185,6 +208,7 @@ def _check_demand(
     additionally requires pairwise-distinct file indices, the regime the rate
     analysis assumes. Decoding itself never needs it.
     """
+    check_rank_range(params)
     C, r, N = params.num_caches, params.access_degree, params.num_files
     for user, file_index in demand.entries.items():
         if len(user) != r or user[0] < 1 or user[-1] > C:
@@ -492,8 +516,9 @@ def _chunk_matrix(params: SchemeParams, file_payloads: Sequence[bytes]) -> tuple
     (length,) = lengths or {0}
     F = params.subpacketization
     chunks = np.zeros((N, F, -(-length // F)), dtype=np.uint8)
+    flat, width = memoryview(chunks.reshape(-1)), chunks[0].size
     for i, payload in enumerate(file_payloads):
-        chunks[i].reshape(-1)[:length] = np.frombuffer(payload, dtype=np.uint8)
+        flat[i * width:i * width + length] = payload
     return chunks, length
 
 
@@ -525,7 +550,8 @@ def _gather(
     terms = np.take(chunks.reshape(N * F, L), rows, axis=0)
     row = np.empty(n, dtype=np.int64)
     row[order] = np.arange(n)
-    return terms, np.split(terms, np.cumsum(counts)[:-1]), row
+    bounds = list(accumulate(counts, initial=0))
+    return terms, [terms[lo:hi] for lo, hi in zip(bounds, bounds[1:])], row
 
 
 def _encode(places: list[np.ndarray]) -> np.ndarray:
@@ -580,13 +606,13 @@ def simulate_end_to_end(
     _leave_one_out(places, _encode(places))
     delivered, row = plan.term_rank[target], row[target]
     decoded = np.empty((params.subpacketization, pieces.shape[1]), dtype=np.uint8)
-    flat = decoded.reshape(-1)
+    file = memoryview(decoded.reshape(-1))[:length]
     outputs = Decoded()
     for user, f, mine, at in zip(active, files.tolist(), delivered, row):
         # Start from the cached file: _peeling proved that the pieces the user
         # cannot read are exactly the delivered ones, and those are overwritten.
-        flat[:length] = np.frombuffer(file_payloads[f - 1], dtype=np.uint8)
-        decoded[mine] = np.take(pieces, at, axis=0)
-        outputs[user] = flat[:length].tobytes()
+        file[:] = file_payloads[f - 1]
+        decoded[mine] = pieces[at]
+        outputs[user] = file.tobytes()
     outputs.messages = len(plan.coded_sets)
     return outputs

@@ -210,6 +210,13 @@ def test_simulate_population_guardrail(capsys):
     assert "exceeds the simulation cap" in err
 
 
+def test_simulate_refuses_ranks_past_int64_in_one_line(capsys):
+    code, out, err = run_cli(capsys, ["simulate", "-C", "67", "-r", "1", "--t", "33"])
+    assert (code, out) == (1, "")
+    assert err == ("error: binom(67, 33) = 14226520737620288370 exceeds 2**63 - 1, "
+                   "the largest subset rank the byte simulation holds\n")
+
+
 def test_simulate_force_runs_past_the_cap(capsys, monkeypatch):
     # (4, 2, 1) has binom(4, 2) = 6 users, one above the lowered cap.
     monkeypatch.setattr(harness, "SIMULATE_USER_CAP", 5)

@@ -4,14 +4,17 @@ The independent oracle for binomial values is a Pascal triangle built by
 addition only; ranking is checked against full lexicographic enumeration.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from macc.combinatorics import (
+    INT64_MAX,
     binom,
     enumerate_subsets,
     rank_subset,
     rank_subsets,
+    rank_weights,
     subset_array,
     unrank_subset,
     validate_subset,
@@ -161,3 +164,25 @@ def test_subset_array_and_rank_subsets_match_scalar_versions():
     # Any leading shape, one subset per last-axis row.
     rows = subset_array(7, 3)[[[4, 0], [34, 9]]]
     assert rank_subsets(rows, 7).tolist() == [[4, 0], [34, 9]]
+
+
+@pytest.mark.parametrize("table", [rank_weights, subset_array], ids=lambda f: f.__name__)
+def test_shared_tables_are_read_only_and_equal_a_fresh_build(table):
+    for n in range(13):
+        for k in range(n + 1):
+            shared, fresh = table(n, k), table.__wrapped__(n, k)
+            assert table(n, k) is shared
+            assert shared.dtype == fresh.dtype and np.array_equal(shared, fresh)
+            if shared.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    shared[0, 0] = 1
+                with pytest.raises(ValueError, match="read-only"):
+                    shared.reshape(-1)[0] = 1
+
+
+@pytest.mark.parametrize("n, k", [(66, 33), (67, 33), (70, 69), (100, 99), (100, 5), (130, 66)])
+def test_rank_weights_saturate_only_entries_past_int64(n, k):
+    # Entries whose exact value fits in int64 are exact; the others read 2**63 - 1.
+    exact = [[binom(n - x, k - i) for i in range(k)] for x in range(n + 1)]
+    assert rank_weights(n, k).tolist() == [[min(v, INT64_MAX) for v in row] for row in exact]
+    assert (rank_weights(n, k) == INT64_MAX).any() == (binom(n, min(k, n // 2)) > INT64_MAX)

@@ -3,15 +3,17 @@
 import functools
 import hashlib
 import io
+import re
 from decimal import ROUND_DOWN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import macc.baselines as baselines
 import macc.harness as harness
 from macc.baselines import Scheme, Undefined
-from macc.combinatorics import enumerate_subsets
+from macc.combinatorics import binom, enumerate_subsets
 from macc.cli import main
 from macc.harness import (
     ComparisonRow,
@@ -26,7 +28,12 @@ from macc.harness import (
     write_sweep_csv,
 )
 from macc.metrics import delivery_rate, rate_memory_curve
-from macc.scheme import SchemeParams
+from macc.scheme import (
+    DemandAssignment,
+    SchemeParams,
+    generate_transmissions,
+    simulate_end_to_end,
+)
 from sweep_csv import csv_line, sweep_lines
 
 
@@ -57,6 +64,31 @@ def test_spawned_bytes_matches_spawn_loop(count, n):
     fast, slow = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
     assert fast.spawned_bytes(count, n) == [slow.spawn().bytes(n) for _ in range(count)]
     assert fast.next_u64() == slow.next_u64()
+
+
+def scalar_shuffle(rng, items):
+    """Reference: Fisher-Yates one ``next_below`` draw at a time."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@given(seed=st.integers(0, 2**64 - 1))
+def test_shuffle_matches_scalar_fisher_yates(seed):
+    for n in range(65):
+        fast, slow = SplitMix64(seed + n), SplitMix64(seed + n)
+        deck, reference = list(range(n)), list(range(n))
+        fast.shuffle(deck)
+        scalar_shuffle(slow, reference)
+        assert deck == reference
+        assert [fast.next_u64() for _ in range(2)] == [slow.next_u64() for _ in range(2)]
+
+
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 2**64), count=st.integers(0, 64))
+def test_draws_match_next_below_loop(seed, n, count):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    assert fast.draws(n, count) == [slow.next_below(n) for _ in range(count)]
+    assert [fast.next_u64() for _ in range(2)] == [slow.next_u64() for _ in range(2)]
 
 
 # Two small grids over every scheme with C, r = 1..8: every p/q in [0, 1]
@@ -279,6 +311,10 @@ SCHEME_ENTRY_POINTS = [
     ("simulate", simulate_report),
 ]
 CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
+# binom(67, 33) > 2**63 - 1: refused before the chunk matrix is asked for.
+PAST_INT64, ONE_USER = SchemeParams(67, 1, 33, 1), DemandAssignment({(1,): 1})
+RANKS_PAST_INT64 = re.escape("binom(67, 33) = 14226520737620288370 exceeds 2**63 - 1, "
+                             "the largest subset rank the byte simulation holds")
 
 
 @pytest.mark.parametrize(
@@ -337,6 +373,10 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
         (lambda: evaluate_scheme("nope", 4, 2, 1), "'nope' is not a valid Scheme"),
         (lambda: list(enumerate_subsets(3, -1)), "subset size must be nonnegative, got -1"),
         (lambda: SplitMix64(0).next_below(0), "need a positive bound, got 0"),
+        (lambda: SplitMix64(0).draws(0, 3), "need a positive bound, got 0"),
+        (lambda: simulate_report(67, 1, 33), RANKS_PAST_INT64),
+        (lambda: simulate_end_to_end(PAST_INT64, [b""], ONE_USER), RANKS_PAST_INT64),
+        (lambda: generate_transmissions(PAST_INT64, ONE_USER), RANKS_PAST_INT64),
     ] + [
         (functools.partial(entry, *point),
          CURVE_ABOVE_ONE if (name, case) == ("curve", "t-above-C") else message)
@@ -353,7 +393,9 @@ CURVE_ABOVE_ONE = r"memory fraction 5/4 outside \[0, 1\]"
          "evaluate-spe-negative-t", "evaluate-sr1-negative-t", "evaluate-sr2-negative-t",
          "evaluate-C-non-integer", "evaluate-r-non-integer", "evaluate-spe-r-non-integer",
          "sweep-C-non-integer", "sweep-r-non-integer", "sweep-unknown-scheme",
-         "evaluate-unknown-scheme", "subsets-negative-size", "next-below-0"]
+         "evaluate-unknown-scheme", "subsets-negative-size", "next-below-0", "draws-0",
+         "simulate-ranks-past-int64", "end-to-end-ranks-past-int64",
+         "transmissions-ranks-past-int64"]
     + [f"{name}-{case}" for name, _ in SCHEME_ENTRY_POINTS for case, _, _ in BAD_POINTS],
 )
 def test_public_entry_points_reject_bad_input(call, message):
@@ -383,6 +425,16 @@ def test_scheme_names_are_taken_as_their_members():
     write_sweep_csv(run_sweep(SweepSpec((4, 6), (2,), spec.cache_params,
                                         (Scheme.SR1, Scheme.HKD))), by_member)
     assert by_name.getvalue() == by_member.getvalue()
+
+
+@pytest.mark.parametrize("C, r, t, size", [(70, 1, 68, 64), (100, 2, 97, 8), (300, 1, 299, 1)])
+def test_simulate_report_byte_exact_where_rank_tables_saturate(C, r, t, size):
+    # rank_weights(C, t + r) holds entries past 2**63 - 1 here, at places no
+    # (t + r)-subset has; simulate_report raises on any byte mismatch.
+    report = simulate_report(C, r, t, file_size=size)
+    assert report["decoded_ok"] == report["active_users"] == binom(C, r)
+    assert report["transmissions"] == binom(C, t + r)
+    assert report["rates_equal"] is True
 
 
 def test_render_decimal_rounds_in_its_own_context():
