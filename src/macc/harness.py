@@ -526,14 +526,14 @@ def simulate_report(
     check_rank_range(params)
     if file_size < 0:
         raise ValueError(f"file size must be nonnegative, got {file_size}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
 
+    # The demand is dealt, and refused, before any payload byte exists.
     rng = SplitMix64(seed)
-    demand_rng = rng.spawn()
+    demand = make_demand(params, demand_mode, rng.spawn(), active)
     payloads = rng.spawned_bytes(N, file_size)
-    strict = demand_mode != "random"
-    demand = make_demand(params, demand_mode, demand_rng, active)
-
-    outputs = simulate_end_to_end(params, payloads, demand, strict=strict)
+    outputs = simulate_end_to_end(params, payloads, demand, strict=demand_mode != "random")
     mismatched = [
         user
         for user, got in outputs.items()

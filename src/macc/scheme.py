@@ -181,12 +181,12 @@ def check_rank_range(params: SchemeParams) -> None:
     Under that no saturated entry of a ``rank_weights`` table enters the
     arithmetic. The ranks of users, victims, index sets T and coded sets S
     each start from binom(C, k) - 1, for k = r, r, t and t + r, and subtract
-    entries at the label and place of a real k-subset of [C], each at most
-    that start (T reads column r + i of the t + r table, which is column i
-    of the t table). The entries that a fancy index gathers at other places
-    are dropped by the pick or slot index before any subtraction. The
-    victims' slot weights C(t+r-1-p, t-i) sum to a lex position below
-    binom(t + r, t) <= binom(C, t); when t + r > C there is no term to read.
+    entries of ``rank_weights(C, k)`` at the label and place of a real
+    k-subset of [C], each at most that start. The entries that a fancy index
+    gathers at other places are dropped by the pick or slot index before any
+    subtraction. The victims' slot weights C(t+r-1-p, t-i) sum to a lex
+    position below binom(t + r, t) <= binom(C, t); when t + r > C there is
+    no term to read.
     """
     C, r, t = params.num_caches, params.access_degree, params.cache_param
     for k in (t, r, t + r):
@@ -260,15 +260,14 @@ class _Plan(NamedTuple):
     follow the lex order of the users they serve. That order is only where
     the encoder puts a term: the decoder finds the user a term serves from
     its index set ``term_rank`` (the lex rank of T) and its message. User U
-    reads subfile T exactly when T meets U: ``subfile_sets`` lists every T
-    by rank, and that rule is the whole placement.
+    reads subfile T exactly when T meets U: that rule is the whole
+    placement, and ``subset_array(C, t)`` lists every T by rank.
     """
 
     coded_sets: np.ndarray  # (M, t+r) cache labels
     term_message: np.ndarray  # (terms,) row of the term's message, nondecreasing
     term_file: np.ndarray  # (terms,) file index
     term_rank: np.ndarray  # (terms,) lex rank of the term's index set
-    subfile_sets: np.ndarray  # (F, t) every index set, by rank
 
 
 def _delivery_plan(params: SchemeParams, users: np.ndarray, files: np.ndarray) -> _Plan:
@@ -296,12 +295,12 @@ def _delivery_plan(params: SchemeParams, users: np.ndarray, files: np.ndarray) -
     K = len(picks)
     # below[q, b]: how many of the places in pick b lie below place q of the rest.
     below = (picks[:, :, None] < np.arange(C - r + 1)).sum(axis=1).T
-    weight = rank_weights(C, k)  # column r + i is column i of rank_weights(C, t)
+    weight, subfile_weight = rank_weights(C, k), rank_weights(C, t)
     set_rank = np.full((A, K), binom(C, k) - 1, dtype=np.int64)
     term_rank = np.full((A, K), binom(C, t) - 1, dtype=np.int64)
     for i in range(t):
         set_rank -= np.take(weight[rest, i + rest - 1 - np.arange(C - r)], picks[:, i], axis=1)
-        term_rank -= np.take(weight[rest, r + i], picks[:, i], axis=1)
+        term_rank -= np.take(subfile_weight[rest, i], picks[:, i], axis=1)
     for j in range(r):
         set_rank -= weight.reshape(-1)[(users[:, j] * k + j)[:, None] + below[users[:, j] - 1 - j]]
     set_rank = set_rank.reshape(-1)
@@ -309,8 +308,7 @@ def _delivery_plan(params: SchemeParams, users: np.ndarray, files: np.ndarray) -
     new = np.diff(set_rank[order], prepend=-1) != 0
     a, b = np.divmod(order[new], K)
     coded_sets = np.sort(np.concatenate([users[a], rest[a[:, None], picks[b]]], axis=1), axis=1)
-    return _Plan(coded_sets, np.cumsum(new) - 1, files[order // K],
-                 term_rank.reshape(-1)[order], subset_array(C, t))
+    return _Plan(coded_sets, np.cumsum(new) - 1, files[order // K], term_rank.reshape(-1)[order])
 
 
 _PAIR_CHECKS = (
@@ -341,7 +339,7 @@ def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
     at = plan.term_message * (C + 1)
     inside, slot = np.ones(n, dtype=bool), np.zeros(n, dtype=np.int64)
     weight = np.vstack([rank_weights(k, t)[1:], np.zeros(t, np.int64)])  # [p, i]: C(k-1-p, t-i)
-    for i, labels in enumerate(plan.subfile_sets.T):
+    for i, labels in enumerate(subset_array(C, t).T):
         index = labels[plan.term_rank]
         index += at
         q = place.reshape(-1)[index]
@@ -423,9 +421,9 @@ def _peeling(
             raise DecodingError(f"transmission {S} {reason}: user {user}, demand {wanted[a]}, "
                                 f"term files {plan.term_file[plan.term_message == m].tolist()}",
                                 user, S, reason)
-        covered = np.isin(plan.subfile_sets, user).any(axis=1)
+        covered = np.isin(subset_array(C, t), user).any(axis=1)
         covered[plan.term_rank[target[mine]]] = True
-        missing = [tuple(T) for T in plan.subfile_sets[~covered].tolist()]
+        missing = [tuple(T) for T in subset_array(C, t)[~covered].tolist()]
         raise DecodingError(f"user {user} {_MISSING} {missing}", user, None, _MISSING)
     return target.reshape(A, binom(C - r, t))
 
@@ -441,8 +439,8 @@ def generate_transmissions(
     """
     _, users, files = _check_demand(params, demand, strict)
     plan = _delivery_plan(params, users, files)
-    terms = [SubfileId(f, tuple(T)) for f, T in
-             zip(plan.term_file.tolist(), plan.subfile_sets[plan.term_rank].tolist())]
+    index_sets = subset_array(params.num_caches, params.cache_param)[plan.term_rank].tolist()
+    terms = [SubfileId(f, tuple(T)) for f, T in zip(plan.term_file.tolist(), index_sets)]
     bounds = np.searchsorted(plan.term_message, np.arange(len(plan.coded_sets) + 1)).tolist()
     return [Transmission(tuple(S), tuple(terms[lo:hi]))
             for S, lo, hi in zip(plan.coded_sets.tolist(), bounds, bounds[1:])]

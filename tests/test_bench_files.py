@@ -1,7 +1,8 @@
-"""Each committed BENCH_*.json parses and records every end-to-end metric of
-BENCHMARK.json for every workload it ran."""
+"""Each committed BENCH_*.json parses, records every end-to-end metric of
+BENCHMARK.json for every workload it ran, and says where it was measured."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,15 @@ def test_bench_file_names_every_end_to_end_metric(path):
         assert set(workloads) == WORKLOADS, side
         for name, run in workloads.items():
             assert END_TO_END <= set(run["result"]["metrics"]), (side, name)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_bench_file_records_its_machine_and_commits(path):
+    # A reading means little without the host it ran on and the code it ran.
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    machine = bench["machine"]
+    assert machine["python"] and machine["numpy"], path.name
+    assert isinstance(machine["nproc"], int) and machine["nproc"] >= 1, path.name
+    assert set(bench["sides"]) == set(bench["perfbench"]["runs"]), path.name
+    for side, record in bench["sides"].items():
+        assert re.fullmatch(r"[0-9a-f]{40}", record["commit"]), (path.name, side)

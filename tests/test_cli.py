@@ -1,5 +1,6 @@
 """End-to-end checks of the command line: exit codes, JSON shapes, CSV bytes."""
 
+import contextlib
 import csv
 import errno
 import io
@@ -10,6 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import macc
 import macc.cli as cli
@@ -17,6 +19,7 @@ import macc.baselines as baselines
 import macc.harness as harness
 from macc.baselines import Scheme, Undefined, read_block
 from macc.cli import main
+from macc.combinatorics import INT64_MAX, binom
 from macc.scheme import Transmission
 
 # Child interpreters import the same macc as this test, with or without PYTHONPATH.
@@ -234,6 +237,65 @@ def test_simulate_distinct_needs_enough_files(capsys):
     code, _, err = run_cli(capsys, argv)
     assert code == 1
     assert "distinct demands" in err
+
+
+@pytest.mark.parametrize("seed, code", [(-1, 1), (2**64, 1), (2**64 - 1, 0)])
+def test_simulate_seed_must_fit_the_generator(capsys, seed, code):
+    # SplitMix64 keeps the low 64 bits, so -1 would replay 2**64 - 1 under another name.
+    argv = ["simulate", "-C", "4", "-r", "2", "--t", "1", "--seed", str(seed)]
+    got, out, err = run_cli(capsys, argv)
+    if code:
+        assert (got, out, err) == (1, "", f"error: seed must lie in 0..2**64 - 1, got {seed}\n")
+    else:
+        assert (got, err) == (0, "") and out.startswith("6 users decoded OK")
+
+
+def runs_small(C, r, t, active, files, size):
+    """Whether ``simulate`` at this point either is refused before it
+    allocates anything, or stays small in every structure that grows with
+    the point: the users K, the terms A·binom(C-r, t), the chunk matrix
+    N·F·L bytes, and the (F, t) int64 table of index sets."""
+    K = binom(C, r)
+    if K > harness.SIMULATE_USER_CAP or max(binom(C, k) for k in (t, r, t + r)) > INT64_MAX:
+        return True
+    A = K if active is None else min(active, K)
+    N = files or (K if active is None else min(K, active))
+    F = binom(C, t)
+    return (K <= 2_000 and A * binom(C - r, t) <= 20_000 and N * F * -(-size // F) <= 4 << 20
+            and F * t * 8 <= 4 << 20)
+
+
+@st.composite
+def simulate_points(draw):
+    C = draw(st.integers(1, 300))
+    r = draw(st.integers(1, min(C, 4)))
+    t = draw(st.integers(max(0, C - r - 3), C - r + 1))  # few or no terms per user
+    return (C, r, t, draw(st.none() | st.integers(1, 8)), draw(st.none() | st.integers(1, 8)),
+            draw(st.integers(0, 64)), draw(st.sampled_from(["distinct", "random"])))
+
+
+@settings(deadline=None, max_examples=100)
+@given(point=simulate_points())
+# Past C = 66 with t + r >= 26: rank tables saturate, or a rank needs more than int64.
+@example(point=(70, 1, 68, None, None, 64, "distinct"))
+@example(point=(300, 1, 299, None, None, 1, "distinct"))
+@example(point=(67, 1, 33, None, None, 64, "distinct"))
+def test_simulate_decodes_or_refuses_in_one_line(point):
+    C, r, t, active, files, size, mode = point
+    assume(runs_small(C, r, t, active, files, size))
+    argv = ["simulate", "-C", str(C), "-r", str(r), "--t", str(t), "--file-size", str(size),
+            "--demand-mode", mode]
+    argv += ["--active", str(active)] if active else []
+    argv += ["--files", str(files)] if files else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and " users decoded OK, measured rate " in out
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_sweep_stdout_rows(capsys):

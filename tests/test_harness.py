@@ -437,6 +437,23 @@ def test_simulate_report_byte_exact_where_rank_tables_saturate(C, r, t, size):
     assert report["rates_equal"] is True
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"active": 10**6}, r"active user count must lie in 1\.\.120, got 1000000"),
+     ({"demand_mode": "zipf"}, "unknown demand mode 'zipf'"),
+     ({"N": 3}, "distinct demands need N >= 120 files, got N = 3")],
+    ids=["active", "mode", "distinct-files"],
+)
+def test_simulate_report_refuses_the_demand_before_any_payload(monkeypatch, kwargs, message):
+    # 120 files of 4 MiB would be generated first if the demand came second.
+    def no_payloads(self, count, n):
+        raise AssertionError(f"{count} payloads generated before the demand was dealt")
+
+    monkeypatch.setattr(SplitMix64, "spawned_bytes", no_payloads)
+    with pytest.raises(ValueError, match=message):
+        simulate_report(16, 2, 3, file_size=1 << 22, **kwargs)
+
+
 def test_render_decimal_rounds_in_its_own_context():
     """12 significant digits, rounded half to even once, whatever decimal
     context the caller has set."""

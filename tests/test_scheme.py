@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import macc.scheme as scheme
-from macc.combinatorics import binom, enumerate_subsets, rank_subset, unrank_subset
+from macc.combinatorics import binom, enumerate_subsets, rank_subset, subset_array, unrank_subset
 from macc.golden import REFERENCE_EXAMPLES
 from macc.harness import SplitMix64, make_demand, scheme_dump, simulate_report
 from macc.scheme import (
@@ -498,7 +498,7 @@ def reference_decode(params, payloads, demand, strict=True):
     for user, wanted in sorted(demand.entries.items()):
         in_user = np.zeros(params.num_caches + 1, dtype=bool)
         in_user[list(user)] = True
-        readable = in_user[plan.subfile_sets].any(axis=1)
+        readable = in_user[subset_array(params.num_caches, params.cache_param)].any(axis=1)
         pieces = np.empty(chunks.shape[1:], dtype=np.uint8)
         pieces[readable] = chunks[wanted - 1, readable]
         covered = readable.copy()
@@ -549,7 +549,7 @@ def test_simulation_and_delivery_match_the_construction(data):
     for a, user in enumerate(active):
         assert decode_user(params, user, demand, txs, caches) == {
             SubfileId(demand.entries[user], tuple(T))
-            for T in plan.subfile_sets[plan.term_rank[target[a]]].tolist()}
+            for T in subset_array(C, t)[plan.term_rank[target[a]]].tolist()}
 
 
 @settings(deadline=None, max_examples=60)
