@@ -9,7 +9,8 @@ rank/unrank conversion against that order.
 
 Conventions: subsets are sorted tuples (or array rows) of 1-based labels,
 ranks are 0-based. All functions are pure and safe for concurrent use. The
-array forms return numpy arrays; the exact functions work on plain ints.
+array forms return numpy arrays and import numpy on their first call; the
+exact functions work on plain ints and never load it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from __future__ import annotations
 import functools
 import math
 from itertools import chain, combinations
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def binom(n: int, k: int) -> int:
@@ -95,6 +97,8 @@ INT64_MAX = (1 << 63) - 1
 def subset_array(n: int, k: int) -> np.ndarray:
     """All k-subsets of [n] as the rows of a (C(n, k), k) int64 array, in lex
     order. Built once per (n, k): the array is shared, read-only."""
+    import numpy as np
+
     flat = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), k)), np.int64)
     rows = flat.reshape(binom(n, k), k)
     rows.flags.writeable = False
@@ -113,6 +117,8 @@ def rank_weights(n: int, k: int) -> np.ndarray:
     saturated. Only entries at a (label, place) that no k-subset of [n] has,
     such as C(69, 35) at row 1, column 34 of the (70, 69) table, can be.
     """
+    import numpy as np
+
     table = np.array([[min(binom(n - x, k - i), INT64_MAX) for i in range(k)]
                       for x in range(n + 1)], np.int64).reshape(n + 1, k)
     table.flags.writeable = False
@@ -122,6 +128,8 @@ def rank_weights(n: int, k: int) -> np.ndarray:
 def rank_subsets(subsets: np.ndarray, n: int) -> np.ndarray:
     """:func:`rank_subset` of every row of an array of sorted k-subsets of [n],
     read from :func:`rank_weights`. Rows are not validated."""
+    import numpy as np
+
     k = subsets.shape[-1]
     weights, rank = rank_weights(n, k), np.full(subsets.shape[:-1], binom(n, k) - 1, np.int64)
     for i in range(k):

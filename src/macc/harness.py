@@ -15,9 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Context
 from fractions import Fraction
-from typing import IO, Union
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Union
 
 from .baselines import (
     Pair,
@@ -46,6 +44,9 @@ from .scheme import (
     generate_transmissions,
     simulate_end_to_end,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SIGNIFICANT_DIGITS = 12
 
@@ -112,7 +113,10 @@ class SplitMix64:
         return self.next_u64() % n
 
     def draws(self, n: int, count: int) -> list[int]:
-        """``[self.next_below(n) for _ in range(count)]`` in one array pass."""
+        """``[self.next_below(n) for _ in range(count)]`` in one array pass.
+        A negative count raises ValueError and leaves the stream as it was."""
+        import numpy as np
+
         if n <= 0:
             raise ValueError(f"need a positive bound, got {n}")
         outputs = self._outputs(count)
@@ -120,7 +124,12 @@ class SplitMix64:
 
     def _outputs(self, count: int) -> np.ndarray:
         """The next ``count`` outputs of ``next_u64`` in one array pass: the
-        outputs of state + gamma * (1..count)."""
+        outputs of state + gamma * (1..count). A negative count is refused
+        before the state moves: it would step the stream backward."""
+        import numpy as np
+
+        if count < 0:
+            raise ValueError(f"need a nonnegative count, got {count}")
         outputs = _splitmix_outputs(np.uint64(self._state) + _gammas(count))
         self._state = (self._state + count * self._GAMMA) & self._MASK
         return outputs
@@ -133,6 +142,8 @@ class SplitMix64:
         down to 1, swap item i with item ``next_below(i + 1)``. The draws are
         computed first, in one array pass, with the same values and the same
         final state as that loop."""
+        import numpy as np
+
         n = len(items)
         picks = self._outputs(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
         for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
@@ -149,8 +160,11 @@ class SplitMix64:
         the outputs of seed_i + gamma * (1..k): a (count, k) array, computed
         in blocks of rows of about 64 KiB. Larger blocks raised the peak
         memory of runs with large files (the freed block temporaries leave
-        holes in the heap that later allocations do not fit).
+        holes in the heap that later allocations do not fit). A negative
+        count raises ValueError and leaves the stream as it was.
         """
+        import numpy as np
+
         k = -(-n // 8)
         seeds, steps = self._outputs(count), _gammas(k)
         block, width = max(1, (1 << 13) // max(k, 1)), 8 * k
@@ -164,11 +178,15 @@ class SplitMix64:
 
 def _gammas(count: int) -> np.ndarray:
     """gamma * (1..count) as a uint64 array, wrapping mod 2**64."""
+    import numpy as np
+
     return np.uint64(SplitMix64._GAMMA) * np.arange(1, count + 1, dtype=np.uint64)
 
 
 def _splitmix_outputs(z):
     """The splitmix64 output of each state in a uint64 array, computed in place."""
+    import numpy as np
+
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> np.uint64(shift)
         z *= np.uint64(factor)

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, product, starmap
-from typing import Iterator, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .baselines import check_counts
 from .combinatorics import INT64_MAX, binom, enumerate_subsets, rank_subsets, rank_weights
 from .combinatorics import subset_array, validate_subset
 from .combinatorics import rank_subset  # noqa: F401  perfbench/layers.py wraps macc.scheme.rank_subset
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DemandError(ValueError):
@@ -208,6 +209,8 @@ def _check_demand(
     additionally requires pairwise-distinct file indices, the regime the rate
     analysis assumes. Decoding itself never needs it.
     """
+    import numpy as np
+
     check_rank_range(params)
     C, r, N = params.num_caches, params.access_degree, params.num_files
     for user, file_index in demand.entries.items():
@@ -285,6 +288,8 @@ def _delivery_plan(params: SchemeParams, users: np.ndarray, files: np.ndarray) -
     of their users; each message's labels are the sorted union of its first
     term's U and T.
     """
+    import numpy as np
+
     C, r, t = params.num_caches, params.access_degree, params.cache_param
     k, A = t + r, len(users)
     free = np.ones((A, C + 1), dtype=bool)
@@ -332,6 +337,8 @@ def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
     the places q_0 < ... < q_{t-1} of T, the victim's places are the
     r-subset of places at lex position sum C(t+r-1-q_i, t-i).
     """
+    import numpy as np
+
     C, r, t = params.num_caches, params.access_degree, params.cache_param
     k, M, n = t + r, len(plan.coded_sets), len(plan.term_rank)
     place = np.full((M, C + 1), k, dtype=np.min_scalar_type(k))  # k: not in S
@@ -352,7 +359,8 @@ def _victims(params: SchemeParams, plan: _Plan) -> np.ndarray:
         S = tuple(plan.coded_sets[malformed.argmax()].tolist())
         raise DecodingError(f"transmission {S} {_MALFORMED}", None, S, _MALFORMED)
     # The victim's rank, from one (k, r) table of rank weights per message.
-    table, places = rank_weights(C, r)[plan.coded_sets].reshape(-1), subset_array(k, r) - 1
+    table = np.take(rank_weights(C, r), plan.coded_sets, axis=0).reshape(-1)
+    places = subset_array(k, r) - 1
     victims, at = np.full(n, binom(C, r) - 1, dtype=np.int64), plan.term_message * (k * r)
     for offset in (places * r + np.arange(r)).T:  # flat (place, j) of the victim's j-th label
         index = offset[slot]
@@ -384,6 +392,8 @@ def _peeling(
     these checks it fails; only then are its messages listed and its
     missing pieces found.
     """
+    import numpy as np
+
     C, r, t, N = params.num_caches, params.access_degree, params.cache_param, params.num_files
     M, A = len(plan.coded_sets), len(users)
     # User rank -> position, -1 for an inactive user, in the smallest type that holds A.
@@ -437,6 +447,8 @@ def generate_transmissions(
     coded set S, terms ordered lexicographically by U; none when t + r > C.
     This is the object view of the plan ``simulate_end_to_end`` runs on.
     """
+    import numpy as np
+
     _, users, files = _check_demand(params, demand, strict)
     plan = _delivery_plan(params, users, files)
     index_sets = subset_array(params.num_caches, params.cache_param)[plan.term_rank].tolist()
@@ -505,6 +517,8 @@ def _chunk_matrix(params: SchemeParams, file_payloads: Sequence[bytes]) -> tuple
     """Split payloads into the (N, F, chunk_len) uint8 matrix, zero-padded,
     and return it with the payload length. Subfile T of file i is row
     (i - 1, rank(T))."""
+    import numpy as np
+
     N = params.num_files
     if len(file_payloads) != N:
         raise ValueError(f"expected {N} payloads, got {len(file_payloads)}")
@@ -534,6 +548,8 @@ def _gather(
     rows into another. The chunk of a term is row (f - 1)·F + rank(T) of
     the flattened chunk matrix.
     """
+    import numpy as np
+
     N, F, L = chunks.shape
     M, n = len(plan.coded_sets), len(plan.term_message)
     starts = np.searchsorted(plan.term_message, np.arange(M))
@@ -595,6 +611,8 @@ def simulate_end_to_end(
     evenly); coded messages are bytewise XORs of chunks. Returns the bytes
     each active user reassembles, which must equal its demanded payload.
     """
+    import numpy as np
+
     active, users, files = _check_demand(params, demand, strict)
     chunks, length = _chunk_matrix(params, file_payloads)
     plan = _delivery_plan(params, users, files)

@@ -58,11 +58,17 @@ def test_splitmix64_matches_published_outputs_for_seed_0():
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
-@pytest.mark.parametrize("count", [1, 3, 330])
+@pytest.mark.parametrize("count", [-1, 1, 3, 330])
 @pytest.mark.parametrize("n", [0, 7, 4096])
 def test_spawned_bytes_matches_spawn_loop(count, n):
+    # A negative count is refused, and the stream stays where the loop leaves it.
     fast, slow = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
-    assert fast.spawned_bytes(count, n) == [slow.spawn().bytes(n) for _ in range(count)]
+    expected = [slow.spawn().bytes(n) for _ in range(count)]
+    if count < 0:
+        with pytest.raises(ValueError, match="nonnegative count"):
+            fast.spawned_bytes(count, n)
+    else:
+        assert fast.spawned_bytes(count, n) == expected
     assert fast.next_u64() == slow.next_u64()
 
 
@@ -84,10 +90,16 @@ def test_shuffle_matches_scalar_fisher_yates(seed):
         assert [fast.next_u64() for _ in range(2)] == [slow.next_u64() for _ in range(2)]
 
 
-@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 2**64), count=st.integers(0, 64))
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 2**64), count=st.integers(-64, 64))
 def test_draws_match_next_below_loop(seed, n, count):
+    # A negative count is refused, and the stream stays where the loop leaves it.
     fast, slow = SplitMix64(seed), SplitMix64(seed)
-    assert fast.draws(n, count) == [slow.next_below(n) for _ in range(count)]
+    expected = [slow.next_below(n) for _ in range(count)]
+    if count < 0:
+        with pytest.raises(ValueError, match="nonnegative count"):
+            fast.draws(n, count)
+    else:
+        assert fast.draws(n, count) == expected
     assert [fast.next_u64() for _ in range(2)] == [slow.next_u64() for _ in range(2)]
 
 

@@ -14,9 +14,16 @@ does not export in its ``__all__``. Reads from the tests do not count.
 
 A third pass keeps one reader of the scheme table: no code in the package
 loads ``CELLS`` except the body of ``baselines.read_block``.
+
+Last, ``import macc`` and the analytic commands must not load numpy: each
+function that computes with arrays imports it on its first call.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,3 +224,40 @@ def test_only_read_block_reads_cells():
     loads = [f"{path.stem} {where}" for path in MODULES
              for where in cells_loads(path.read_text(encoding="utf-8"))]
     assert loads and all(load.startswith("baselines read_block ") for load in loads), loads
+
+
+# Runs each command line given as an argument through the CLI, output
+# discarded, then reports the exit codes and whether numpy was loaded.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import macc, macc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [macc.cli.main(command.split()) for command in sys.argv[1:]]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def numpy_loaded(*commands: str) -> bool:
+    """Whether a fresh interpreter loads numpy to import macc and run ``commands``.
+
+    This interpreter has numpy loaded for the other tests, so the check runs
+    in a child with only the package's source directory on its path.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(macc.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *commands], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0] * len(commands), (commands, report, done.stderr)
+    return report["numpy"]
+
+
+def test_import_and_analytic_commands_leave_numpy_unloaded():
+    assert not numpy_loaded("analyze -C 11 -r 4 --t 4", "tables",
+                            "sweep -C 1,2,3,4,5 -r 1,2,3 --mn 0,1/4,1/3,1/2,1")
+
+
+@pytest.mark.parametrize("command", ["simulate -C 6 -r 2 --t 2", "verify-examples"])
+def test_byte_commands_load_numpy(command):
+    # The first test could pass because numpy never loads at all; these show
+    # that the probe sees it when an array is built.
+    assert numpy_loaded(command)
