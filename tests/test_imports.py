@@ -16,7 +16,10 @@ A third pass keeps one reader of the scheme table: no code in the package
 loads ``CELLS`` except the body of ``baselines.read_block``.
 
 Last, ``import macc`` and the analytic commands must not load numpy: each
-function that computes with arrays imports it on its first call.
+function that computes with arrays imports it on its first call. Since the
+module-level ``np`` exists only under ``TYPE_CHECKING``, a linter or type
+checker takes every ``np.`` as defined; an ``ast`` pass therefore requires
+each read of ``np`` to sit in a function that imports numpy itself.
 """
 
 import ast
@@ -224,6 +227,107 @@ def test_only_read_block_reads_cells():
     loads = [f"{path.stem} {where}" for path in MODULES
              for where in cells_loads(path.read_text(encoding="utf-8"))]
     assert loads and all(load.startswith("baselines read_block ") for load in loads), loads
+
+
+def unbound_numpy_reads(source: str) -> list[str]:
+    """Each read of ``np`` in ``source`` that no ``import numpy as np`` binds
+    at run time, as "function line" ("<module>" outside any function).
+
+    A read is bound inside a function whose own statements import numpy as
+    np, and inside any function or class nested in it. Decorators and
+    default values run in the enclosing scope. Annotations are skipped when
+    ``from __future__ import annotations`` keeps them unevaluated.
+    """
+    tree = ast.parse(source)
+    lazy = any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+               and any(alias.name == "annotations" for alias in node.names) for node in tree.body)
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    reads = []
+
+    def imports_numpy(function) -> bool:
+        # Its own statements only: an import in a nested function binds there.
+        pending = list(function.body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.Import) and any(
+                    alias.name == "numpy" and alias.asname == "np" for alias in node.names):
+                return True
+            if not isinstance(node, scopes):
+                pending.extend(ast.iter_child_nodes(node))
+        return False
+
+    def visit(node, where, bound):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            for child in (node.decorator_list + arguments.defaults
+                          + [d for d in arguments.kw_defaults if d is not None]):
+                visit(child, where, bound)
+            if not lazy:
+                for child in [a.annotation for a in ast.walk(arguments) if isinstance(a, ast.arg)
+                              and a.annotation is not None] + [node.returns]:
+                    if child is not None:
+                        visit(child, where, bound)
+            inner = node.name if where == "<module>" else f"{where}.{node.name}"
+            for child in node.body:
+                visit(child, inner, bound or imports_numpy(node))
+            return
+        if isinstance(node, ast.ClassDef):
+            for child in node.decorator_list + node.bases + node.keywords:
+                visit(child, where, bound)
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+            for child in node.body:
+                visit(child, where, bound)
+            return
+        if isinstance(node, ast.AnnAssign) and lazy:
+            for child in (node.target, node.value):
+                if child is not None:
+                    visit(child, where, bound)
+            return
+        if (isinstance(node, ast.Name) and node.id == "np" and isinstance(node.ctx, ast.Load)
+                and not bound):
+            reads.append(f"{where} {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, bound)
+
+    visit(tree, "<module>", False)
+    return reads
+
+
+def test_the_check_finds_an_unbound_numpy_read():
+    source = ("from __future__ import annotations\n"
+              "from typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n"
+              "    import numpy as np\n"
+              "def lazy(n: int) -> np.ndarray:\n"
+              "    import numpy as np\n"
+              "    def inner():\n"
+              "        return np.zeros(n)\n"
+              "    return inner()\n"
+              "def eager(x: np.ndarray) -> np.ndarray:\n"
+              "    return np.asarray(x)\n"
+              "class Table:\n"
+              "    width: np.int64 = 8\n"
+              "    def rows(self, k=np.int64):\n"
+              "        import numpy as np\n"
+              "        return np.arange(k, dtype=(lambda: np.int64)())\n"
+              "def outer():\n"
+              "    def helper():\n"
+              "        import numpy as np\n"
+              "        return np\n"
+              "    return np.sum(helper())\n"
+              "WIDTH = np.int64\n")
+    assert unbound_numpy_reads(source) == ["eager 11", "Table 14", "outer 21", "<module> 22"]
+    # Without the future import an annotation runs at definition time.
+    annotated = "def size(x: np.ndarray) -> int:\n    import numpy as np\n    return np.size(x)\n"
+    assert unbound_numpy_reads(annotated) == ["<module> 1"]
+    assert unbound_numpy_reads("from __future__ import annotations\n" + annotated) == []
+    # Another alias binds another name.
+    assert unbound_numpy_reads(annotated.replace("as np\n", "as numpy\n")) == ["<module> 1", "size 3"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_numpy_read_is_in_a_function_that_imports_numpy(path):
+    assert unbound_numpy_reads(path.read_text(encoding="utf-8")) == []
 
 
 # Runs each command line given as an argument through the CLI, output
