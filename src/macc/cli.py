@@ -259,6 +259,9 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's array allocation failures subclass it
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2

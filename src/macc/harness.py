@@ -494,6 +494,8 @@ def make_demand(
     user; ``random`` draws files independently and allows repeats.
     ``active_count`` keeps only a seeded choice of that many users.
     """
+    if mode not in ("distinct", "random"):
+        raise ValueError(f"unknown demand mode {mode!r}")
     N = params.num_files
     users = list(params.users())
     if active_count is not None:
@@ -511,9 +513,7 @@ def make_demand(
         deck = list(range(1, N + 1))
         rng.shuffle(deck)
         return DemandAssignment(dict(zip(users, deck)))
-    if mode == "random":
-        return DemandAssignment({u: 1 + d for u, d in zip(users, rng.draws(N, len(users)))})
-    raise ValueError(f"unknown demand mode {mode!r}")
+    return DemandAssignment({u: 1 + d for u, d in zip(users, rng.draws(N, len(users)))})
 
 
 def simulate_report(

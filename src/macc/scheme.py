@@ -513,44 +513,30 @@ def decode_user(
     return {SubfileId(*piece) for piece in peeled}
 
 
-def _chunk_matrix(params: SchemeParams, file_payloads: Sequence[bytes]) -> tuple[np.ndarray, int]:
-    """Split payloads into the (N, F, chunk_len) uint8 matrix, zero-padded,
-    and return it with the payload length. Subfile T of file i is row
-    (i - 1, rank(T))."""
-    import numpy as np
-
-    N = params.num_files
-    if len(file_payloads) != N:
-        raise ValueError(f"expected {N} payloads, got {len(file_payloads)}")
-    lengths = {len(p) for p in file_payloads}
-    if len(lengths) > 1:
-        raise ValueError(f"payloads must share one length, got lengths {sorted(lengths)}")
-    (length,) = lengths or {0}
-    F = params.subpacketization
-    chunks = np.zeros((N, F, -(-length // F)), dtype=np.uint8)
-    flat, width = memoryview(chunks.reshape(-1)), chunks[0].size
-    for i, payload in enumerate(file_payloads):
-        flat[i * width:i * width + length] = payload
-    return chunks, length
-
-
 def _gather(
-    plan: _Plan, chunks: np.ndarray
+    plan: _Plan, file_payloads: Sequence[bytes], F: int
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Every term's chunk, gathered once into a place-major (terms, chunk_len)
     buffer; the buffer's run of rows at each place j; and the buffer row of
     each term.
 
-    The messages are ordered by decreasing term count, so the c_j messages
-    with more than j terms, which hold a term at place j, come first. The
-    buffer holds place 0 of every message in that order, then place 1 of
-    the first c_1, and so on, so each step of a byte pass XORs one run of
-    rows into another. The chunk of a term is row (f - 1)·F + rank(T) of
-    the flattened chunk matrix.
+    The payloads, of one length, are each cut into F chunks of
+    chunk_len = ceil(length / F) bytes, the last zero-padded, and read in
+    place as one (N·F, chunk_len) matrix over a single join of each payload
+    and its padding; it is freed on return. The messages are ordered by
+    decreasing term count, so the c_j messages with more than j terms,
+    which hold a term at place j, come first. The buffer holds place 0 of
+    every message in that order, then place 1 of the first c_1, and so on,
+    so each step of a byte pass XORs one run of rows into another. The
+    chunk of a term is row (f - 1)·F + rank(T) of that matrix.
     """
     import numpy as np
 
-    N, F, L = chunks.shape
+    length = len(file_payloads[0])
+    L = -(-length // F)
+    pad = bytes(F * L - length)
+    joined = b"".join([part for payload in file_payloads for part in (payload, pad)])
+    chunks = np.frombuffer(joined, dtype=np.uint8).reshape(len(file_payloads) * F, L)
     M, n = len(plan.coded_sets), len(plan.term_message)
     starts = np.searchsorted(plan.term_message, np.arange(M))
     sizes = np.diff(starts, append=n)
@@ -561,7 +547,7 @@ def _gather(
     rows = plan.term_file[order] - 1
     rows *= F
     rows += plan.term_rank[order]
-    terms = np.take(chunks.reshape(N * F, L), rows, axis=0)
+    terms = np.take(chunks, rows, axis=0)
     row = np.empty(n, dtype=np.int64)
     row[order] = np.arange(n)
     bounds = list(accumulate(counts, initial=0))
@@ -608,17 +594,25 @@ def simulate_end_to_end(
     """Run placement, delivery and decoding on real bytes.
 
     Every file is chopped into binom(C, t) chunks (zero-padded to divide
-    evenly); coded messages are bytewise XORs of chunks. Returns the bytes
-    each active user reassembles, which must equal its demanded payload.
+    evenly); coded messages are bytewise XORs of chunks. The demand, then
+    the payload count and lengths, then the integer plan are checked before
+    ``_gather`` cuts any chunk, so a refused run allocates no chunk bytes.
+    Returns the bytes each active user reassembles, which must equal its
+    demanded payload.
     """
     import numpy as np
 
     active, users, files = _check_demand(params, demand, strict)
-    chunks, length = _chunk_matrix(params, file_payloads)
+    N = params.num_files
+    if len(file_payloads) != N:
+        raise ValueError(f"expected {N} payloads, got {len(file_payloads)}")
+    lengths = {len(p) for p in file_payloads}
+    if len(lengths) > 1:
+        raise ValueError(f"payloads must share one length, got lengths {sorted(lengths)}")
+    (length,) = lengths
     plan = _delivery_plan(params, users, files)
     target = _peeling(params, plan, users, files)
-    pieces, places, row = _gather(plan, chunks)
-    del chunks
+    pieces, places, row = _gather(plan, file_payloads, params.subpacketization)
     _leave_one_out(places, _encode(places))
     delivered, row = plan.term_rank[target], row[target]
     decoded = np.empty((params.subpacketization, pieces.shape[1]), dtype=np.uint8)

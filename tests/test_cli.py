@@ -220,6 +220,22 @@ def test_simulate_refuses_ranks_past_int64_in_one_line(capsys):
                    "the largest subset rank the byte simulation holds\n")
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [(MemoryError("Unable to allocate 15.3 TiB for an array"),
+      "error: out of memory: Unable to allocate 15.3 TiB for an array\n"),
+     (MemoryError(), "error: out of memory\n")],
+    ids=["numpy-message", "bare"],
+)
+def test_simulate_out_of_memory_exits_1_in_one_line(exc, line, capsys, monkeypatch):
+    # numpy's failed allocations raise a MemoryError subclass; none is made here.
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(harness, "simulate_end_to_end", exhausted)
+    assert run_cli(capsys, ["simulate", "-C", "4", "-r", "2", "--t", "1"]) == (1, "", line)
+
+
 def test_simulate_force_runs_past_the_cap(capsys, monkeypatch):
     # (4, 2, 1) has binom(4, 2) = 6 users, one above the lowered cap.
     monkeypatch.setattr(harness, "SIMULATE_USER_CAP", 5)

@@ -466,6 +466,14 @@ def test_simulate_report_refuses_the_demand_before_any_payload(monkeypatch, kwar
         simulate_report(16, 2, 3, file_size=1 << 22, **kwargs)
 
 
+@pytest.mark.parametrize("active", [None, 3])
+def test_unknown_demand_mode_is_refused_before_any_draw(active):
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="unknown demand mode 'zipf'"):
+        make_demand(SchemeParams(4, 2, 1, 6), "zipf", rng, active)
+    assert rng.next_u64() == SplitMix64(5).next_u64()
+
+
 def test_render_decimal_rounds_in_its_own_context():
     """12 significant digits, rounded half to even once, whatever decimal
     context the caller has set."""

@@ -488,11 +488,16 @@ def reference_decode(params, payloads, demand, strict=True):
     chunks.
     """
     _, users, files = scheme._check_demand(params, demand, strict)
-    chunks, length = scheme._chunk_matrix(params, payloads)
+    N, F, length = params.num_files, params.subpacketization, len(payloads[0])
+    L = -(-length // F)
+    chunks = np.zeros((N, F * L), dtype=np.uint8)
+    for i, payload in enumerate(payloads):
+        chunks[i, :length] = list(payload)
+    chunks = chunks.reshape(N, F, L)
     plan = scheme._delivery_plan(params, users, files)
     # The encoder's rows follow its place-major buffer: a message's row is the
     # buffer row of its first term.
-    _, places, row = scheme._gather(plan, chunks)
+    _, places, row = scheme._gather(plan, payloads, F)
     coded = scheme._encode(places)
     outputs = {}
     for user, wanted in sorted(demand.entries.items()):
@@ -912,7 +917,7 @@ def test_message_bytes_and_pieces_match_an_independent_xor(data):
         chunks[i, :size] = list(payload)
     chunks = chunks.reshape(N, F, L)
     plan = plan_for(params, demand)
-    pieces, places, row = scheme._gather(plan, scheme._chunk_matrix(params, payloads)[0])
+    pieces, places, row = scheme._gather(plan, payloads, F)
     coded = scheme._encode(places)
     M = len(plan.coded_sets)
     assert len(coded) == M
@@ -945,6 +950,25 @@ def test_simulate_holds_one_term_buffer_at_a_time():
         tracemalloc.stop()
     assert outputs == dict.fromkeys(users, payloads[0])
     assert peak <= F * L + terms * L + 3 * M * L + len(users) * size + 2 ** 20
+
+
+def test_a_refused_plan_allocates_no_chunk_bytes(monkeypatch):
+    # One 4 MiB file: cutting it into chunks before the check would trace
+    # 4 MiB; the plan and its check at (8, 2, 2) take a few KiB.
+    params = SchemeParams(8, 2, 2, 1)
+    demand = DemandAssignment(dict.fromkeys(params.users(), 1))
+    payloads = [bytes(range(256)) * (1 << 14)]
+    build = scheme._delivery_plan
+    monkeypatch.setattr(scheme, "_delivery_plan",
+                        lambda p, u, f: _plan_negative_file(build(p, u, f), p))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodingError, match="names a file not in 1..N"):
+            simulate_end_to_end(params, payloads, demand, strict=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _plan_swap_demand(coded_set, user):
